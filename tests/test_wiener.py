@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from hklab.wiener import (
     splice,
     time_step,
 )
+
+from conftest import make_graph
 
 
 def lattice_fair_edges(length, h, bins):
@@ -312,3 +315,71 @@ class TestCompare:
         b = simulate_ensemble(interval, GraphPoint("e", 0.5), 0.04, 2e-3, 5, 100)
         with pytest.raises(GraphError):
             compare_ensembles(a, b)
+
+
+# sha256 prefixes of (final_s, exit_step, exit_coord, alive) recorded from the
+# unpack-and-cumsum lattice engine; the step counts cover a horizon inside the
+# first byte, a partial first block, exact block multiples and a last block
+# whose length is not a whole number of bytes
+GOLDEN_H = 2e-3
+GOLDEN = {
+    ("plain", 5): "135af5da256d0406",
+    ("plain", 700): "2b15bd5b94ebcc8a",
+    ("plain", 2048): "ca4caa13d95488f8",
+    ("plain", 2061): "c58a7079b8071b80",
+    ("kill_both", 5): "713a9b3114bcff1a",
+    ("kill_both", 700): "591b8bb584eb236f",
+    ("kill_both", 2048): "669a7097f307e46c",
+    ("kill_both", 2061): "d25c2a7b8f184108",
+    ("kill_one", 5): "33e0fc1093826552",
+    ("kill_one", 700): "65439069b660a43b",
+    ("kill_one", 2048): "187568604b266024",
+    ("kill_one", 2061): "0a5e8be968dc495c",
+    ("exit", 5): "169785fc24a59546",
+    ("exit", 700): "f339451281b89f7d",
+    ("exit", 2048): "38b04bb8189dcda1",
+    ("exit", 2061): "f9c4537011ab1942",
+    ("splice", 5): "91c8f0786a4c0626",
+    ("splice", 700): "d1d93b1ae049befc",
+    ("splice", 2048): "161ae0f0cd3c9e14",
+    ("splice", 2061): "542b1ce4e309bc0f",
+}
+
+
+def _segment(length, left, right):
+    return make_graph([("a", left), ("b", right)], [("e", "a", "b", length)])
+
+
+def _golden_ensemble(kind, steps):
+    h, n = GOLDEN_H, 999
+    T = steps * time_step(h)
+    neumann = _segment(0.1, "kirchhoff", "kirchhoff")
+    if kind == "plain":
+        return simulate_ensemble(neumann, GraphPoint("e", 0.03), T, h, 11, n)
+    if kind == "kill_both":
+        g = _segment(0.1, "dirichlet", "dirichlet")
+        return simulate_ensemble(g, GraphPoint("e", 0.006), T, h, 12, n)
+    if kind == "kill_one":
+        g = _segment(0.1, "kirchhoff", "dirichlet")
+        return simulate_ensemble(g, GraphPoint("e", 0.094), T, h, 13, n)
+    if kind == "exit":
+        u = interval_subdomain(neumann, "e", 0.002, 0.096)
+        return simulate_ensemble(neumann, GraphPoint("e", 0.05), T, h, 14, n, U=u)
+    # Dirichlet interval onto a longer Neumann one, U shifted by 0.1
+    g_a = _segment(0.1, "dirichlet", "dirichlet")
+    g_b = _segment(0.2, "kirchhoff", "kirchhoff")
+    u_a = interval_subdomain(g_a, "e", 0.004, 0.096)
+    u_b = interval_subdomain(g_b, "e", 0.104, 0.196)
+    iso = IsometryMap(u_a, u_b, (MapPiece("e", 0.004, 0.096, "e", 0.104, +1),))
+    return splice(SpliceConfig(g_a, g_b, u_a, iso, GraphPoint("e", 0.05), T, h, n, 15))
+
+
+class TestGoldenHashes:
+    @pytest.mark.parametrize("kind,steps", sorted(GOLDEN))
+    def test_lattice_bytes_unchanged(self, kind, steps):
+        ens = _golden_ensemble(kind, steps)
+        assert ens.engine == "lattice"
+        digest = hashlib.sha256()
+        for a in (ens.final_s, ens.exit_step, ens.exit_coord, ens.alive):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        assert digest.hexdigest()[:16] == GOLDEN[(kind, steps)]
