@@ -10,6 +10,15 @@ Randomness is counter-based: step m of every path draws from a Philox stream
 keyed by (base seed, block index) with a fixed block size, so ensembles are
 bitwise reproducible for a given seed no matter how the work is scheduled,
 and a spliced run consumes exactly the bits a direct run would.
+
+The single-interval lattice engine never unpacks those bits.  A block of
+1024 steps arrives as 128 packed bytes per path, step k in bit 7 - k % 8 of
+byte k // 8 (most significant bit first, the order of ``np.unpackbits``).
+The walk total over a block is 2 * popcount - nb.  First passages come from
+256-entry byte tables of the walk's position, running max and running min
+inside a byte: each byte starts at the sum of the bytes before it, so a
+block's extremes and its exact first crossing take a pass over bytes, not
+steps.  The outputs are bit-identical to unpacking every step.
 """
 
 from __future__ import annotations
@@ -23,16 +32,31 @@ from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph
 from .locality import IsometryMap, SubdomainSpec
 
 _BLOCK = 1024  # steps per RNG block; fixed forever for reproducibility
+_BLOCK_BYTES = _BLOCK // 8
+_SCAN_ROWS = 4096  # paths per group in the first-passage scan
 
 
-def _block_bits(seed: int, block: int, n_paths: int) -> np.ndarray:
-    """Sign bits of one block, path-major shape (n_paths, BLOCK), values 0/1."""
+def _block_bytes(seed: int, block: int, n_paths: int) -> np.ndarray:
+    """Packed sign bits of one block, path-major shape (n_paths, BLOCK // 8).
+
+    Step k of a path is bit 7 - k % 8 of its byte k // 8, the MSB-first order
+    of ``np.unpackbits``; a set bit is a step up.
+    """
     ss = np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), 2, block))
     gen = np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
-    need = _BLOCK * n_paths
-    raw = gen.bytes((need + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=need)
-    return bits.reshape(n_paths, _BLOCK)
+    raw = gen.bytes(_BLOCK_BYTES * n_paths)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(n_paths, _BLOCK_BYTES)
+
+
+def _byte_tables():
+    """Walk within one byte, MSB first: row l holds, for all 256 bytes, the
+    position after step l + 1 and the running max and min over steps 1..l+1."""
+    bits = (np.arange(256) >> np.arange(7, -1, -1)[:, None]) & 1
+    pos = np.cumsum(2 * bits - 1, axis=0).astype(np.int16)
+    return pos, np.maximum.accumulate(pos), np.minimum.accumulate(pos)
+
+
+_BYTE_POS, _BYTE_MAX, _BYTE_MIN = _byte_tables()
 
 
 def _step_uniforms(seed: int, step: int, n_paths: int) -> np.ndarray:
@@ -113,66 +137,102 @@ def _fold(z, m: int):
     return np.minimum(r, 2 * m - r)
 
 
-def _first_passage(seed: int, n_paths: int, steps: int, level_lo, level_hi):
-    """Free-walk prefix sums with first-passage detection across two levels.
+def _first_passage(seed: int, n_paths: int, steps: int, levels=None):
+    """Free-walk totals with first-passage detection across two levels.
 
-    The walk S starts at 0 and moves by +-1; the routine reports the first
-    step at which S <= level_lo or S >= level_hi (levels may be None) plus
-    the total S at the horizon.  Detection scans a block in detail only when
-    its coarse extrema show a fresh crossing, so the common case costs one
-    cumulative sum per block.
+    The walk S starts at 0 and moves by +-1, one packed sign bit per step.
+    The routine returns the total S at the horizon and, when
+    ``levels = (lo, hi)`` with lo < 0 < hi is given, the first step at which
+    S <= lo or S >= hi and the level reached there (-1 and 0 for paths that
+    never reach one).  Every block is read as bytes and never unpacked: a
+    block moves S by 2 * popcount - nb, and only paths that have not hit yet
+    and start the block within nb steps of a level are scanned byte by byte
+    (see ``_crossings``).
     """
     carry = np.zeros(n_paths, dtype=np.int64)
     hit_step = np.full(n_paths, -1, dtype=np.int64)
     hit_level = np.zeros(n_paths, dtype=np.int64)
-    track = level_lo is not None or level_hi is not None
-    cs = np.empty((n_paths, _BLOCK), dtype=np.int32) if track else None
     done = 0
     block = 0
     while done < steps:
         nb = min(_BLOCK, steps - done)
-        bits = _block_bits(seed, block, n_paths)[:, :nb]
-        signs = bits.view(np.int8)
-        signs += signs
-        signs -= 1
-        if not track:
-            carry += signs.sum(axis=1, dtype=np.int32)
-            done += nb
-            block += 1
-            continue
-        buf = cs[:, :nb]
-        np.cumsum(signs, axis=1, dtype=np.int32, out=buf)
-        fresh = hit_step < 0
-        crossed = np.zeros(n_paths, dtype=bool)
-        if level_hi is not None:
-            crossed |= buf.max(axis=1) >= level_hi - carry
-        if level_lo is not None:
-            crossed |= buf.min(axis=1) <= level_lo - carry
-        newly = np.nonzero(fresh & crossed)[0]
-        if newly.size:
-            rows = buf[newly].astype(np.int64) + carry[newly, None]
-            big = np.iinfo(np.int64).max
-            i_hi = np.full(newly.size, big)
-            i_lo = np.full(newly.size, big)
-            if level_hi is not None:
-                above = np.maximum.accumulate(rows, axis=1) >= level_hi
-                got = above[:, -1]
-                i_hi[got] = above.argmax(axis=1)[got]
-            if level_lo is not None:
-                below = np.minimum.accumulate(rows, axis=1) <= level_lo
-                got = below[:, -1]
-                i_lo[got] = below.argmax(axis=1)[got]
-            first = np.minimum(i_hi, i_lo)
-            hit_step[newly] = done + 1 + first
-            hit_level[newly] = np.where(
-                i_hi <= i_lo,
-                level_hi if level_hi is not None else 0,
-                level_lo if level_lo is not None else 0,
-            )
-        carry += buf[:, -1]
+        raw = _block_bytes(seed, block, n_paths)
+        if levels is not None:
+            lo, hi = levels
+            fresh = np.nonzero(
+                (hit_step < 0) & ((hi - carry <= nb) | (carry - lo <= nb))
+            )[0]
+            # groups of rows small enough for the byte-major copies to stay
+            # in cache
+            for rows in np.split(fresh, range(_SCAN_ROWS, fresh.size, _SCAN_ROWS)):
+                # thresholds beyond nb steps are unreachable; clip to int16
+                lo_rel = np.maximum(lo - carry[rows], -nb - 1).astype(np.int16)
+                hi_rel = np.minimum(hi - carry[rows], nb + 1).astype(np.int16)
+                first, up = _crossings(raw[rows], nb, lo_rel, hi_rel)
+                got = first >= 0
+                hit_step[rows[got]] = done + 1 + first[got]
+                hit_level[rows[got]] = np.where(up[got], hi, lo)
+        if nb == _BLOCK:
+            ups = np.bitwise_count(raw.view(np.uint64)).sum(axis=1, dtype=np.int64)
+        else:
+            whole, rest = divmod(nb, 8)
+            ups = np.bitwise_count(raw[:, :whole]).sum(axis=1, dtype=np.int64)
+            if rest:
+                # the trailing byte holds its steps in its top `rest` bits
+                ups += np.bitwise_count(raw[:, whole] >> (8 - rest))
+        carry += 2 * ups - nb
         done += nb
         block += 1
     return carry, hit_step, hit_level
+
+
+def _crossings(raw: np.ndarray, nb: int, lo_rel: np.ndarray, hi_rel: np.ndarray):
+    """First step (0-based, -1 if none) among the first nb packed steps of
+    each row at which the walk from 0 reaches lo_rel or hi_rel, and whether
+    the level reached there is hi_rel.
+
+    Each byte starts where the exclusive sum of the earlier byte sums puts
+    the walk; adding the byte's running max (min) from ``_BYTE_MAX``
+    (``_BYTE_MIN``) gives the highest (lowest) point the walk reaches inside
+    it.  The first byte that reaches a level and the position table
+    ``_BYTE_POS`` then give the exact step.
+    """
+    whole, rest = divmod(nb, 8)
+    cols = whole + (rest > 0)
+    col_bytes = np.ascontiguousarray(raw[:, :cols].T)  # byte-major, (cols, rows)
+    start = np.zeros(col_bytes.shape, dtype=np.int16)
+    sums = 2 * np.bitwise_count(col_bytes[:-1]).astype(np.int16) - 8
+    for j in range(1, cols):
+        np.add(start[j - 1], sums[j - 1], out=start[j])
+    # the walk stays within 8 of where its byte starts, so only rows that
+    # start some byte that close to a level need the tables
+    rows = np.nonzero(
+        (start.max(axis=0) >= hi_rel - 8) | (start.min(axis=0) <= lo_rel + 8)
+    )[0]
+    start, col_bytes = start[:, rows], col_bytes[:, rows]
+    lo_rel, hi_rel = lo_rel[rows], hi_rel[rows]
+    top = start + np.take(_BYTE_MAX[7], col_bytes)
+    bottom = start + np.take(_BYTE_MIN[7], col_bytes)
+    if rest:
+        # only the top `rest` steps of the trailing byte belong to the block
+        top[-1] = start[-1] + np.take(_BYTE_MAX[rest - 1], col_bytes[-1])
+        bottom[-1] = start[-1] + np.take(_BYTE_MIN[rest - 1], col_bytes[-1])
+    never = np.iinfo(np.int64).max
+    cols_at = np.arange(rows.size)
+    found = []
+    for reach, sign, rel in ((top >= hi_rel, 1, hi_rel), (bottom <= lo_rel, -1, lo_rel)):
+        j = reach.argmax(axis=0)  # first byte that reaches the level
+        inside = start[j, cols_at] + _BYTE_POS[:, col_bytes[j, cols_at]]
+        k = (sign * inside >= sign * rel).argmax(axis=0)
+        found.append(np.where(reach.any(axis=0), 8 * j + k, never))
+    i_hi, i_lo = found
+    near_first = np.minimum(i_hi, i_lo)
+    crossed = near_first < never
+    first = np.full(raw.shape[0], -1, dtype=np.int64)
+    up = np.zeros(raw.shape[0], dtype=bool)
+    first[rows[crossed]] = near_first[crossed]
+    up[rows[crossed]] = (i_hi <= i_lo)[crossed]
+    return first, up
 
 
 def _lattice_ensemble(
@@ -239,7 +299,7 @@ def _lattice_ensemble(
             raise GraphError("lattice splice supports reflecting far ends only")
 
     s_total, hit_step, hit_level = _first_passage(
-        seed, n_paths, steps, level_lo, level_hi
+        seed, n_paths, steps, None if mode == "plain" else (level_lo, level_hi)
     )
 
     alive = np.ones(n_paths, dtype=bool)

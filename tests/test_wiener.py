@@ -15,7 +15,13 @@ from hklab.locality import (
     interval_subdomain,
 )
 from hklab.wiener import (
+    _BYTE_MAX,
+    _BYTE_MIN,
+    _BYTE_POS,
     SpliceConfig,
+    _block_bytes,
+    _crossings,
+    _first_passage,
     chi_square_two_sample,
     compare_ensembles,
     first_exit,
@@ -383,3 +389,93 @@ class TestGoldenHashes:
         for a in (ens.final_s, ens.exit_step, ens.exit_coord, ens.alive):
             digest.update(np.ascontiguousarray(a).tobytes())
         assert digest.hexdigest()[:16] == GOLDEN[(kind, steps)]
+
+
+def _unpacked_walk(raw, nb):
+    """Walk positions after steps 1..nb of each row, by unpacking every bit."""
+    bits = np.unpackbits(raw, axis=1)[:, :nb].astype(np.int64)
+    return np.cumsum(2 * bits - 1, axis=1)
+
+
+def _reference_crossings(walk, lo, hi):
+    """First 0-based step with walk <= lo or >= hi (-1 if none), and whether
+    the level reached there is hi."""
+    lo = np.asarray(lo)[:, None]
+    hi = np.asarray(hi)[:, None]
+    crossed = (walk <= lo) | (walk >= hi)
+    first = np.where(crossed.any(axis=1), crossed.argmax(axis=1), -1)
+    rows = np.arange(len(walk))
+    up = (first >= 0) & (walk[rows, first] >= hi[:, 0])
+    return first, up
+
+
+def _reference_first_passage(seed, n_paths, steps, levels):
+    blocks = [_block_bytes(seed, b, n_paths) for b in range(-(-steps // 1024))]
+    walk = _unpacked_walk(np.concatenate(blocks, axis=1), steps)
+    if levels is None:
+        return walk[:, -1], np.full(n_paths, -1), np.zeros(n_paths, dtype=np.int64)
+    lo, hi = levels
+    first, up = _reference_crossings(walk, np.full(n_paths, lo), np.full(n_paths, hi))
+    return (walk[:, -1], np.where(first >= 0, first + 1, -1),
+            np.where(first >= 0, np.where(up, hi, lo), 0))
+
+
+class TestByteTableScan:
+    def test_tables_match_unpacked_bits(self):
+        byte = np.arange(256, dtype=np.uint8)
+        walk = _unpacked_walk(byte[:, None], 8)
+        for length in range(1, 9):
+            assert np.array_equal(_BYTE_POS[length - 1], walk[:, length - 1])
+            assert np.array_equal(_BYTE_MAX[length - 1], walk[:, :length].max(axis=1))
+            assert np.array_equal(_BYTE_MIN[length - 1], walk[:, :length].min(axis=1))
+            # the untracked sum of a partial byte: shift, then count
+            ups = np.bitwise_count(byte >> (8 - length)).astype(np.int64)
+            assert np.array_equal(2 * ups - length, walk[:, length - 1])
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("steps", [1, 7, 8, 9, 1023, 1024, 1025, 2061])
+    @pytest.mark.parametrize("levels", [
+        None, (-1, 1), (-1, 40), (-40, 1), (-2, 2), (-3, 5), (-30, 30), (-90, 60),
+    ])
+    def test_first_passage_matches_unpacked_cumsum(self, seed, steps, levels):
+        got = _first_passage(seed, 300, steps, levels)
+        want = _reference_first_passage(seed, 300, steps, levels)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("nb", [1, 3, 8, 13, 1000, 1024])
+    def test_crossings_on_byte_and_block_ends(self, nb):
+        rng = np.random.default_rng(nb)
+        n = 2000
+        raw = rng.integers(0, 256, size=(n, 128), dtype=np.uint8)
+        walk = _unpacked_walk(raw, nb)
+        never = nb + 1
+        lo = rng.integers(-12, 0, size=n)
+        hi = rng.integers(1, 13, size=n)
+        # a third of the rows reach hi for the first time on a byte's last bit
+        # and the block's last bit, where the walk sets a new record
+        runmax = np.maximum.accumulate(walk, axis=1)
+        record = np.zeros_like(walk, dtype=bool)
+        record[:, 0] = walk[:, 0] > 0
+        record[:, 1:] = runmax[:, 1:] > runmax[:, :-1]
+        ends = np.zeros(nb, dtype=bool)
+        ends[7::8] = True
+        ends[-1] = True
+        for i in range(0, n, 3):
+            ks = np.nonzero(record[i] & ends)[0]
+            if ks.size:
+                hi[i] = walk[i, rng.choice(ks)]
+                lo[i] = -never
+        want_first, want_up = _reference_crossings(walk, lo, hi)
+        first, up = _crossings(raw, nb, lo.astype(np.int16), hi.astype(np.int16))
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(up, want_up)
+        if nb >= 8:
+            assert np.any(want_first % 8 == 7)
+            assert np.any(want_first == nb - 1)
+        # some crossing bytes reach both levels; the earlier step decides
+        rows = np.nonzero(want_first >= 0)[0]
+        b = want_first[rows] // 8
+        seg = [walk[i, 8 * j:8 * j + 8] for i, j in zip(rows, b)]
+        both = [(s.max() >= hi[i]) and (s.min() <= lo[i]) for s, i in zip(seg, rows)]
+        assert any(both) or nb < 3
