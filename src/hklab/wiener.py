@@ -23,6 +23,7 @@ steps.  The outputs are bit-identical to unpacking every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,13 @@ def time_step(h: float) -> float:
     return 0.5 * h * h
 
 
+def _check_horizon(T: float):
+    if not (math.isfinite(T) and T > 0):
+        raise GraphError(f"horizon T must be finite and positive, got {T!r}")
+
+
 def n_steps(T: float, h: float) -> int:
+    _check_horizon(T)
     steps = int(round(T / time_step(h)))
     if steps < 1:
         raise GraphError("horizon shorter than a single step")
@@ -614,8 +621,7 @@ class SpliceConfig:
     seed: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise GraphError("horizon must be positive")
+        _check_horizon(self.T)
         if self.U.parent != self.graph_a:
             raise GraphError("U must be a subdomain of graph A")
         if not self.U.contains(self.x0):

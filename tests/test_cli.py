@@ -127,6 +127,17 @@ class TestMcCommand:
         main(args)
         assert (workdir / "ensemble.csv").read_bytes() != baseline
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_non_finite_horizon_exit_2(self, workdir, horizon, capsys):
+        args = [
+            "mc", "simulate", "--graph", str(workdir / "interval.json"),
+            "--x0", "e:0.5", "--T", horizon, "--h", "2e-3", "--paths", "10",
+            "--out", str(workdir),
+        ]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "finite and positive" in err["error"]
+
     def test_splice_config(self, workdir):
         cfg = {
             "graph_a": str(workdir / "interval_d.json"),

@@ -61,6 +61,15 @@ class TestScaling:
         assert time_step(1e-3) == 5e-7
         assert n_steps(0.05, 1e-3) == 100000
 
+    @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 0.0, -0.1])
+    def test_bad_horizon_rejected(self, T, interval):
+        with pytest.raises(GraphError, match="finite and positive"):
+            n_steps(T, 1e-3)
+        u = interval_subdomain(interval, "e", 0.25, 0.75)
+        with pytest.raises(GraphError, match="finite and positive"):
+            SpliceConfig(interval, interval, u, identity_map(u),
+                         GraphPoint("e", 0.5), T, 2e-3, 10, 1)
+
     def test_mean_and_msd_on_line(self, long_interval):
         ens = simulate_ensemble(long_interval, GraphPoint("e", 4.0), 0.05, 2e-3,
                                 7, 50000)
