@@ -21,13 +21,3 @@ def simpson_nodes(length: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     w *= length / (3.0 * n)
     return s, w
 
-
-def simpson_integrate(values: np.ndarray, length: float) -> float:
-    """Composite Simpson for uniformly sampled values on [0, length]."""
-    n = len(values) - 1
-    if n < 2 or n % 2:
-        raise ValueError("need an even number of uniform intervals")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.dot(w, values) * length / (3.0 * n))
