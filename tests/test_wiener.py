@@ -10,6 +10,7 @@ from hklab.kernels import kernel_interval, kernel_mass, pathsum_profile
 from hklab.locality import (
     IsometryMap,
     MapPiece,
+    ball_subdomain,
     exit_density,
     identity_map,
     interval_subdomain,
@@ -399,6 +400,68 @@ class TestGoldenHashes:
             digest.update(np.ascontiguousarray(a).tobytes())
         assert digest.hexdigest()[:16] == GOLDEN[(kind, steps)]
 
+
+
+# sha256 prefixes of (final_edge, final_s, alive, exit_step, exit_coord,
+# exit_edge) recorded from the per-step engine while direct runs, splices and
+# single paths were still three separate loops
+GENERAL_GOLDEN = {
+    "direct": "db40927018d371bb",
+    "dirichlet_leaves": "d48e46990e25b230",
+    "tracked": "421ca4066835d94d",
+    "splice_d_to_k": "17d67b6995bf416e",
+    "splice_identity": "2f6fe23a9a403c5e",
+}
+
+
+def _star(leaf):
+    return make_graph(
+        [("c", "kirchhoff")] + [(f"l{i}", leaf) for i in (1, 2, 3)],
+        [(f"e{i}", "c", f"l{i}", 1.0) for i in (1, 2, 3)],
+    )
+
+
+def _general_golden_ensemble(kind):
+    h, n = 5e-3, 400
+    T = 1200 * time_step(h)
+    star = _star("kirchhoff")
+    star_d = _star("dirichlet")
+    x0 = GraphPoint("e1", 0.2)
+    if kind == "direct":
+        return simulate_ensemble(star, x0, T, h, 21, n)
+    if kind == "dirichlet_leaves":
+        return simulate_ensemble(star_d, GraphPoint("e2", 0.9), T, h, 22, n)
+    ball = ball_subdomain(star, "c", 0.3)
+    if kind == "tracked":
+        return simulate_ensemble(star, x0, T, h, 23, n, U=ball)
+    if kind == "splice_identity":
+        return splice(SpliceConfig(star, star, ball, identity_map(ball), x0, T, h, n, 24))
+    ball_d = ball_subdomain(star_d, "c", 0.3)
+    iso = IsometryMap(ball_d, ball, tuple(
+        MapPiece(f"e{i}", 0.0, 0.3, f"e{i}", 0.0, +1) for i in (1, 2, 3)))
+    return splice(SpliceConfig(star_d, star, ball_d, iso, x0, T, h, n, 25))
+
+
+class TestGeneralGoldenHashes:
+    @pytest.mark.parametrize("kind", sorted(GENERAL_GOLDEN))
+    def test_general_bytes_unchanged(self, kind):
+        ens = _general_golden_ensemble(kind)
+        assert ens.engine == "general"
+        digest = hashlib.sha256()
+        for a in (ens.final_edge, ens.final_s, ens.alive, ens.exit_step,
+                  ens.exit_coord, ens.exit_edge):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        assert digest.hexdigest()[:16] == GENERAL_GOLDEN[kind]
+
+    @pytest.mark.parametrize("edge,s,seed", [("e1", 0.1, 1), ("e1", 0.5, 3), ("e1", 0.1, 6)])
+    def test_simulate_ends_at_path_zero(self, star3_dirichlet_leaves, edge, s, seed):
+        g = star3_dirichlet_leaves
+        x0 = GraphPoint(edge, s)
+        path = simulate(g, x0, 0.05, 5e-3, seed, every=1)
+        ens = simulate_ensemble(g, x0, 0.05, 5e-3, seed, 50)
+        end = path.positions[-1]
+        assert (end.edge, end.s) == (g.edges[ens.final_edge[0]].id, ens.final_s[0])
+        assert path.killed == (not ens.alive[0])
 
 def _unpacked_walk(raw, nb):
     """Walk positions after steps 1..nb of each row, by unpacking every bit."""
