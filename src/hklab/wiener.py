@@ -11,7 +11,16 @@ keyed by (base seed, block index) with a fixed block size, so ensembles are
 bitwise reproducible for a given seed no matter how the work is scheduled,
 and a spliced run consumes exactly the bits a direct run would.
 
-The single-interval lattice engine never unpacks those bits.  A block of
+There is one general engine and one fast path.  The general engine walks
+every path in lockstep, one step at a time, on any graph.  It serves direct
+runs, runs that record first exits from U, and splices, where each path
+carries a flag saying whether it has crossed over to the second graph; a
+single stored trajectory is its ensemble of one path.  The fast path is the
+single-interval lattice engine.  One check, ``_lattice_refusal``, decides
+whether a run fits it, and an ensemble the general engine ran records the
+check's reason in ``EnsembleResult.lattice_refusal``.
+
+The lattice engine never unpacks the random bits.  A block of
 1024 steps arrives as 128 packed bytes per path, step k in bit 7 - k % 8 of
 byte k // 8 (most significant bit first, the order of ``np.unpackbits``).
 The walk total over a block is 2 * popcount - nb.  First passages come from
@@ -108,6 +117,7 @@ class EnsembleResult:
     exit_coord: np.ndarray  # arclength of the crossed cut on its edge
     exit_edge: np.ndarray
     engine: str
+    lattice_refusal: str = ""  # why the lattice engine did not run; "" if it did
 
     def endpoint_coords(self) -> np.ndarray:
         """Global arclength coordinates of surviving endpoints."""
@@ -131,12 +141,44 @@ class EnsembleResult:
 # -- single-edge lattice engine -------------------------------------------------
 
 
-def _is_lattice_interval(g: MetricGraph, x0: GraphPoint, h: float) -> bool:
+def _lattice_refusal(g, x0, h, U=None, splice_to=None) -> str | None:
+    """Why the interval lattice engine cannot run this ensemble; None if it can.
+
+    The lattice engine folds one free walk on the step lattice, and first
+    exits from U are level crossings of that walk.  So the graph must be one
+    interval, U one piece that ends at two cut points inside it, and the
+    length, the start, the cuts and, when splicing, the second interval and
+    the cut images must all be whole multiples of h.  A direct run cannot
+    track exits and absorb at a Dirichlet end at once.  A splice continues
+    on a second interval with reflecting ends through an orientation-keeping
+    map; the first interval's ends do not matter, since exits through the
+    cut points precede any contact with them.
+    """
     if len(g.edges) != 1 or g.edges[0].u == g.edges[0].v:
-        return False
-    m = g.edges[0].length / h
-    p0 = x0.s / h
-    return abs(m - round(m)) < 1e-9 and abs(p0 - round(p0)) < 1e-9
+        return "graph is not a single interval"
+    edge = g.edges[0]
+    marks = [edge.length, x0.s]
+    if U is not None:
+        if len(U.pieces) != 1:
+            return "U has more than one piece"
+        if len(U.cut_points) != 2:
+            return "U reaches an end of the interval"
+        marks += [b.s for b in U.cut_points]
+        if splice_to is None and DIRICHLET in (g.condition(edge.u), g.condition(edge.v)):
+            return "exit tracking on an interval with a Dirichlet end"
+    if splice_to is not None:
+        g_b, iso, images = splice_to
+        if len(g_b.edges) != 1 or g_b.edges[0].u == g_b.edges[0].v:
+            return "second graph is not a single interval"
+        edge_b = g_b.edges[0]
+        if DIRICHLET in (g_b.condition(edge_b.u), g_b.condition(edge_b.v)):
+            return "second interval has a Dirichlet end"
+        if any(p.sign <= 0 for p in iso.pieces):
+            return "map reverses orientation"
+        marks += [edge_b.length] + [b.s for b in images]
+    if any(abs(v / h - round(v / h)) > 1e-9 for v in marks):
+        return "a length, start, cut point or cut image is off the step lattice"
+    return None
 
 
 def _fold(z, m: int):
@@ -257,8 +299,9 @@ def _lattice_ensemble(
     Reflection at the ends commutes with folding, so only the free prefix
     sums are simulated; Dirichlet absorption and first exits from U are level
     crossings of the free walk (the nearest absorbing images around the
-    start).  With splice_to=(graph_b, map_fn) exited paths continue on the
-    second interval from the image of the cut they crossed.
+    start).  With splice_to=(graph_b, iso, images of U's cut points) exited
+    paths continue on the second interval from the image of the cut they
+    crossed.  Only runs that ``_lattice_refusal`` accepts come here.
     """
     edge = g.edges[0]
     m = int(round(edge.length / h))
@@ -270,15 +313,8 @@ def _lattice_ensemble(
     level_lo = level_hi = None
     mode = "plain"
     if U is not None:
-        if len(U.pieces) != 1:
-            raise GraphError("lattice engine supports a single-interval U")
         _, lo, hi = U.pieces[0]
-        c1, c2 = lo / h, hi / h
-        if abs(c1 - round(c1)) > 1e-9 or abs(c2 - round(c2)) > 1e-9:
-            raise GraphError("U cut points must sit on the step lattice")
-        c1, c2 = int(round(c1)), int(round(c2))
-        if not c1 < p0 < c2:
-            raise GraphError("start point must lie inside U")
+        c1, c2 = int(round(lo / h)), int(round(hi / h))
         # exits precede any contact with the interval ends
         level_lo, level_hi = c1 - p0, c2 - p0
         mode = "exit"
@@ -291,19 +327,6 @@ def _lattice_ensemble(
         else:
             level_lo, level_hi = -m - p0, m - p0
         mode = "kill"
-
-    g_b = None
-    if splice_to is not None:
-        if mode != "exit":
-            raise GraphError("splicing requires U exit tracking")
-        g_b, map_fn = splice_to
-        edge_b = g_b.edges[0]
-        m_b_f = edge_b.length / h
-        m_b = int(round(m_b_f))
-        if abs(m_b_f - m_b) > 1e-9:
-            raise GraphError("second graph is not on the step lattice")
-        if g_b.condition(edge_b.u) == DIRICHLET or g_b.condition(edge_b.v) == DIRICHLET:
-            raise GraphError("lattice splice supports reflecting far ends only")
 
     s_total, hit_step, hit_level = _first_passage(
         seed, n_paths, steps, None if mode == "plain" else (level_lo, level_hi)
@@ -325,28 +348,19 @@ def _lattice_ensemble(
         cut_pos = p0 + hit_level  # equals c1 or c2 exactly
         exit_coord = np.where(exited, cut_pos.astype(float) * h, 0.0)
         if splice_to is not None:
-            # continue on the second interval from the image of the cut
-            cut_vals = np.unique(cut_pos[exited]) if exited.any() else []
-            cut_b = np.zeros(n_paths, dtype=np.int64)
-            for cv in cut_vals:
-                img = map_fn(float(cv) * h) / h
-                if abs(img - round(img)) > 1e-9:
-                    raise GraphError("cut image is not on the step lattice")
-                cut_b[cut_pos == cv] = int(round(img))
-            # the free walk sat at hit_level when the cut was crossed
+            g, _, images = splice_to  # the run ends on the second interval
+            m_b = int(round(g.edges[0].length / h))
+            # the map is a translation by a whole number of steps
+            b1, b2 = (int(round(img.s / h)) for img in images)
+            cut_b = np.where(hit_level == level_hi, b2, b1)
+            # continue on the second interval from the image of the cut; the
+            # free walk sat at hit_level when the cut was crossed
             cont = cut_b + (s_total.astype(np.int64) - hit_level.astype(np.int64))
-            final_b = _fold(cont, m_b)
-            # paths that never left U end inside it; carry them through the
-            # isometry on the index lattice (exact for identity pieces)
-            c1p, c2p = p0 + level_lo, p0 + level_hi
-            lut = np.zeros(m + 1, dtype=np.int64)
-            for idx in range(c1p, c2p + 1):
-                lut[idx] = int(round(map_fn(idx * h) / h))
-            final = np.where(exited, final_b, lut[final])
+            # paths that never left U end inside it and move with the map
+            final = np.where(exited, _fold(cont, m_b), final + (b1 - c1))
 
-    graph_out = g_b if splice_to is not None else g
     return EnsembleResult(
-        graph_out, T, h, seed, n_paths,
+        g, T, h, seed, n_paths,
         np.zeros(n_paths, dtype=np.int64), final.astype(float) * h, alive,
         exit_step, exit_coord,
         np.zeros(n_paths, dtype=np.int64), "lattice",
@@ -357,6 +371,7 @@ def _lattice_ensemble(
 
 
 def _incidence_tables(g: MetricGraph):
+    """Vertex and edge indices, and the tables ``_advance`` walks with."""
     vids = {v.id: i for i, v in enumerate(g.vertices)}
     eids = {e.id: i for i, e in enumerate(g.edges)}
     max_deg = g.max_degree
@@ -372,10 +387,10 @@ def _incidence_tables(g: MetricGraph):
     lengths = np.array([e.length for e in g.edges])
     end_vertex = np.array([[vids[e.u], vids[e.v]] for e in g.edges], dtype=np.int64)
     dirichlet = np.array([v.condition == DIRICHLET for v in g.vertices])
-    return vids, eids, deg, inc_edge, inc_end, lengths, end_vertex, dirichlet
+    return vids, eids, (deg, inc_edge, inc_end, lengths, end_vertex, dirichlet)
 
 
-def _general_ensemble(
+def _general_walk(
     g: MetricGraph,
     x0: GraphPoint,
     T: float,
@@ -383,10 +398,22 @@ def _general_ensemble(
     seed: int,
     n_paths: int,
     U: SubdomainSpec | None = None,
-) -> EnsembleResult:
-    (vids, eids, deg, inc_edge, inc_end, lengths, end_vertex, dirichlet) = (
-        _incidence_tables(g)
-    )
+    splice_to=None,
+):
+    """Lockstep per-step walk on any graph.
+
+    A generator: it yields the path state (edge, s, alive) after every step
+    and returns the EnsembleResult.  Step m of every path draws the m-th
+    uniform of the same stream, so path 0 of an ensemble is the single path
+    of its seed.  With U, each path's first exit from U is recorded: the
+    step, the crossed cut and its edge.  With splice_to=(graph_b, iso,
+    images of U's cut points), an exit also snaps the path to the cut and
+    moves it to the cut's image on graph B, where it walks from then on
+    (the per-path flag on_b); a same-step absorption beyond the cut is void,
+    since the spliced path never went past the boundary.  A splice reports
+    every path in graph-B coordinates.
+    """
+    vids, eids, tables = _incidence_tables(g)
     steps = n_steps(T, h)
     edge = np.full(n_paths, eids[x0.edge], dtype=np.int64)
     s = np.full(n_paths, float(x0.s))
@@ -395,13 +422,13 @@ def _general_ensemble(
     if v0 is not None:
         at_vertex[:] = vids[v0]
     alive = np.ones(n_paths, dtype=bool)
+    on_b = np.zeros(n_paths, dtype=bool)
     exit_step = np.full(n_paths, -1, dtype=np.int64)
     exit_coord = np.zeros(n_paths)
     exit_edge = np.zeros(n_paths, dtype=np.int64)
 
-    u_lo = u_hi = u_cover = None
-    v_inside = None
     if U is not None:
+        # an edge without a U piece keeps hi = -1: every point on it is out
         u_lo = np.zeros(len(g.edges))
         u_hi = np.full(len(g.edges), -1.0)
         for eid, lo, hi in U.pieces:
@@ -412,45 +439,84 @@ def _general_ensemble(
         v_inside = np.array(
             [U._aux["inside"][v.id] for v in g.vertices], dtype=bool
         )
+    if splice_to is not None:
+        g_b, iso, images = splice_to
+        _, eids_b, tables_b = _incidence_tables(g_b)
+        # graph-B edge and arclength of the image of each edge's lo (column
+        # 0) and hi (column 1) cut point
+        img_edge = np.zeros((len(g.edges), 2), dtype=np.int64)
+        img_s = np.zeros((len(g.edges), 2))
+        for cut, img in zip(U.cut_points, images):
+            k = eids[cut.edge]
+            side = int(cut.s == u_hi[k])
+            img_edge[k, side] = eids_b[img.edge]
+            img_s[k, side] = img.s
 
     for step in range(steps):
         u = _step_uniforms(seed, step, n_paths)
-        moved = alive.copy()
-        death_vertex = _advance(
-            np.nonzero(moved)[0], u, edge, s, at_vertex, alive,
-            deg, inc_edge, inc_end, lengths, end_vertex, dirichlet, h,
+        died_at = _advance(
+            np.nonzero(alive & ~on_b)[0], u, edge, s, at_vertex, alive, tables, h
         )
+        if splice_to is not None:
+            _advance(np.nonzero(alive & on_b)[0], u, edge, s, at_vertex, alive,
+                     tables_b, h)
         if U is not None:
             fresh = exit_step < 0
-            on_edge = fresh & alive & (at_vertex < 0)
             out = np.zeros(n_paths, dtype=bool)
-            cover = u_hi[edge] >= 0
-            out[on_edge] = (~cover[on_edge]) | (s[on_edge] <= u_lo[edge[on_edge]]) | (
-                s[on_edge] >= u_hi[edge[on_edge]]
-            )
+            on_edge = fresh & alive & (at_vertex < 0)
+            k = edge[on_edge]
+            out[on_edge] = (s[on_edge] <= u_lo[k]) | (s[on_edge] >= u_hi[k])
             at_v = fresh & alive & (at_vertex >= 0)
             out[at_v] = ~v_inside[at_vertex[at_v]]
-            died = fresh & moved & ~alive
-            out[died] = ~v_inside[death_vertex[died]]
+            died = fresh & (died_at >= 0)
+            out[died] = ~v_inside[died_at[died]]
             if out.any():
                 ii = np.nonzero(out)[0]
+                k = edge[ii]
+                # the nearer of the edge's two cut points: 0 for lo, 1 for hi
+                side = (np.abs(s[ii] - u_lo[k]) > np.abs(s[ii] - u_hi[k])).astype(int)
                 exit_step[ii] = step + 1
-                near_lo = np.abs(s[ii] - u_lo[edge[ii]]) <= np.abs(s[ii] - u_hi[edge[ii]])
-                exit_coord[ii] = np.where(near_lo, u_lo[edge[ii]], u_hi[edge[ii]])
-                exit_edge[ii] = edge[ii]
+                exit_coord[ii] = np.where(side, u_hi[k], u_lo[k])
+                exit_edge[ii] = k
+                if splice_to is not None:
+                    edge[ii] = img_edge[k, side]
+                    s[ii] = img_s[k, side]
+                    at_vertex[ii] = -1
+                    alive[ii] = True
+                    on_b[ii] = True
+        yield edge, s, alive
 
+    if splice_to is not None:
+        # paths still inside U map over in their own (edge, s) representation,
+        # which vertex coverage guarantees
+        for i in np.nonzero(~on_b & alive)[0]:
+            img = iso.apply(GraphPoint(g.edges[edge[i]].id, float(s[i])))
+            edge[i] = eids_b[img.edge]
+            s[i] = img.s
+        g = g_b  # the run ends on graph B
     return EnsembleResult(
         g, T, h, seed, n_paths, edge, s.copy(), alive,
         exit_step, exit_coord, exit_edge, "general",
     )
 
 
-def _advance(idx, u, edge, s, at_vertex, alive, deg, inc_edge, inc_end, lengths,
-             end_vertex, dirichlet, h):
+def _run(walk, refusal: str) -> EnsembleResult:
+    """Drive a general walk to its horizon and record why the lattice engine
+    did not run it."""
+    while True:
+        try:
+            next(walk)
+        except StopIteration as end:
+            end.value.lattice_refusal = refusal
+            return end.value
+
+
+def _advance(idx, u, edge, s, at_vertex, alive, tables, h):
     """One walk step for the paths listed in idx (arrays updated in place).
 
     Returns the vertex index where each path died this step (-1 elsewhere).
     """
+    deg, inc_edge, inc_end, lengths, end_vertex, dirichlet = tables
     death_vertex = np.full(len(alive), -1, dtype=np.int64)
     if len(idx) == 0:
         return death_vertex
@@ -483,21 +549,6 @@ def _advance(idx, u, edge, s, at_vertex, alive, deg, inc_edge, inc_end, lengths,
     return death_vertex
 
 
-def _lattice_compatible(g, x0, h, U) -> bool:
-    if not _is_lattice_interval(g, x0, h):
-        return False
-    if U is not None:
-        if len(U.pieces) != 1:
-            return False
-        _, lo, hi = U.pieces[0]
-        if abs(lo / h - round(lo / h)) > 1e-9 or abs(hi / h - round(hi / h)) > 1e-9:
-            return False
-        edge = g.edges[0]
-        if g.condition(edge.u) == DIRICHLET or g.condition(edge.v) == DIRICHLET:
-            return False  # exit tracking plus absorption needs the general engine
-    return True
-
-
 def simulate_ensemble(
     g: MetricGraph,
     x0: GraphPoint,
@@ -507,12 +558,16 @@ def simulate_ensemble(
     n_paths: int,
     U: SubdomainSpec | None = None,
 ) -> EnsembleResult:
-    """Lockstep ensemble of n_paths walkers started at x0."""
+    """Lockstep ensemble of n_paths walkers started at x0; with U, the first
+    exit of each path from U is recorded."""
     _check_h(g, h)
     g.check_point(x0)
-    if _lattice_compatible(g, x0, h, U):
-        return _lattice_ensemble(g, x0, T, h, seed, n_paths, U=U)
-    return _general_ensemble(g, x0, T, h, seed, n_paths, U=U)
+    if U is not None and not U.contains(x0):
+        raise GraphError("start point must lie inside U")
+    refusal = _lattice_refusal(g, x0, h, U)
+    if refusal is None:
+        return _lattice_ensemble(g, x0, T, h, seed, n_paths, U)
+    return _run(_general_walk(g, x0, T, h, seed, n_paths, U), refusal)
 
 
 # -- single-path simulation -------------------------------------------------------
@@ -546,41 +601,23 @@ def simulate(
     seed: int,
     every: int = 16,
 ) -> PathSample:
-    """Single trajectory; positions stored every ``every`` steps."""
+    """Single trajectory; positions stored every ``every`` steps.
+
+    The path is the general engine's ensemble of one path, recorded until
+    the horizon or until it is absorbed.
+    """
     _check_h(g, h)
     g.check_point(x0)
-    (vids, eids, deg, inc_edge, inc_end, lengths, end_vertex, dirichlet) = (
-        _incidence_tables(g)
-    )
     ids = [e.id for e in g.edges]
     steps = n_steps(T, h)
-    edge = eids[x0.edge]
-    s = float(x0.s)
-    at_vertex = vids[g.point_at_vertex(x0)] if g.point_at_vertex(x0) else -1
-    positions = [GraphPoint(ids[edge], s)]
-    killed = False
-    killed_time = None
-    for step in range(steps):
-        u = float(_step_uniforms(seed, step, 1)[0])
-        if at_vertex >= 0:
-            j = min(int(u * deg[at_vertex]), deg[at_vertex] - 1)
-            edge = int(inc_edge[at_vertex, j])
-            s = h if inc_end[at_vertex, j] == 0 else float(lengths[edge]) - h
-            at_vertex = -1
-        else:
-            s += -h if u < 0.5 else h
-            if s <= 0.0 or s >= lengths[edge]:
-                endside = 0 if s <= 0.0 else 1
-                s = 0.0 if endside == 0 else float(lengths[edge])
-                vid = int(end_vertex[edge, endside])
-                if dirichlet[vid]:
-                    killed = True
-                    killed_time = (step + 1) * time_step(h)
-                else:
-                    at_vertex = vid
+    positions = [GraphPoint(x0.edge, float(x0.s))]
+    killed, killed_time = False, None
+    for step, (edge, s, alive) in enumerate(_general_walk(g, x0, T, h, seed, 1)):
+        killed = not alive[0]
         if (step + 1) % every == 0 or step == steps - 1 or killed:
-            positions.append(GraphPoint(ids[edge], s))
+            positions.append(GraphPoint(ids[edge[0]], float(s[0])))
         if killed:
+            killed_time = (step + 1) * time_step(h)
             break
     return PathSample(g, h, tuple(positions), seed, every, killed, killed_time)
 
@@ -633,142 +670,20 @@ def splice(cfg: SpliceConfig) -> EnsembleResult:
 
     The exit point is carried through the isometry; the continuation consumes
     the same step bits a direct run would, so with A = B and the identity map
-    the spliced ensemble is bitwise identical to direct simulation.  Interval
-    pairs on the step lattice use the fast engine; other graphs fall back to
-    the per-step engine.
+    the spliced ensemble is bitwise identical to direct simulation on the
+    lattice engine.  Runs that ``_lattice_refusal`` turns down use the
+    per-step engine.
     """
     _check_h(cfg.graph_a, cfg.h)
     _check_h(cfg.graph_b, cfg.h)
-    for b in cfg.U.cut_points:
-        cfg.iso.apply(b)  # exit points must have images
-    if _lattice_splice_ok(cfg):
-        def map_fn(s_a: float) -> float:
-            return cfg.iso.apply(GraphPoint(cfg.U.pieces[0][0], s_a)).s
-
-        return _lattice_ensemble(
-            cfg.graph_a, cfg.x0, cfg.T, cfg.h, cfg.seed, cfg.n_paths,
-            U=cfg.U, splice_to=(cfg.graph_b, map_fn),
-        )
-    return _general_splice(cfg)
-
-
-def _lattice_splice_ok(cfg: SpliceConfig) -> bool:
-    """Whether the fast interval engine can run this splice.
-
-    The first graph's far-end conditions do not matter: exits through the cut
-    points always precede any contact with the interval ends.
-    """
-    if not _is_lattice_interval(cfg.graph_a, cfg.x0, cfg.h):
-        return False
-    if len(cfg.graph_b.edges) != 1 or len(cfg.U.pieces) != 1:
-        return False
-    if any(p.sign <= 0 for p in cfg.iso.pieces):
-        return False
-    h = cfg.h
-    _, lo, hi = cfg.U.pieces[0]
-    if abs(lo / h - round(lo / h)) > 1e-9 or abs(hi / h - round(hi / h)) > 1e-9:
-        return False
-    edge_b = cfg.graph_b.edges[0]
-    if abs(edge_b.length / h - round(edge_b.length / h)) > 1e-9:
-        return False
-    if edge_b.u == edge_b.v:
-        return False
-    if (
-        cfg.graph_b.condition(edge_b.u) == DIRICHLET
-        or cfg.graph_b.condition(edge_b.v) == DIRICHLET
-    ):
-        return False
-    return True
-
-
-def _general_splice(cfg: SpliceConfig) -> EnsembleResult:
-    """Per-step splice for arbitrary graphs; exact rule, small-scale speed."""
-    g_a, g_b = cfg.graph_a, cfg.graph_b
-    ta = _incidence_tables(g_a)
-    tb = _incidence_tables(g_b)
-    (vids_a, eids_a, deg_a, ie_a, in_a, len_a, ev_a, dir_a) = ta
-    (vids_b, eids_b, deg_b, ie_b, in_b, len_b, ev_b, dir_b) = tb
-    ids_b = [e.id for e in g_b.edges]
-    n = cfg.n_paths
-    steps = n_steps(cfg.T, cfg.h)
-    h = cfg.h
-
-    u_lo = np.zeros(len(g_a.edges))
-    u_hi = np.full(len(g_a.edges), -1.0)
-    for eid, lo, hi in cfg.U.pieces:
-        if u_hi[eids_a[eid]] >= 0:
-            raise GraphError("splice supports one U piece per edge")
-        u_lo[eids_a[eid]] = lo
-        u_hi[eids_a[eid]] = hi
-    v_inside = np.array(
-        [cfg.U._aux["inside"][v.id] for v in g_a.vertices], dtype=bool
-    )
-
-    edge = np.full(n, eids_a[cfg.x0.edge], dtype=np.int64)
-    s = np.full(n, float(cfg.x0.s))
-    at_vertex = np.full(n, -1, dtype=np.int64)
-    v0 = g_a.point_at_vertex(cfg.x0)
-    if v0 is not None:
-        at_vertex[:] = vids_a[v0]
-    on_b = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-    exit_step = np.full(n, -1, dtype=np.int64)
-    exit_coord = np.zeros(n)
-    exit_edge = np.zeros(n, dtype=np.int64)
-
-    for step in range(steps):
-        u = _step_uniforms(cfg.seed, step, n)
-        idx_a = np.nonzero(alive & ~on_b)[0]
-        dead_v = _advance(idx_a, u, edge, s, at_vertex, alive,
-                          deg_a, ie_a, in_a, len_a, ev_a, dir_a, h)
-        idx_b = np.nonzero(alive & on_b)[0]
-        _advance(idx_b, u, edge, s, at_vertex, alive,
-                 deg_b, ie_b, in_b, len_b, ev_b, dir_b, h)
-        # first exits from U switch the path onto graph B at the mapped cut;
-        # a same-step absorption beyond the cut is discarded, the spliced
-        # path never went past the boundary
-        out = np.zeros(n, dtype=bool)
-        sel = np.nonzero((~on_b) & (at_vertex < 0) & alive)[0]
-        if len(sel):
-            cover = u_hi[edge[sel]] >= 0
-            out[sel] = (~cover) | (s[sel] <= u_lo[edge[sel]]) | (
-                s[sel] >= u_hi[edge[sel]]
-            )
-        at_v = np.nonzero((~on_b) & (at_vertex >= 0) & alive)[0]
-        if len(at_v):
-            out[at_v] = ~v_inside[at_vertex[at_v]]
-        died = np.zeros(n, dtype=bool)
-        died[idx_a] = ~alive[idx_a]
-        out[died & (dead_v >= 0)] = ~v_inside[dead_v[died & (dead_v >= 0)]]
-        new_exits = np.nonzero(out & (exit_step < 0) & ~on_b)[0]
-        for i in new_exits:
-            eid_a = g_a.edges[edge[i]].id
-            lo, hi = u_lo[edge[i]], u_hi[edge[i]]
-            if hi < 0:
-                cuts = [b for b in cfg.U.cut_points]
-                cut = min(cuts, key=lambda b: abs(b.s - s[i]) if b.edge == eid_a else 1e18)
-            else:
-                cut = GraphPoint(eid_a, lo if abs(s[i] - lo) <= abs(s[i] - hi) else hi)
-            img = cfg.iso.apply(cut)
-            exit_step[i] = step + 1
-            exit_coord[i] = cut.s
-            exit_edge[i] = edge[i]
-            edge[i] = eids_b[img.edge]
-            s[i] = img.s
-            at_vertex[i] = -1
-            alive[i] = True  # a same-step kill beyond the cut is void
-            on_b[i] = True
-
-    # report everything in graph-B coordinates; paths still inside U map over
-    # in their own (edge, s) representation, which vertex coverage guarantees
-    for i in np.nonzero(~on_b & alive)[0]:
-        img = cfg.iso.apply(GraphPoint(g_a.edges[edge[i]].id, float(s[i])))
-        edge[i] = eids_b[img.edge]
-        s[i] = img.s
-    return EnsembleResult(
-        g_b, cfg.T, cfg.h, cfg.seed, n, edge, s.copy(), alive,
-        exit_step, exit_coord, exit_edge, "general",
-    )
+    # exit points must have images; each is computed once, here
+    images = tuple(cfg.iso.apply(b) for b in cfg.U.cut_points)
+    splice_to = (cfg.graph_b, cfg.iso, images)
+    run = (cfg.graph_a, cfg.x0, cfg.T, cfg.h, cfg.seed, cfg.n_paths, cfg.U, splice_to)
+    refusal = _lattice_refusal(cfg.graph_a, cfg.x0, cfg.h, cfg.U, splice_to)
+    if refusal is None:
+        return _lattice_ensemble(*run)
+    return _run(_general_walk(*run), refusal)
 
 
 # -- ensemble comparison -----------------------------------------------------------

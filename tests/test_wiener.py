@@ -153,6 +153,29 @@ class TestGeneralEngine:
         se = math.sqrt(surv * (1 - surv) / 4000)
         assert abs(ens.alive.mean() - surv) <= 3 * se
 
+    def test_start_outside_u_rejected(self, star3):
+        ball = ball_subdomain(star3, "c", 0.5)
+        with pytest.raises(GraphError, match="inside U"):
+            simulate_ensemble(star3, GraphPoint("e1", 0.9), 0.01, 5e-3, 1, 10, U=ball)
+
+    def test_lattice_refusal_recorded(self, interval, interval_dirichlet, star3):
+        def run(g, x0=GraphPoint("e", 0.1), U=None):
+            return simulate_ensemble(g, x0, 0.02, 1e-2, 3, 2000, U=U)
+
+        assert run(interval).lattice_refusal == ""
+        assert run(star3, GraphPoint("e1", 0.5)).lattice_refusal == (
+            "graph is not a single interval")
+        u_d = interval_subdomain(interval_dirichlet, "e", 0.05, 0.6)
+        assert run(interval_dirichlet, U=u_d).lattice_refusal == (
+            "exit tracking on an interval with a Dirichlet end")
+        # U reaches the vertex at 0, which is inside U: arriving there is
+        # not an exit, so the only cut is at 0.6
+        to_end = run(interval, U=interval_subdomain(interval, "e", 0.0, 0.6))
+        assert to_end.engine == "general"
+        assert to_end.lattice_refusal == "U reaches an end of the interval"
+        exited = to_end.exit_step >= 0
+        assert exited.any() and set(to_end.exit_coord[exited]) == {0.6}
+
 
 class TestPathsAndExits:
     def test_single_path_lattice_consistency(self, star3):
@@ -295,6 +318,29 @@ class TestSplice:
                                 2e-3, 4, 20000)
         _, p = compare_ensembles(e_n, e_d, "endpoint-histogram", 20)
         assert p < 1e-6
+
+    @pytest.mark.parametrize("T", [0.05, 1e-4])
+    def test_off_lattice_cut_images(self, interval_dirichlet, T):
+        # the cut images 0.2505 and 0.7505 are off the 2e-3 step lattice, so
+        # the lattice engine cannot carry paths across
+        g_b = _segment(1.2, "kirchhoff", "kirchhoff")
+        u_a = interval_subdomain(interval_dirichlet, "e", 0.25, 0.75)
+        u_b = interval_subdomain(g_b, "e", 0.2505, 0.7505)
+        iso = IsometryMap(u_a, u_b, (MapPiece("e", 0.25, 0.75, "e", 0.2505, +1),))
+        sp = splice(SpliceConfig(interval_dirichlet, g_b, u_a, iso,
+                                 GraphPoint("e", 0.5), T, 2e-3, 2000, 5))
+        assert sp.engine == "general"
+        assert "off the step lattice" in sp.lattice_refusal
+        exited = sp.exit_step >= 0
+        if T > 1e-3:
+            assert exited.any() and sp.alive.all()
+            assert set(np.round(sp.exit_coord[exited], 9)) <= {0.25, 0.75}
+        else:
+            # no path reaches a cut in 50 steps; each moves with the map
+            assert not exited.any()
+            lattice = (sp.final_s - 0.0005) / 2e-3
+            assert np.abs(lattice - np.round(lattice)).max() < 1e-6
+            assert np.isclose(sp.final_s, 0.4965).any()
 
     def test_exit_point_must_have_image(self, interval, interval_dirichlet):
         u_d = interval_subdomain(interval_dirichlet, "e", 0.25, 0.75)
