@@ -57,9 +57,10 @@ from .wiener import (
 DEFAULT_SEED = 20260808
 
 
-def base_seed() -> int:
+def base_seed(fallback: int = DEFAULT_SEED) -> int:
+    """The Monte Carlo base seed: ``HKLAB_SEED`` when set, else the fallback."""
     env = os.environ.get("HKLAB_SEED")
-    return int(env) if env else DEFAULT_SEED
+    return int(env) if env else fallback
 
 
 @dataclass

@@ -2,8 +2,6 @@
 
 Every output file embeds the tool version and a hash of the run
 configuration; identical configuration and seed give byte-identical files.
-The --threads flag is accepted on every subcommand; evaluation is sequential
-and deterministic regardless of its value.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -111,13 +108,6 @@ def _iso_from_doc(g_a, g_b, doc: dict) -> IsometryMap:
 
 def _load_map(g_a, g_b, path: str) -> IsometryMap:
     return _iso_from_doc(g_a, g_b, json.loads(Path(path).read_text()))
-
-
-def _seed(args) -> int:
-    env = os.environ.get("HKLAB_SEED")
-    if env:
-        return int(env)
-    return args.seed
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -240,13 +230,12 @@ def _cmd_mc(args):
     if args.action == "simulate":
         g = load_graph(args.graph)
         u = _subdomain(g, args.u) if args.u else None
-        ens = simulate_ensemble(
-            g, _point(args.x0), args.T, args.h, _seed(args), args.paths, U=u
-        )
+        seed = acceptance.base_seed(args.seed)
+        ens = simulate_ensemble(g, _point(args.x0), args.T, args.h, seed, args.paths, U=u)
         coords = ens.endpoint_coords()
         counts, edges = histogram_counts(coords, 0.0, g.total_length, args.bins)
         cfg = vars(args).copy()
-        cfg["seed"] = _seed(args)
+        cfg["seed"] = seed
         out = Path(args.out) / "ensemble.csv"
         _write_csv(
             out,
@@ -267,7 +256,7 @@ def _cmd_mc(args):
         g_b = parse_graph(Path(doc["graph_b"]).read_text())
         iso = _iso_from_doc(g_a, g_b, doc["map"])
         u = SubdomainSpec(g_a, tuple((e, float(lo), float(hi)) for e, lo, hi in doc["u"]))
-        seed = int(os.environ.get("HKLAB_SEED", doc.get("seed", acceptance.DEFAULT_SEED)))
+        seed = acceptance.base_seed(int(doc.get("seed", acceptance.DEFAULT_SEED)))
         cfg_obj = SpliceConfig(
             g_a, g_b, u, iso, _point(doc["x0"]), float(doc["T"]), float(doc["h"]),
             int(doc["paths"]), seed,
@@ -381,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="heat kernels on compact metric graphs: exact, spectral, "
         "Monte Carlo, and trace-asymptotic experiments",
     )
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint; execution is deterministic regardless")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("graph", help="graph-spec utilities")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -304,10 +303,6 @@ def scattering_matrix(g: MetricGraph, vertex_id: str) -> ScatteringMatrix:
         m = np.full((d, d), 2.0 / d) - np.eye(d)
     else:
         m = -np.eye(d)
-    if os.environ.get("HKLAB_BREAK_SIGMA"):
-        # test hook: deliberately corrupt the matrix so the self-test's
-        # negative control can observe a failure
-        m = m + 0.01 * np.eye(d)
     m.setflags(write=False)
     return ScatteringMatrix(vertex_id, hs, m)
 

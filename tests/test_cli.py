@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hklab.cli import main
@@ -205,16 +206,20 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert float(out.split()[-1]) < 1e-4
 
-    def test_threads_flag_accepted(self, workdir, capsys):
-        assert main(["--threads", "4", "graph", "validate",
-                     str(workdir / "interval.json")]) == 0
-
 
 class TestSelftestHook:
-    def test_broken_sigma_fails_star_criterion(self, workdir, monkeypatch):
-        monkeypatch.setenv("HKLAB_BREAK_SIGMA", "1")
+    def test_broken_sigma_fails_star_criterion(self, monkeypatch):
+        # negative control: a scattering matrix off by 0.01 on the diagonal
+        # must fail the star criterion
         from hklab import acceptance
+        from hklab.graph import ScatteringMatrix, scattering_matrix
 
+        def broken(g, vertex_id):
+            sig = scattering_matrix(g, vertex_id)
+            entries = sig.entries + 0.01 * np.eye(len(sig.halfedges))
+            return ScatteringMatrix(sig.vertex, sig.halfedges, entries)
+
+        monkeypatch.setattr(acceptance, "scattering_matrix", broken)
         res = acceptance.criterion_6()
         assert not res.passed
 
