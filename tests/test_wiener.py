@@ -447,7 +447,6 @@ class TestGoldenHashes:
         assert digest.hexdigest()[:16] == GOLDEN[(kind, steps)]
 
 
-
 # sha256 prefixes of (final_edge, final_s, alive, exit_step, exit_coord,
 # exit_edge) recorded from the per-step engine while direct runs, splices and
 # single paths were still three separate loops
@@ -460,18 +459,9 @@ GENERAL_GOLDEN = {
 }
 
 
-def _star(leaf):
-    return make_graph(
-        [("c", "kirchhoff")] + [(f"l{i}", leaf) for i in (1, 2, 3)],
-        [(f"e{i}", "c", f"l{i}", 1.0) for i in (1, 2, 3)],
-    )
-
-
-def _general_golden_ensemble(kind):
+def _general_golden_ensemble(kind, star, star_d):
     h, n = 5e-3, 400
     T = 1200 * time_step(h)
-    star = _star("kirchhoff")
-    star_d = _star("dirichlet")
     x0 = GraphPoint("e1", 0.2)
     if kind == "direct":
         return simulate_ensemble(star, x0, T, h, 21, n)
@@ -490,8 +480,8 @@ def _general_golden_ensemble(kind):
 
 class TestGeneralGoldenHashes:
     @pytest.mark.parametrize("kind", sorted(GENERAL_GOLDEN))
-    def test_general_bytes_unchanged(self, kind):
-        ens = _general_golden_ensemble(kind)
+    def test_general_bytes_unchanged(self, kind, star3, star3_dirichlet_leaves):
+        ens = _general_golden_ensemble(kind, star3, star3_dirichlet_leaves)
         assert ens.engine == "general"
         digest = hashlib.sha256()
         for a in (ens.final_edge, ens.final_s, ens.alive, ens.exit_step,
@@ -499,15 +489,17 @@ class TestGeneralGoldenHashes:
             digest.update(np.ascontiguousarray(a).tobytes())
         assert digest.hexdigest()[:16] == GENERAL_GOLDEN[kind]
 
-    @pytest.mark.parametrize("edge,s,seed", [("e1", 0.1, 1), ("e1", 0.5, 3), ("e1", 0.1, 6)])
-    def test_simulate_ends_at_path_zero(self, star3_dirichlet_leaves, edge, s, seed):
+    # path 0 leaves its edge under seed 1 and is absorbed under seed 3
+    @pytest.mark.parametrize("s,seed", [(0.1, 1), (0.5, 3), (0.1, 6)])
+    def test_simulate_ends_at_path_zero(self, star3_dirichlet_leaves, s, seed):
         g = star3_dirichlet_leaves
-        x0 = GraphPoint(edge, s)
+        x0 = GraphPoint("e1", s)
         path = simulate(g, x0, 0.05, 5e-3, seed, every=1)
         ens = simulate_ensemble(g, x0, 0.05, 5e-3, seed, 50)
         end = path.positions[-1]
         assert (end.edge, end.s) == (g.edges[ens.final_edge[0]].id, ens.final_s[0])
         assert path.killed == (not ens.alive[0])
+
 
 def _unpacked_walk(raw, nb):
     """Walk positions after steps 1..nb of each row, by unpacking every bit."""
