@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .energy import convergence_study, sample_function
-from .graph import GraphError, GraphPoint, load_graph, parse_graph
+from .graph import GraphError, GraphPoint, _check_time, load_graph, parse_graph
 from .kernels import TruncationError, kernel_interval, kernel_pathsum
 from .locality import (
     IsometryMap,
@@ -32,6 +32,7 @@ from .twoparticle import (
     asymptotic_fit,
     eigen_trace_series,
     predicted_coefficients,
+    single_trace_eigen,
     trace_series,
 )
 from .wiener import SpliceConfig, histogram_counts, simulate_ensemble, splice
@@ -131,6 +132,7 @@ def _cmd_kernel(args):
     if args.method == "pathsum":
         ev = kernel_pathsum(g, args.t, x, y, tol=args.tol)
     elif args.method == "spectral":
+        _check_time(args.t)  # k_max is derived from t before kernel_spectral sees it
         k_max = math.sqrt(math.log(max(4.0 / args.tol, 8.0)) / args.t) + 3.0
         ev = kernel_spectral(g, args.t, x, y, eigen(g, k_max))
     elif args.method == "interval":
@@ -173,7 +175,7 @@ def _cmd_trace(args):
     ts = _tgrid(args.tgrid)
     k_max = math.sqrt(math.log(1e16) / float(ts.min())) + 3.0
     modes = eigen(g, k_max)
-    rows = [[t, sum(math.exp(-m.k**2 * t) for m in modes), 0.0] for t in ts]
+    rows = [[t, single_trace_eigen(modes, t), 0.0] for t in ts]
     out = Path(args.out) / "trace.csv"
     _write_csv(out, ["t", "Z", "quad_error"], rows, vars(args).copy())
     print(f"heat trace on {len(ts)} times -> {out}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
 
 import numpy as np
@@ -30,6 +32,12 @@ class GraphError(ValueError):
     def __init__(self, message, offending=None):
         super().__init__(message)
         self.offending = offending
+
+
+def _check_time(t, name: str = "t"):
+    """Reject a time that is NaN, infinite or not positive."""
+    if not 0.0 < t < math.inf:
+        raise GraphError(f"{name} must be finite and positive, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -290,19 +298,40 @@ class ScatteringMatrix:
         return float(self.entries[i, j])
 
 
-def scattering_matrix(g: MetricGraph, vertex_id: str) -> ScatteringMatrix:
-    """Reflection/transmission matrix of a vertex.
+@lru_cache(maxsize=None)
+def sigma_entries(condition: str, degree: int) -> tuple[Fraction, Fraction]:
+    """Exact (diagonal, off-diagonal) scattering entries of a vertex (cached).
 
-    Kirchhoff: entries -delta + 2/deg (rows sum to 1, heat conserving).
-    Dirichlet: minus the identity (full reflection with sign flip).
+    Kirchhoff: 2/deg - 1 and 2/deg (rows sum to 1, heat conserving).
+    Dirichlet: -1 and 0 (full reflection with sign flip).
     """
-    cond = g.condition(vertex_id)
-    hs = g.incidence(vertex_id)
-    d = len(hs)
-    if cond == KIRCHHOFF:
-        m = np.full((d, d), 2.0 / d) - np.eye(d)
+    if condition == KIRCHHOFF:
+        off = Fraction(2, degree)
+    elif condition == DIRICHLET:
+        off = Fraction(0)
     else:
-        m = -np.eye(d)
+        raise ValueError(f"unknown condition {condition!r}")
+    return off - 1, off
+
+
+def star_sigma(degree: int, condition: str = KIRCHHOFF) -> np.ndarray:
+    """Scattering matrix of an abstract star vertex of the given degree.
+
+    The float view of ``sigma_entries``: the off-diagonal entry minus the
+    identity.  float(2/d) equals 2.0 / d, but float(2/d - 1) differs from
+    2.0 / d - 1.0 in the last bit at some degrees (3, 6, 11, ...), so the
+    diagonal is not converted.
+    """
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    _, off = sigma_entries(condition, degree)
+    return np.full((degree, degree), float(off)) - np.eye(degree)
+
+
+def scattering_matrix(g: MetricGraph, vertex_id: str) -> ScatteringMatrix:
+    """Reflection/transmission matrix of a vertex (entries: ``sigma_entries``)."""
+    hs = g.incidence(vertex_id)
+    m = star_sigma(len(hs), g.condition(vertex_id))
     m.setflags(write=False)
     return ScatteringMatrix(vertex_id, hs, m)
 

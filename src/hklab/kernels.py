@@ -16,15 +16,16 @@ import numpy as np
 
 from ._quad import simpson_nodes
 from .graph import (
-    DIRICHLET,
+    _WEIGHT_FLOOR,
     KIRCHHOFF,
     GraphPoint,
     MetricGraph,
     ScatteringMatrix,
-    scattering_matrix,
+    _check_time,
+    _sigma_cache,
+    sigma_entries,
+    star_sigma,  # noqa: F401  (part of this module's interface)
 )
-
-_WEIGHT_FLOOR = 1e-300
 
 
 class TruncationError(RuntimeError):
@@ -44,22 +45,10 @@ class KernelEval:
 
 def gauss_free(t: float, d):
     """Free-line heat kernel exp(-d^2/4t)/sqrt(4 pi t); even in d."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     d = np.asarray(d, dtype=float)
     out = np.exp(-(d * d) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
     return float(out) if out.ndim == 0 else out
-
-
-def star_sigma(degree: int, condition: str = KIRCHHOFF) -> np.ndarray:
-    """Scattering matrix of an abstract star vertex of the given degree."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if condition == KIRCHHOFF:
-        return np.full((degree, degree), 2.0 / degree) - np.eye(degree)
-    if condition == DIRICHLET:
-        return -np.eye(degree)
-    raise ValueError(f"unknown condition {condition!r}")
 
 
 def kernel_star(degree, sigma, t, x, y) -> float:
@@ -68,8 +57,7 @@ def kernel_star(degree, sigma, t, x, y) -> float:
     ``x`` and ``y`` are (edge-index, arclength-from-vertex) pairs; ``sigma``
     may be a ScatteringMatrix or a plain matrix.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     alpha, s1 = x
     beta, s2 = y
     if not (0 <= alpha < degree and 0 <= beta < degree):
@@ -87,12 +75,10 @@ _IMAGE_TOL = 1e-14
 
 
 def _condition_sign(cond: str) -> int:
+    """Image sign at an interval end: the scattering entry of a degree-1 vertex."""
     c = cond.lower()
-    if c in (KIRCHHOFF, "neumann"):
-        return 1
-    if c == DIRICHLET:
-        return -1
-    raise ValueError(f"unknown vertex condition {cond!r}")
+    diag, _ = sigma_entries(KIRCHHOFF if c == "neumann" else c, 1)
+    return int(diag)
 
 
 def kernel_interval(L, cond_left, cond_right, t, x, y) -> KernelEval:
@@ -101,8 +87,7 @@ def kernel_interval(L, cond_left, cond_right, t, x, y) -> KernelEval:
     The image sum is truncated once a rigorous Gaussian envelope for the
     remainder drops below 1e-14.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     if not (0 <= x <= L and 0 <= y <= L):
         raise ValueError("point outside the interval")
     e0 = _condition_sign(cond_left)
@@ -175,20 +160,22 @@ def pathsum_tail_bound(g: MetricGraph, t: float, lam: float) -> float:
     return math.inf
 
 
-def _certified_lambda(g: MetricGraph, t: float, tol: float) -> float:
-    """Smallest doubling of the truncation length whose tail bound is below tol.
+def _certified_lambda(g: MetricGraph, t: float, tol: float) -> tuple[float, float]:
+    """(lambda, tail bound): the first doubled truncation length certifying tol.
 
     Depends only on (graph, t, tol) so that grid evaluations at one time
     reuse the cached walk families.
     """
+    _check_time(t)
     if tol <= 0:
         raise ValueError("tol must be positive")
     peak = 1.0 / math.sqrt(4.0 * math.pi * t)
     lam = max(g.min_edge_length,
               math.sqrt(max(4.0 * t * math.log(max(2.0 * peak / tol, 1.0)), 0.0)))
     for _ in range(200):
-        if pathsum_tail_bound(g, t, lam) <= tol:
-            return lam
+        bound = pathsum_tail_bound(g, t, lam)
+        if bound <= tol:
+            return lam, bound
         lam *= 2.0
     raise TruncationError(f"tail bound will not certify tolerance {tol:g} at t={t:g}")
 
@@ -201,7 +188,7 @@ def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float):
     edge_y; a walk of the family evaluated at positions (sx, sy) has total
     length a_{d1}(sx) + L_mid + b_{d2}(sy).
     """
-    sigmas = {v.id: scattering_matrix(g, v.id) for v in g.vertices}
+    sigmas = _sigma_cache(g)
     dvv = g.vertex_distances()
     eex = g.edge_obj(edge_x)
     eey = g.edge_obj(edge_y)
@@ -284,13 +271,11 @@ def kernel_pathsum(
     The truncation length is grown until a rigorous Gaussian tail bound falls
     below ``tol``; the certified remainder is returned in ``tail_bound``.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
     g.check_point(x)
     g.check_point(y)
-    lam = _certified_lambda(g, t, tol)
+    lam, tail = _certified_lambda(g, t, tol)
     val = _eval_pathsum(g, t, x.edge, x.s, y.edge, y.s, lam)
-    return KernelEval(t, x, y, float(val), pathsum_tail_bound(g, t, lam))
+    return KernelEval(t, x, y, float(val), tail)
 
 
 def pathsum_profile(
@@ -302,12 +287,10 @@ def pathsum_profile(
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, float]:
     """Vectorized p_t(x, .) along one edge; returns (values, tail bound)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
     g.check_point(x)
-    lam = _certified_lambda(g, t, tol)
+    lam, tail = _certified_lambda(g, t, tol)
     vals = _eval_pathsum(g, t, x.edge, x.s, edge_y, np.asarray(s_values, float), lam)
-    return np.atleast_1d(vals), pathsum_tail_bound(g, t, lam)
+    return np.atleast_1d(vals), tail
 
 
 def pathsum_diag(
@@ -318,12 +301,10 @@ def pathsum_diag(
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, float]:
     """On-diagonal kernel p_t(z, z) along one edge; returns (values, tail)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    lam = _certified_lambda(g, t, tol)
+    lam, tail = _certified_lambda(g, t, tol)
     s = np.asarray(s_values, dtype=float)
     vals = _eval_pathsum(g, t, edge, s, edge, s, lam)
-    return np.atleast_1d(vals), pathsum_tail_bound(g, t, lam)
+    return np.atleast_1d(vals), tail
 
 
 def pathsum_cross(
@@ -336,14 +317,12 @@ def pathsum_cross(
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, float]:
     """Kernel values on the grid edge_x x edge_y; returns (matrix, tail bound)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    lam = _certified_lambda(g, t, tol)
+    lam, tail = _certified_lambda(g, t, tol)
     vals = _eval_pathsum(
         g, t, edge_x, np.asarray(sx, float), edge_y, np.asarray(sy, float), lam,
         grid=True,
     )
-    return vals, pathsum_tail_bound(g, t, lam)
+    return vals, tail
 
 
 # -- kernel functionals --------------------------------------------------------
@@ -370,8 +349,8 @@ def kernel_semigroup_residual(
     tol: float = 1e-12,
 ) -> float:
     """|p_{t+s}(x,y) - int_G p_t(x,z) p_s(z,y) dz| with per-edge Simpson."""
-    if t <= 0 or s <= 0:
-        raise ValueError("t and s must be positive")
+    _check_time(t)
+    _check_time(s, "s")
     if quadrature_step is not None and quadrature_step <= 0:
         raise ValueError("quadrature_step must be positive")
     conv = 0.0

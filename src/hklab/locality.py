@@ -21,6 +21,7 @@ from .graph import (
     GraphPoint,
     MetricGraph,
     Vertex,
+    _check_time,
 )
 from .kernels import KernelEval, kernel_pathsum
 
@@ -216,25 +217,13 @@ def exit_density(
     Computed as the inward derivative of the killed kernel at b, by one-sided
     differences with Richardson extrapolation (steps 1e-4 and 5e-5).
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
+    _check_time(s, "s")
     _, _, _, sgn = _cut_inward(spec, b)
     h1, h2 = 1e-4, 5e-5
     v1 = kernel_killed(spec, s, x, GraphPoint(b.edge, b.s + sgn * h1), tol=tol).value
     v2 = kernel_killed(spec, s, x, GraphPoint(b.edge, b.s + sgn * h2), tol=tol).value
     d1, d2 = v1 / h1, v2 / h2
     return 2.0 * d2 - d1
-
-
-def exit_density_profile(
-    spec: SubdomainSpec, x: GraphPoint, b: GraphPoint, s_values: np.ndarray,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """exit_density over an array of times (vectorized over the two FD probes)."""
-    out = np.zeros(len(s_values))
-    for i, s in enumerate(s_values):
-        out[i] = exit_density(spec, x, b, float(s), tol=tol) if s > 0 else 0.0
-    return out
 
 
 def decomposition_residual(

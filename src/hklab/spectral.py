@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph
+from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _check_time
 from .kernels import KernelEval, TruncationError
 
 
@@ -230,21 +230,26 @@ def eigen(g: MetricGraph, k_max: float, accept_tol: float = 1e-6) -> list[EigenM
     return modes
 
 
+def _mode_residuals(g: MetricGraph, mode: EigenMode, vertex_id: str) -> tuple[float, float]:
+    """(Dirichlet |value| or continuity spread, flux residual) of a mode at a vertex."""
+    vals = [
+        mode.eval_edge(h[0], 0.0 if h[1] == 0 else g.edge_obj(h[0]).length)
+        for h in g.incidence(vertex_id)
+    ]
+    if g.condition(vertex_id) == DIRICHLET:
+        return max(abs(x) for x in vals), 0.0
+    return max(vals) - min(vals), kirchhoff_residual(mode, vertex_id)
+
+
 def _validate_modes(g, modes, cont_tol=1e-10, kirch_tol=1e-8):
     for mode in modes:
         for v in g.vertices:
-            vals = [
-                mode.eval_edge(h[0], 0.0 if h[1] == 0 else g.edge_obj(h[0]).length)
-                for h in g.incidence(v.id)
-            ]
-            if g.condition(v.id) == DIRICHLET:
-                if max(abs(x) for x in vals) > cont_tol:
-                    raise GraphError(f"mode k={mode.k}: Dirichlet violated at {v.id}")
-            else:
-                if max(vals) - min(vals) > cont_tol:
-                    raise GraphError(f"mode k={mode.k}: continuity violated at {v.id}")
-                if abs(kirchhoff_residual(mode, v.id)) > kirch_tol:
-                    raise GraphError(f"mode k={mode.k}: flux condition violated at {v.id}")
+            cont, flux = _mode_residuals(g, mode, v.id)
+            if cont > cont_tol:
+                what = "Dirichlet" if v.condition == DIRICHLET else "continuity"
+                raise GraphError(f"mode k={mode.k}: {what} violated at {v.id}")
+            if flux > kirch_tol:
+                raise GraphError(f"mode k={mode.k}: flux condition violated at {v.id}")
 
 
 # -- derived quantities ---------------------------------------------------------
@@ -301,8 +306,7 @@ def kernel_spectral(
     tol: float | None = None,
 ) -> KernelEval:
     """Spectral heat kernel sum over the supplied modes, with a tail estimate."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     val = 0.0
     k_max = 0.0
     for mode in modes:
@@ -335,26 +339,14 @@ def eigen_report(g: MetricGraph, modes: list[EigenMode]) -> list[dict]:
         else:
             by_k.append([mode])
     for group in by_k:
-        cont = 0.0
-        kirch = 0.0
-        for mode in group:
-            for v in g.vertices:
-                vals = [
-                    mode.eval_edge(h[0], 0.0 if h[1] == 0 else g.edge_obj(h[0]).length)
-                    for h in g.incidence(v.id)
-                ]
-                if g.condition(v.id) == DIRICHLET:
-                    cont = max(cont, max(abs(x) for x in vals))
-                else:
-                    cont = max(cont, max(vals) - min(vals))
-                    kirch = max(kirch, kirchhoff_residual(mode, v.id))
+        res = [_mode_residuals(g, mode, v.id) for mode in group for v in g.vertices]
         rows.append(
             {
                 "k": group[0].k,
                 "lambda": group[0].k ** 2,
                 "multiplicity": len(group),
-                "continuity_residual": cont,
-                "kirchhoff_residual": kirch,
+                "continuity_residual": max([0.0] + [cont for cont, _ in res]),
+                "kirchhoff_residual": max([0.0] + [flux for _, flux in res]),
             }
         )
     return rows

@@ -15,9 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import KIRCHHOFF, GraphError, GraphPoint, MetricGraph
+from ._quad import simpson_weights
+from .graph import KIRCHHOFF, GraphError, GraphPoint, MetricGraph, _check_time, sigma_entries
 from .kernels import kernel_pathsum, pathsum_cross, pathsum_diag
-from .spectral import EigenMode, eigen
+from .spectral import EigenMode, eigen, spectral_tail_bound
 
 SQRT2 = math.sqrt(2.0)
 
@@ -42,8 +43,6 @@ def kernel_two_particle(
     g: MetricGraph, t: float, p: SymPoint, q: SymPoint, tol: float = 1e-10
 ) -> float:
     """Symmetrized product kernel between two unordered pairs."""
-    if t <= 0:
-        raise ValueError("t must be positive")
 
     def k(a, b):
         return kernel_pathsum(g, t, a, b, tol=tol).value
@@ -72,8 +71,8 @@ class TraceSeries:
 
 def _trace_parts(g: MetricGraph, t: float, step: float, tol: float):
     """Diagonal integral A = int p(z,z) dz and pair integral B = int int p^2."""
-    diag = 0.0
-    diag_half = 0.0
+    strides = (1, 2)  # the full grid, and its half grid for the error estimate
+    diag = [0.0, 0.0]
     grids = {}
     for e in g.edges:
         n = max(4, int(math.ceil(e.length / step)))
@@ -81,36 +80,21 @@ def _trace_parts(g: MetricGraph, t: float, step: float, tol: float):
         s = np.linspace(0.0, e.length, n + 1)
         grids[e.id] = s
         vals, _ = pathsum_diag(g, t, e.id, s, tol=tol)
-        diag += _simpson(vals, e.length)
-        diag_half += _simpson(vals[::2], e.length)
-    pair = 0.0
-    pair_half = 0.0
+        for i, k in enumerate(strides):
+            m = n // k
+            diag[i] += float(np.dot(simpson_weights(m), vals[::k])) * e.length / (3.0 * m)
+    pair = [0.0, 0.0]
     for e1 in g.edges:
         for e2 in g.edges:
             s1, s2 = grids[e1.id], grids[e2.id]
             mat, _ = pathsum_cross(g, t, e1.id, s1, e2.id, s2, tol=tol)
             sq = mat * mat
-            pair += _simpson2(sq, e1.length, e2.length)
-            pair_half += _simpson2(sq[::2, ::2], e1.length, e2.length)
-    z = 0.5 * (diag * diag + pair)
-    z_half = 0.5 * (diag_half * diag_half + pair_half)
+            for i, k in enumerate(strides):
+                m1, m2 = (len(s1) - 1) // k, (len(s2) - 1) // k
+                inner = simpson_weights(m1) @ sq[::k, ::k] @ simpson_weights(m2)
+                pair[i] += float(inner) * e1.length * e2.length / (9.0 * m1 * m2)
+    z, z_half = [0.5 * (a * a + b) for a, b in zip(diag, pair)]
     return z, abs(z - z_half) / 15.0
-
-
-def _simpson(vals, length):
-    n = len(vals) - 1
-    w = np.ones(n + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    return float(np.dot(w, vals)) * length / (3.0 * n)
-
-
-def _simpson2(mat, len1, len2):
-    n1, n2 = mat.shape[0] - 1, mat.shape[1] - 1
-    w1 = np.ones(n1 + 1)
-    w1[1:-1:2], w1[2:-1:2] = 4.0, 2.0
-    w2 = np.ones(n2 + 1)
-    w2[1:-1:2], w2[2:-1:2] = 4.0, 2.0
-    return float(w1 @ mat @ w2) * len1 * len2 / (9.0 * n1 * n2)
 
 
 def trace_two_particle(
@@ -122,8 +106,9 @@ def trace_two_particle(
     as half the product-space integral of the symmetrized diagonal.  Raises
     when the half-grid error estimate exceeds 1% of the value.
     """
-    if t <= 0 or step <= 0:
-        raise ValueError("t and step must be positive")
+    _check_time(t)
+    if step <= 0:
+        raise ValueError("step must be positive")
     z, err = _trace_parts(g, t, step, tol)
     if err > 0.01 * z:
         raise ValueError(
@@ -164,12 +149,9 @@ def eigen_trace_series(
         k_max = math.sqrt(math.log(1e18) / t_min)
     modes = eigen(g, k_max)
     zs, errs = [], []
-    density = g.total_length / math.pi + len(g.vertices) + 2
     for t in t_grid:
         t = float(t)
-        z1_tail = density * math.exp(-(k_max**2) * t) / (2.0 * k_max * t) * (
-            8.0 / g.min_edge_length
-        )
+        z1_tail = spectral_tail_bound(g, t, k_max)
         z = trace_two_particle_eigen(modes, t)
         zs.append(z)
         errs.append(z1_tail * (2.0 * single_trace_eigen(modes, t) + 1.0))
@@ -219,12 +201,7 @@ def _sigma_sums(g: MetricGraph, vertex_id: str):
     """(deg, sum sigma_aa, sum sigma_aa^2, sum_{a<b} sigma_aa sigma_bb,
     sum_{a<b} sigma_ab^2) with exact rational entries."""
     d = g.degree(vertex_id)
-    if g.condition(vertex_id) == KIRCHHOFF:
-        diag = Fraction(2, d) - 1
-        off = Fraction(2, d)
-    else:
-        diag = Fraction(-1)
-        off = Fraction(0)
+    diag, off = sigma_entries(g.condition(vertex_id), d)
     s1 = d * diag
     s2 = d * diag * diag
     pairs = Fraction(d * (d - 1), 2)
@@ -307,8 +284,7 @@ def region_coefficients(g: MetricGraph, region: str, params: dict):
 
 def region_contributions(g: MetricGraph, region: str, params: dict, t: float) -> float:
     """Value at time t of a region's closed-form trace contribution."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     vol, half, const = region_coefficients(g, region, params)
     return (
         float(vol) / (4.0 * math.pi * t)

@@ -32,13 +32,12 @@ steps.  The outputs are bit-identical to unpacking every step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2 as _chi2
 
-from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph
+from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _check_time
 from .locality import IsometryMap, SubdomainSpec
 
 _BLOCK = 1024  # steps per RNG block; fixed forever for reproducibility
@@ -80,13 +79,8 @@ def time_step(h: float) -> float:
     return 0.5 * h * h
 
 
-def _check_horizon(T: float):
-    if not (math.isfinite(T) and T > 0):
-        raise GraphError(f"horizon T must be finite and positive, got {T!r}")
-
-
 def n_steps(T: float, h: float) -> int:
-    _check_horizon(T)
+    _check_time(T, "horizon T")
     steps = int(round(T / time_step(h)))
     if steps < 1:
         raise GraphError("horizon shorter than a single step")
@@ -562,6 +556,8 @@ def simulate_ensemble(
     exit of each path from U is recorded."""
     _check_h(g, h)
     g.check_point(x0)
+    if U is not None and U.parent != g:
+        raise GraphError("U must be a subdomain of the graph")
     if U is not None and not U.contains(x0):
         raise GraphError("start point must lie inside U")
     refusal = _lattice_refusal(g, x0, h, U)
@@ -658,7 +654,7 @@ class SpliceConfig:
     seed: int
 
     def __post_init__(self):
-        _check_horizon(self.T)
+        _check_time(self.T, "horizon T")
         if self.U.parent != self.graph_a:
             raise GraphError("U must be a subdomain of graph A")
         if not self.U.contains(self.x0):

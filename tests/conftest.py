@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from hklab.graph import Edge, MetricGraph, Vertex
+
+# pyproject's `pythonpath` puts src/ on this interpreter's path only; the CLI
+# tests that start `python -m hklab.cli` in a subprocess need it too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def make_graph(vertices, edges) -> MetricGraph:

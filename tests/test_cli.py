@@ -86,6 +86,16 @@ class TestKernelCommand:
         assert vals["pathsum"] == pytest.approx(vals["interval"], abs=1e-9)
         assert vals["pathsum"] == pytest.approx(vals["spectral"], abs=1e-8)
 
+    @pytest.mark.parametrize("method", ["pathsum", "spectral", "interval"])
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_time_exit_2(self, workdir, method, t, capsys):
+        args = ["kernel", "--graph", str(workdir / "interval.json"), "--method",
+                method, "--t", t, "--x", "e:0.3", "--y", "e:0.6",
+                "--out", str(workdir)]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "finite and positive" in err["error"]
+
 
 class TestLocalityCommand:
     def test_certificate_json(self, workdir):

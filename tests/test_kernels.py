@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hklab._quad import simpson_nodes
-from hklab.graph import GraphPoint
+from hklab.graph import GraphPoint, enumerate_walks
 from hklab.kernels import (
+    _certified_lambda,
     gauss_free,
     kernel_interval,
     kernel_mass,
@@ -175,6 +176,24 @@ class TestKernelPathsum:
             kernel_pathsum(interval, -0.1, x, x)
         with pytest.raises(ValueError):
             kernel_pathsum(interval, 0.1, x, x, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("t", [0.02, 0.1])
+@pytest.mark.parametrize(
+    "name", ["star3", "star3_dirichlet_leaves", "triangle", "circle", "interval_dirichlet"]
+)
+def test_pathsum_matches_enumerated_walks(request, name, t, tol):
+    # graph.enumerate_walks is the reference for the walk-family sum: every
+    # walk it adds beyond the certified families is longer than lambda
+    g = request.getfixturevalue(name)
+    ex, ey = g.edges[0], g.edges[-1]
+    x, y = GraphPoint(ex.id, 0.3 * ex.length), GraphPoint(ey.id, 0.55 * ey.length)
+    lam, _ = _certified_lambda(g, t, tol)
+    walks = enumerate_walks(g, x, y, lam + ex.length + ey.length)
+    ref = sum(w.weight * gauss_free(t, w.length) for w in walks)
+    ev = kernel_pathsum(g, t, x, y, tol=tol)
+    assert abs(ev.value - ref) <= ev.tail_bound + 1e-13 * max(1.0, abs(ref))
 
 
 class TestSemigroup:

@@ -15,7 +15,6 @@ from hklab.locality import (
     ball_subdomain,
     decomposition_residual,
     exit_density,
-    exit_density_profile,
     fit_decay_params,
     identity_map,
     interval_subdomain,
@@ -95,7 +94,9 @@ class TestExitDensity:
         x = GraphPoint("e", 3.5)
         s, w = simpson_nodes(2.0, 5e-4)
         total = sum(
-            float(np.dot(w, exit_density_profile(u, x, b, s))) for b in u.cut_points
+            float(np.dot(w, [exit_density(u, x, b, float(si)) if si > 0 else 0.0
+                             for si in s]))
+            for b in u.cut_points
         )
         cg, to_cut, _ = u.cut_graph()
         survivor = kernel_mass(cg, 2.0, to_cut(x))

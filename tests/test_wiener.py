@@ -158,6 +158,15 @@ class TestGeneralEngine:
         with pytest.raises(GraphError, match="inside U"):
             simulate_ensemble(star3, GraphPoint("e1", 0.9), 0.01, 5e-3, 1, 10, U=ball)
 
+    def test_u_on_another_graph_rejected(self, star3):
+        star4 = make_graph(
+            [("c", "kirchhoff")] + [(f"l{i}", "kirchhoff") for i in range(1, 5)],
+            [(f"e{i}", "c", f"l{i}", 1.0) for i in range(1, 5)],
+        )
+        ball = ball_subdomain(star4, "c", 0.5)
+        with pytest.raises(GraphError, match="subdomain"):
+            simulate_ensemble(star3, GraphPoint("e1", 0.1), 0.01, 5e-3, 1, 10, U=ball)
+
     def test_lattice_refusal_recorded(self, interval, interval_dirichlet, star3):
         def run(g, x0=GraphPoint("e", 0.1), U=None):
             return simulate_ensemble(g, x0, 0.02, 1e-2, 3, 2000, U=U)
