@@ -45,6 +45,12 @@ def _fmt(x) -> str:
     return FMT % float(x)
 
 
+def _options(args) -> dict:
+    """The parsed option values of a run, without the subcommand handler,
+    whose repr holds a memory address."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
+
+
 def _config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -128,7 +134,7 @@ def _cmd_graph(args):
 def _cmd_kernel(args):
     g = load_graph(args.graph)
     x, y = _point(args.x), _point(args.y)
-    cfg = vars(args).copy()
+    cfg = _options(args)
     if args.method == "pathsum":
         ev = kernel_pathsum(g, args.t, x, y, tol=args.tol)
     elif args.method == "spectral":
@@ -165,7 +171,7 @@ def _cmd_eigen(args):
     ]
     out = Path(args.out) / "eigen.csv"
     _write_csv(out, ["k", "lambda", "multiplicity", "continuity_residual",
-                     "kirchhoff_residual"], rows, vars(args).copy())
+                     "kirchhoff_residual"], rows, _options(args))
     print(f"{len(modes)} modes up to k={_fmt(args.kmax)} -> {out}")
     return 0
 
@@ -177,7 +183,7 @@ def _cmd_trace(args):
     modes = eigen(g, k_max)
     rows = [[t, single_trace_eigen(modes, t), 0.0] for t in ts]
     out = Path(args.out) / "trace.csv"
-    _write_csv(out, ["t", "Z", "quad_error"], rows, vars(args).copy())
+    _write_csv(out, ["t", "Z", "quad_error"], rows, _options(args))
     print(f"heat trace on {len(ts)} times -> {out}")
     return 0
 
@@ -188,7 +194,7 @@ def _cmd_locality(args):
     iso = _load_map(g_a, g_b, args.map)
     v = _subdomain(g_a, args.V)
     cert = locality_compare(g_a, g_b, iso, v, _tgrid(args.tgrid))
-    cfg = vars(args).copy()
+    cfg = _options(args)
     out = Path(args.out) / "certificate.json"
     _write_json(
         out,
@@ -236,7 +242,7 @@ def _cmd_mc(args):
         ens = simulate_ensemble(g, _point(args.x0), args.T, args.h, seed, args.paths, U=u)
         coords = ens.endpoint_coords()
         counts, edges = histogram_counts(coords, 0.0, g.total_length, args.bins)
-        cfg = vars(args).copy()
+        cfg = _options(args)
         cfg["seed"] = seed
         out = Path(args.out) / "ensemble.csv"
         _write_csv(
@@ -284,7 +290,7 @@ def _cmd_mc(args):
 
 def _cmd_twoparticle(args):
     g = load_graph(args.graph)
-    cfg = vars(args).copy()
+    cfg = _options(args)
     if args.action == "trace":
         series = trace_series(g, _tgrid(args.tgrid), args.step)
         out = Path(args.out) / "trace.csv"
@@ -350,7 +356,7 @@ def _cmd_energy(args):
     study = convergence_study(g, f, r_grid)
     out = Path(args.out) / "study.csv"
     _write_csv(out, ["r", "E_r", "ratio"], [list(row) for row in study.rows],
-               vars(args).copy())
+               _options(args))
     print(f"kappa {_fmt(study.kappa)} -> {out}")
     return 0
 

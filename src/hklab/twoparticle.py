@@ -69,6 +69,11 @@ class TraceSeries:
             raise ValueError("trace values must be positive")
 
 
+def _check_step(step: float):
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+
+
 def _trace_parts(g: MetricGraph, t: float, step: float, tol: float):
     """Diagonal integral A = int p(z,z) dz and pair integral B = int int p^2."""
     strides = (1, 2)  # the full grid, and its half grid for the error estimate
@@ -107,8 +112,7 @@ def trace_two_particle(
     when the half-grid error estimate exceeds 1% of the value.
     """
     _check_time(t)
-    if step <= 0:
-        raise ValueError("step must be positive")
+    _check_step(step)
     z, err = _trace_parts(g, t, step, tol)
     if err > 0.01 * z:
         raise ValueError(
@@ -121,6 +125,7 @@ def trace_two_particle(
 def trace_series(
     g: MetricGraph, t_grid, step: float, tol: float = 1e-10
 ) -> TraceSeries:
+    _check_step(step)
     zs, errs = [], []
     for t in t_grid:
         z, err = _trace_parts(g, float(t), step, tol)
@@ -144,6 +149,8 @@ def eigen_trace_series(
     g: MetricGraph, t_grid, k_max: float | None = None
 ) -> TraceSeries:
     """TraceSeries from the eigenvalue-pair oracle, with truncation estimates."""
+    for t in t_grid:
+        _check_time(t)
     t_min = min(float(t) for t in t_grid)
     if k_max is None:
         k_max = math.sqrt(math.log(1e18) / t_min)

@@ -9,13 +9,22 @@ vertices absorb.
 Randomness is counter-based: step m of every path draws from a Philox stream
 keyed by (base seed, block index) with a fixed block size, so ensembles are
 bitwise reproducible for a given seed no matter how the work is scheduled,
-and a spliced run consumes exactly the bits a direct run would.
+and a spliced run consumes exactly the bits a direct run would.  A key is the
+numpy SeedSequence hash of (seed, stream, counter) -- stream 2 and the block
+index for the lattice engine, stream 3 and the step index for the general
+engine -- and ``_keys`` computes it on uint32 arrays for 1024 counters at a
+time, ahead of the steps or blocks that use them.  The general engine resets
+one Philox bit generator to each step's key, so the stream is the one
+``SeedSequence`` and a fresh ``Generator`` would give, without building
+either per step.
 
 There is one general engine and one fast path.  The general engine walks
 every path in lockstep, one step at a time, on any graph.  It serves direct
-runs, runs that record first exits from U, and splices, where each path
-carries a flag saying whether it has crossed over to the second graph; a
-single stored trajectory is its ensemble of one path.  The fast path is the
+runs, runs that record first exits from U, and splices, which walk on the
+disjoint union of the two graphs: a path whose edge index lies past the
+first graph's edges has crossed over.  Each step moves all paths on an edge
+under one mask and gathers only the paths at vertices; a single stored
+trajectory is its ensemble of one path.  The fast path is the
 single-interval lattice engine.  One check, ``_lattice_refusal``, decides
 whether a run fits it, and an ensemble the general engine ran records the
 check's reason in ``EnsembleResult.lattice_refusal``.
@@ -45,14 +54,74 @@ _BLOCK_BYTES = _BLOCK // 8
 _SCAN_ROWS = 4096  # paths per group in the first-passage scan
 
 
-def _block_bytes(seed: int, block: int, n_paths: int) -> np.ndarray:
-    """Packed sign bits of one block, path-major shape (n_paths, BLOCK // 8).
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which numpy keeps
+# stable: the pool size, the hash and mix multipliers, and the xorshift
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _stream_keys(seed: int, stream: int, m: np.ndarray) -> np.ndarray:
+    """Philox keys of counters m of a stream, shape (len(m), 2) uint64.
+
+    Row i equals ``SeedSequence(entropy=(seed, stream, m[i])).generate_state(2,
+    np.uint64)`` for the seed folded to 63 bits: the same hash, run on uint32
+    arrays over all m at once.  A counter must fit one 32-bit word.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    if m.size and (m.min() < 0 or m.max() > _MASK32):
+        raise ValueError("a key counter must fit one 32-bit word")
+    seed = int(seed) & (2**63 - 1)
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    words = [np.full(m.shape, w, dtype=np.uint32) for w in seed_words + [stream]]
+    words.append(m.astype(np.uint32))
+    words += [np.zeros(m.shape, dtype=np.uint32)] * (_POOL - len(words))
+    mult = _INIT_A
+
+    def hashmix(v):
+        nonlocal mult
+        v = v ^ np.uint32(mult)
+        mult = (mult * _MULT_A) & _MASK32
+        v = v * np.uint32(mult)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(w) for w in words]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    mult = _INIT_B
+    state = np.empty(m.shape + (4,), dtype=np.uint32)
+    for i in range(4):
+        v = pool[i] ^ np.uint32(mult)
+        mult = (mult * _MULT_B) & _MASK32
+        v = v * np.uint32(mult)
+        state[..., i] = v ^ (v >> np.uint32(16))
+    # two words make one little-endian uint64, as in generate_state
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _keys(seed: int, stream: int, count: int):
+    """Yield the keys of counters 0 .. count - 1 of a stream, derived _BLOCK
+    counters at a time so that memory stays bounded for any count."""
+    for first in range(0, count, _BLOCK):
+        yield from _stream_keys(seed, stream, np.arange(first, min(first + _BLOCK, count)))
+
+
+def _block_bytes(key: np.ndarray, n_paths: int) -> np.ndarray:
+    """Packed sign bits of one block, path-major shape (n_paths, BLOCK // 8),
+    from the Philox stream with the block's key (stream 2, block index).
 
     Step k of a path is bit 7 - k % 8 of its byte k // 8, the MSB-first order
     of ``np.unpackbits``; a set bit is a step up.
     """
-    ss = np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), 2, block))
-    gen = np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
+    gen = np.random.Generator(np.random.Philox(key=key))
     raw = gen.bytes(_BLOCK_BYTES * n_paths)
     return np.frombuffer(raw, dtype=np.uint8).reshape(n_paths, _BLOCK_BYTES)
 
@@ -68,10 +137,21 @@ def _byte_tables():
 _BYTE_POS, _BYTE_MAX, _BYTE_MIN = _byte_tables()
 
 
-def _step_uniforms(seed: int, step: int, n_paths: int) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), 3, step))
-    gen = np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
-    return gen.random(n_paths)
+def _step_uniforms(seed: int, steps: int, n_paths: int):
+    """Yield the uniforms of steps 0 .. steps - 1, n_paths doubles per step.
+
+    Step m reads the Philox stream keyed by (seed, 3, m) from counter zero,
+    and each double is the one ``Generator.random`` makes there.  One bit
+    generator is reset to each key.
+    """
+    bitgen = np.random.Philox(0)  # any seed: every step sets its own key
+    state = bitgen.state  # counter zero and an empty buffer
+    for key in _keys(seed, 3, steps):
+        state["state"]["key"] = key
+        bitgen.state = state
+        raw = bitgen.random_raw(n_paths)
+        raw >>= np.uint64(11)
+        yield raw * 2.0**-53  # the 53-bit double of Generator.random
 
 
 def time_step(h: float) -> float:
@@ -196,10 +276,9 @@ def _first_passage(seed: int, n_paths: int, steps: int, levels=None):
     hit_step = np.full(n_paths, -1, dtype=np.int64)
     hit_level = np.zeros(n_paths, dtype=np.int64)
     done = 0
-    block = 0
-    while done < steps:
+    for key in _keys(seed, 2, -(-steps // _BLOCK)):
         nb = min(_BLOCK, steps - done)
-        raw = _block_bytes(seed, block, n_paths)
+        raw = _block_bytes(key, n_paths)
         if levels is not None:
             lo, hi = levels
             fresh = np.nonzero(
@@ -225,7 +304,6 @@ def _first_passage(seed: int, n_paths: int, steps: int, levels=None):
                 ups += np.bitwise_count(raw[:, whole] >> (8 - rest))
         carry += 2 * ups - nb
         done += nb
-        block += 1
     return carry, hit_step, hit_level
 
 
@@ -364,24 +442,39 @@ def _lattice_ensemble(
 # -- general per-step engine -----------------------------------------------------
 
 
-def _incidence_tables(g: MetricGraph):
-    """Vertex and edge indices, and the tables ``_advance`` walks with."""
-    vids = {v.id: i for i, v in enumerate(g.vertices)}
-    eids = {e.id: i for i, e in enumerate(g.edges)}
-    max_deg = g.max_degree
-    inc_edge = np.zeros((len(g.vertices), max_deg), dtype=np.int64)
-    inc_end = np.zeros((len(g.vertices), max_deg), dtype=np.int64)
-    deg = np.zeros(len(g.vertices), dtype=np.int64)
-    for v in g.vertices:
-        hs = g.incidence(v.id)
-        deg[vids[v.id]] = len(hs)
-        for j, (eid, end) in enumerate(hs):
-            inc_edge[vids[v.id], j] = eids[eid]
-            inc_end[vids[v.id], j] = end
-    lengths = np.array([e.length for e in g.edges])
-    end_vertex = np.array([[vids[e.u], vids[e.v]] for e in g.edges], dtype=np.int64)
-    dirichlet = np.array([v.condition == DIRICHLET for v in g.vertices])
-    return vids, eids, (deg, inc_edge, inc_end, lengths, end_vertex, dirichlet)
+def _incidence_tables(h: float, *graphs: MetricGraph):
+    """Tables ``_advance`` walks with, for the disjoint union of the graphs.
+
+    Each graph's edges and vertices follow those of the graphs before it, so
+    its indices are offset by their counts.  Also returns, per graph, the
+    maps from its vertex and edge ids to union indices.
+    """
+    index_maps = []
+    n_v = n_e = 0
+    for g in graphs:
+        index_maps.append(({v.id: n_v + i for i, v in enumerate(g.vertices)},
+                           {e.id: n_e + i for i, e in enumerate(g.edges)}))
+        n_v += len(g.vertices)
+        n_e += len(g.edges)
+    lengths = np.array([e.length for g in graphs for e in g.edges])
+    max_deg = max(g.max_degree for g in graphs)
+    # half-edge j of vertex v: its edge, and the arclength one step into it
+    inc_edge = np.zeros((n_v, max_deg), dtype=np.int64)
+    start_s = np.zeros((n_v, max_deg))
+    deg = np.zeros(n_v, dtype=np.int64)
+    end_vertex, dirichlet = [], []
+    for g, (vids, eids) in zip(graphs, index_maps):
+        for v in g.vertices:
+            hs = g.incidence(v.id)
+            deg[vids[v.id]] = len(hs)
+            for j, (eid, end) in enumerate(hs):
+                inc_edge[vids[v.id], j] = eids[eid]
+                start_s[vids[v.id], j] = h if end == 0 else lengths[eids[eid]] - h
+        end_vertex += [[vids[e.u], vids[e.v]] for e in g.edges]
+        dirichlet += [v.condition == DIRICHLET for v in g.vertices]
+    tables = (deg, inc_edge, start_s, lengths,
+              np.array(end_vertex, dtype=np.int64), np.array(dirichlet))
+    return index_maps, tables
 
 
 def _general_walk(
@@ -401,13 +494,15 @@ def _general_walk(
     uniform of the same stream, so path 0 of an ensemble is the single path
     of its seed.  With U, each path's first exit from U is recorded: the
     step, the crossed cut and its edge.  With splice_to=(graph_b, iso,
-    images of U's cut points), an exit also snaps the path to the cut and
-    moves it to the cut's image on graph B, where it walks from then on
-    (the per-path flag on_b); a same-step absorption beyond the cut is void,
-    since the spliced path never went past the boundary.  A splice reports
-    every path in graph-B coordinates.
+    images of U's cut points), the paths walk on the disjoint union of g and
+    graph B: an exit also snaps the path to the cut and moves it to the
+    cut's image on graph B, where it walks from then on; a same-step
+    absorption beyond the cut is void, since the spliced path never went
+    past the boundary.  A splice reports every path in graph-B coordinates.
     """
-    vids, eids, tables = _incidence_tables(g)
+    graphs = (g,) if splice_to is None else (g, splice_to[0])
+    index_maps, tables = _incidence_tables(h, *graphs)
+    vids, eids = index_maps[0]
     steps = n_steps(T, h)
     edge = np.full(n_paths, eids[x0.edge], dtype=np.int64)
     s = np.full(n_paths, float(x0.s))
@@ -416,28 +511,28 @@ def _general_walk(
     if v0 is not None:
         at_vertex[:] = vids[v0]
     alive = np.ones(n_paths, dtype=bool)
-    on_b = np.zeros(n_paths, dtype=bool)
     exit_step = np.full(n_paths, -1, dtype=np.int64)
     exit_coord = np.zeros(n_paths)
     exit_edge = np.zeros(n_paths, dtype=np.int64)
 
     if U is not None:
-        # an edge without a U piece keeps hi = -1: every point on it is out
-        u_lo = np.zeros(len(g.edges))
-        u_hi = np.full(len(g.edges), -1.0)
+        # an edge without a U piece keeps hi = -1: every point on it is out;
+        # graph-B entries do not matter, since only paths on g are tracked
+        u_lo = np.zeros(sum(len(x.edges) for x in graphs))
+        u_hi = np.full(u_lo.size, -1.0)
         for eid, lo, hi in U.pieces:
             if u_hi[eids[eid]] >= 0:
                 raise GraphError("general engine supports one U piece per edge")
             u_lo[eids[eid]] = lo
             u_hi[eids[eid]] = hi
-        v_inside = np.array(
-            [U._aux["inside"][v.id] for v in g.vertices], dtype=bool
-        )
+        v_inside = np.zeros(sum(len(x.vertices) for x in graphs), dtype=bool)
+        for v in g.vertices:
+            v_inside[vids[v.id]] = U._aux["inside"][v.id]
     if splice_to is not None:
-        g_b, iso, images = splice_to
-        _, eids_b, tables_b = _incidence_tables(g_b)
-        # graph-B edge and arclength of the image of each edge's lo (column
-        # 0) and hi (column 1) cut point
+        _, iso, images = splice_to
+        eids_b = index_maps[1][1]
+        # union edge and arclength of the image of each edge's lo (column 0)
+        # and hi (column 1) cut point
         img_edge = np.zeros((len(g.edges), 2), dtype=np.int64)
         img_s = np.zeros((len(g.edges), 2))
         for cut, img in zip(U.cut_points, images):
@@ -446,26 +541,17 @@ def _general_walk(
             img_edge[k, side] = eids_b[img.edge]
             img_s[k, side] = img.s
 
-    for step in range(steps):
-        u = _step_uniforms(seed, step, n_paths)
-        died_at = _advance(
-            np.nonzero(alive & ~on_b)[0], u, edge, s, at_vertex, alive, tables, h
-        )
-        if splice_to is not None:
-            _advance(np.nonzero(alive & on_b)[0], u, edge, s, at_vertex, alive,
-                     tables_b, h)
+    for step, u in enumerate(_step_uniforms(seed, steps, n_paths)):
+        arrived, at = _advance(u, edge, s, at_vertex, alive, tables, h)
         if U is not None:
-            fresh = exit_step < 0
-            out = np.zeros(n_paths, dtype=bool)
-            on_edge = fresh & alive & (at_vertex < 0)
-            k = edge[on_edge]
-            out[on_edge] = (s[on_edge] <= u_lo[k]) | (s[on_edge] >= u_hi[k])
-            at_v = fresh & alive & (at_vertex >= 0)
-            out[at_v] = ~v_inside[at_vertex[at_v]]
-            died = fresh & (died_at >= 0)
-            out[died] = ~v_inside[died_at[died]]
-            if out.any():
-                ii = np.nonzero(out)[0]
+            out = (s <= u_lo[edge]) | (s >= u_hi[edge])
+            out &= alive
+            # a path that reached a vertex this step, absorbed or not, is out
+            # exactly when the vertex is
+            out[arrived] = ~v_inside[at]
+            out &= exit_step < 0
+            ii = np.nonzero(out)[0]
+            if ii.size:
                 k = edge[ii]
                 # the nearer of the edge's two cut points: 0 for lo, 1 for hi
                 side = (np.abs(s[ii] - u_lo[k]) > np.abs(s[ii] - u_hi[k])).astype(int)
@@ -477,17 +563,18 @@ def _general_walk(
                     s[ii] = img_s[k, side]
                     at_vertex[ii] = -1
                     alive[ii] = True
-                    on_b[ii] = True
         yield edge, s, alive
 
     if splice_to is not None:
+        on_b = edge >= len(g.edges)
+        edge[on_b] -= len(g.edges)
         # paths still inside U map over in their own (edge, s) representation,
         # which vertex coverage guarantees
         for i in np.nonzero(~on_b & alive)[0]:
             img = iso.apply(GraphPoint(g.edges[edge[i]].id, float(s[i])))
-            edge[i] = eids_b[img.edge]
+            edge[i] = eids_b[img.edge] - len(g.edges)
             s[i] = img.s
-        g = g_b  # the run ends on graph B
+        g = splice_to[0]  # the run ends on graph B
     return EnsembleResult(
         g, T, h, seed, n_paths, edge, s.copy(), alive,
         exit_step, exit_coord, exit_edge, "general",
@@ -505,42 +592,35 @@ def _run(walk, refusal: str) -> EnsembleResult:
             return end.value
 
 
-def _advance(idx, u, edge, s, at_vertex, alive, tables, h):
-    """One walk step for the paths listed in idx (arrays updated in place).
+def _advance(u, edge, s, at_vertex, alive, tables, h):
+    """One walk step for every live path (arrays updated in place).
 
-    Returns the vertex index where each path died this step (-1 elsewhere).
+    Paths on an edge move by +-h under a full-array mask; only the rare
+    vertex events, departures and arrivals, are gathered by index.  A path
+    stands at a vertex only on the step it arrives there, and only live
+    paths do.  Returns the paths that reached a vertex this step and that
+    vertex; those at a Dirichlet vertex are absorbed.
     """
-    deg, inc_edge, inc_end, lengths, end_vertex, dirichlet = tables
-    death_vertex = np.full(len(alive), -1, dtype=np.int64)
-    if len(idx) == 0:
-        return death_vertex
-    atv = idx[at_vertex[idx] >= 0]
-    one = idx[at_vertex[idx] < 0]
-    if len(atv):
+    deg, inc_edge, start_s, lengths, end_vertex, dirichlet = tables
+    atv = np.nonzero(at_vertex >= 0)[0]
+    moving = alive.copy()
+    moving[atv] = False
+    np.add(s, np.where(u < 0.5, -h, h), out=s, where=moving)
+    if atv.size:
         vidx = at_vertex[atv]
         choice = np.minimum((u[atv] * deg[vidx]).astype(np.int64), deg[vidx] - 1)
-        new_edge = inc_edge[vidx, choice]
-        new_end = inc_end[vidx, choice]
-        edge[atv] = new_edge
-        s[atv] = np.where(new_end == 0, h, lengths[new_edge] - h)
+        edge[atv] = inc_edge[vidx, choice]
+        s[atv] = start_s[vidx, choice]
         at_vertex[atv] = -1
-    if len(one):
-        sign = np.where(u[one] < 0.5, -1.0, 1.0)
-        s_new = s[one] + sign * h
-        s[one] = s_new
-        low = s_new <= 0.0
-        high = s_new >= lengths[edge[one]]
-        for mask, endside in ((low, 0), (high, 1)):
-            if not mask.any():
-                continue
-            ii = one[mask]
-            vid = end_vertex[edge[ii], endside]
-            s[ii] = 0.0 if endside == 0 else lengths[edge[ii]]
-            dead = dirichlet[vid]
-            alive[ii[dead]] = False
-            death_vertex[ii[dead]] = vid[dead]
-            at_vertex[ii[~dead]] = vid[~dead]
-    return death_vertex
+    arrived = np.nonzero(moving & ((s <= 0.0) | (s >= lengths[edge])))[0]
+    k = edge[arrived]
+    high = s[arrived] > 0.0
+    vid = end_vertex[k, high.astype(np.int64)]
+    s[arrived] = np.where(high, lengths[k], 0.0)
+    dead = dirichlet[vid]
+    alive[arrived] = ~dead
+    at_vertex[arrived] = np.where(dead, -1, vid)
+    return arrived, vid
 
 
 def simulate_ensemble(

@@ -185,6 +185,18 @@ class TestOtherCommands:
         lines = (workdir / "trace.csv").read_text().splitlines()
         assert len(lines) == 2 + 5
 
+    def test_trace_bytes_repeat_across_processes(self, workdir):
+        # each run is its own interpreter, so nothing that varies between
+        # processes (such as an object address) may reach the header hash
+        args = [sys.executable, "-m", "hklab.cli", "trace", "--graph",
+                str(workdir / "interval.json"), "--tgrid", "0.01:0.1:5",
+                "--out", str(workdir)]
+        outputs = []
+        for _ in range(2):
+            subprocess.run(args, check=True, capture_output=True)
+            outputs.append((workdir / "trace.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_twoparticle_predict_fit(self, workdir):
         assert main(["twoparticle", "predict", "--graph",
                      str(workdir / "interval.json"), "--fit",

@@ -21,8 +21,10 @@ from hklab.locality import exit_density, interval_subdomain
 from hklab.spectral import kernel_spectral
 from hklab.twoparticle import (
     SymPoint,
+    eigen_trace_series,
     kernel_two_particle,
     region_contributions,
+    trace_series,
     trace_two_particle,
 )
 from hklab.wiener import n_steps
@@ -44,6 +46,9 @@ CALLS = {
     "kernel_two_particle": lambda g, t: kernel_two_particle(
         g, t, SymPoint(X, X), SymPoint(X, X)),
     "trace_two_particle": lambda g, t: trace_two_particle(g, t, 1e-2),
+    "trace_series": lambda g, t: trace_series(g, [0.05, t], 1e-2),
+    # a bad time after a good one: every time is checked, not only the least
+    "eigen_trace_series": lambda g, t: eigen_trace_series(g, [0.05, t]),
     "region_contributions": lambda g, t: region_contributions(
         g, "B", {"eps": 0.1, "edge": "e"}, t),
     "exit_density": lambda g, t: exit_density(
@@ -57,3 +62,13 @@ CALLS = {
 def test_bad_time_rejected(interval, name, t):
     with pytest.raises(GraphError, match="finite and positive"):
         CALLS[name](interval, t)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1e-2])
+@pytest.mark.parametrize("call", [
+    lambda g, step: trace_two_particle(g, 0.05, step),
+    lambda g, step: trace_series(g, [0.05], step),
+], ids=["trace_two_particle", "trace_series"])
+def test_bad_quadrature_step_rejected(interval, call, step):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        call(interval, step)

@@ -23,6 +23,8 @@ from hklab.wiener import (
     _block_bytes,
     _crossings,
     _first_passage,
+    _step_uniforms,
+    _stream_keys,
     chi_square_two_sample,
     compare_ensembles,
     first_exit,
@@ -166,6 +168,25 @@ class TestGeneralEngine:
         ball = ball_subdomain(star4, "c", 0.5)
         with pytest.raises(GraphError, match="subdomain"):
             simulate_ensemble(star3, GraphPoint("e1", 0.1), 0.01, 5e-3, 1, 10, U=ball)
+
+    def test_first_step_from_a_vertex(self, star3, circle):
+        h = 5e-3
+        leaf = simulate_ensemble(star3, GraphPoint("e1", 1.0), time_step(h), h, 1, 50)
+        assert (leaf.final_edge == 0).all() and (leaf.final_s == 1.0 - h).all()
+        # a loop's vertex is both ends of its edge
+        loop = simulate_ensemble(circle, GraphPoint("loop", 0.0), time_step(h), h, 1, 50)
+        assert set(loop.final_s) == {h, 1.0 - h}
+
+    def test_absorbed_inside_u_is_no_exit(self, interval_dirichlet):
+        # U reaches the Dirichlet end at 0: a path absorbed there never left U
+        g = interval_dirichlet
+        u = interval_subdomain(g, "e", 0.0, 0.6)
+        ens = simulate_ensemble(g, GraphPoint("e", 0.1), 0.05, 1e-2, 3, 2000, U=u)
+        assert ens.engine == "general"
+        absorbed = ~ens.alive & (ens.exit_step < 0)
+        assert absorbed.any() and (ens.final_s[absorbed] == 0.0).all()
+        exited = ens.exit_step >= 0
+        assert exited.any() and set(ens.exit_coord[exited]) == {0.6}
 
     def test_lattice_refusal_recorded(self, interval, interval_dirichlet, star3):
         def run(g, x0=GraphPoint("e", 0.1), U=None):
@@ -528,8 +549,13 @@ def _reference_crossings(walk, lo, hi):
     return first, up
 
 
+def _reference_key(seed, stream, m):
+    return np.random.SeedSequence(entropy=(seed, stream, m)).generate_state(2, np.uint64)
+
+
 def _reference_first_passage(seed, n_paths, steps, levels):
-    blocks = [_block_bytes(seed, b, n_paths) for b in range(-(-steps // 1024))]
+    blocks = [_block_bytes(_reference_key(seed, 2, b), n_paths)
+              for b in range(-(-steps // 1024))]
     walk = _unpacked_walk(np.concatenate(blocks, axis=1), steps)
     if levels is None:
         return walk[:, -1], np.full(n_paths, -1), np.zeros(n_paths, dtype=np.int64)
@@ -598,3 +624,28 @@ class TestByteTableScan:
         seg = [walk[i, 8 * j:8 * j + 8] for i, j in zip(rows, b)]
         both = [(s.max() >= hi[i]) and (s.min() <= lo[i]) for s, i in zip(seg, rows)]
         assert any(both) or nb < 3
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    @pytest.mark.parametrize("stream", [2, 3])
+    def test_keys_match_seed_sequence(self, seed, stream):
+        m = np.array([0, 1, 1023, 1024, 2**20, 2**32 - 1])
+        keys = _stream_keys(seed, stream, m)
+        assert keys.shape == (m.size, 2) and keys.dtype == np.uint64
+        for row, mi in zip(keys, m):
+            assert np.array_equal(row, _reference_key(seed, stream, int(mi)))
+
+    @pytest.mark.parametrize("m", [2**32, -1])
+    def test_counter_beyond_one_word_rejected(self, m):
+        with pytest.raises(ValueError, match="32-bit word"):
+            _stream_keys(1, 3, np.array([0, m]))
+
+    @pytest.mark.parametrize("seed", [4, 2**40 + 3])
+    def test_step_uniforms_match_generator(self, seed):
+        # the steps run past the first key block
+        got = list(_step_uniforms(seed, 1030, 17))
+        assert len(got) == 1030
+        for m in (0, 1, 1023, 1024, 1029):
+            gen = np.random.Generator(np.random.Philox(key=_reference_key(seed, 3, m)))
+            assert np.array_equal(got[m], gen.random(17))
