@@ -81,9 +81,14 @@ def _point(text: str) -> GraphPoint:
 def _tgrid(text: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(":")
-        return np.geomspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise GraphError(f"t-grid {text!r} must look like lo:hi:n") from exc
+    _check_time(lo, "t-grid start")
+    _check_time(hi, "t-grid end")
+    if n < 1:
+        raise GraphError(f"t-grid {text!r} needs at least one time")
+    return np.geomspace(lo, hi, n)
 
 
 def _subdomain(g, text: str) -> SubdomainSpec:
@@ -151,13 +156,15 @@ def _cmd_kernel(args):
     else:
         raise GraphError(f"unknown method {args.method!r}")
     out = Path(args.out) / "kernel.csv"
+    lam, walks = ("", "") if ev.lam is None else (ev.lam, ev.walks)
     _write_csv(
         out,
-        ["t", "edge_x", "s_x", "edge_y", "s_y", "value", "tail_bound"],
-        [[args.t, x.edge, x.s, y.edge, y.s, ev.value, ev.tail_bound]],
+        ["t", "edge_x", "s_x", "edge_y", "s_y", "value", "tail_bound", "lam", "walks"],
+        [[args.t, x.edge, x.s, y.edge, y.s, ev.value, ev.tail_bound, lam, walks]],
         cfg,
     )
-    print(f"value {_fmt(ev.value)} tail_bound {_fmt(ev.tail_bound)} -> {out}")
+    truncation = "" if ev.lam is None else f" lam {_fmt(lam)} walks {walks}"
+    print(f"value {_fmt(ev.value)} tail_bound {_fmt(ev.tail_bound)}{truncation} -> {out}")
     return 0
 
 

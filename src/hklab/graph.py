@@ -201,6 +201,7 @@ def _build_tables(vertices, edges):
         "min_length": float(min(e.length for e in edges)),
         "max_degree": max(len(h) for h in inc.values()),
         "dvv": None,
+        "sigmas": None,
     }
 
 
@@ -382,7 +383,10 @@ class ScatteringWalk:
 
 
 def _sigma_cache(g: MetricGraph) -> dict[str, ScatteringMatrix]:
-    return {v.id: scattering_matrix(g, v.id) for v in g.vertices}
+    """Scattering matrix of every vertex, by vertex id (cached per graph)."""
+    if g._tables["sigmas"] is None:
+        g._tables["sigmas"] = {v.id: scattering_matrix(g, v.id) for v in g.vertices}
+    return g._tables["sigmas"]
 
 
 def enumerate_walks(

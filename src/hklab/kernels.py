@@ -2,8 +2,8 @@
 
 All kernels follow the variance-2t normalization: the free-line kernel is
 exp(-d^2/4t)/sqrt(4 pi t).  The walk-sum kernel truncates the scattering-walk
-expansion at a geometric length that is certified against a rigorous Gaussian
-tail bound; the certified remainder is reported on every evaluation.
+expansion at the closed-form length where a rigorous Gaussian tail bound meets
+the tolerance; remainder, length and walk count come with every evaluation.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ class KernelEval:
     y: object
     value: float
     tail_bound: float
+    lam: float | None = None  # walk sums: truncation length
+    walks: int | None = None  # walk sums: number of walks summed
 
 
 def gauss_free(t: float, d):
@@ -125,59 +127,76 @@ def _image_tail(L, t, n_img):
 # -- walk-sum kernel -----------------------------------------------------------
 
 
-def pathsum_tail_bound(g: MetricGraph, t: float, lam: float) -> float:
-    """Rigorous bound on the total mass of walks with geometric length > lam.
+def _resolvent_table(g: MetricGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(r, ln Z(r)) of the weighted scattering resolvent, cached per graph.
 
-    Uses the crude count 2*d^k for walks with k bounces together with the
-    fact that k bounces force length >= (k-1) * (shortest edge).
+    States are incoming half-edges; a bounce at v onto the outgoing half-edge
+    j, crossing edge j into state k, gives M(r)[h, k] = |sigma_v[h, j]| e^{-r L_j},
+    and rho_h = sum_j |sigma_v[h, j]|.  (I - M(r)) z = rho is solved at once
+    for 64 geometric r from 1e-3/(total length) to where M's rows sum below
+    e^-40.  A row is kept if z > 0 and (I - M) z >= rho (z inflated by 1e-9
+    against rounding): by Collatz-Wielandt M's spectral radius is below 1, so
+    z bounds sum |w| e^{-r L_mid} over the walks from h.  A point on edge e
+    starts in the states (e, 0) and (e, 1): Z(r) = max_e z[(e, 0)] + z[(e, 1)].
     """
-    d = max(g.max_degree, 2)  # degree 1 still allows the return bounce
-    lmin = g.min_edge_length
-    log_norm = 0.5 * math.log(4.0 * math.pi * t)
+    tables = g._tables
+    if tables.get("resolvent") is None:
+        index = {(e.id, end): 2 * i + end for i, e in enumerate(g.edges) for end in (0, 1)}
+        moves = [(index[h_in], index[(eid, 1 - end)], abs(float(sig.entries[a, j])),
+                  g.edge_obj(eid).length)
+                 for sig in _sigma_cache(g).values()
+                 for a, h_in in enumerate(sig.halfedges)
+                 for j, (eid, end) in enumerate(sig.halfedges)]
+        rows, cols, weights, lengths = (np.array(col) for col in zip(*moves))
+        rho = np.bincount(rows, weights=weights, minlength=len(index))
+        r = np.geomspace(1e-3 / g.total_length,
+                         (math.log(rho.max()) + 40.0) / g.min_edge_length, 64)
+        m = np.zeros((r.size, len(index), len(index)))
+        m[:, rows, cols] = weights * np.exp(-np.outer(r, lengths))
+        z = np.linalg.solve(np.eye(len(index)) - m, rho[:, None])[..., 0] * (1.0 + 1e-9)
+        ok = (z > 0).all(axis=1) & (z - (m @ z[..., None])[..., 0] >= rho).all(axis=1)
+        pairs = z[ok][:, 0::2] + z[ok][:, 1::2]
+        tables["resolvent"] = (r[ok], np.log(pairs.max(axis=1)))
+    return tables["resolvent"]
 
-    def log_term(count_log, u):
-        return count_log - u * u / (4.0 * t) - log_norm
 
-    k_star = int(lam // lmin) + 1
-    # k = 1 .. k_star bounces, each missing walk longer than lam
-    head_log = math.log(2.0) + (k_star + 1) * math.log(d) - math.log(d - 1 if d > 1 else 1)
-    lt = log_term(head_log, lam)
-    if lt > 500:
+def pathsum_tail_bound(g: MetricGraph, t: float, lam: float) -> float:
+    """Rigorous bound on the total mass of walks with mid-length > lam.
+
+    For r <= lam/2t the tangent of l^2/4t at lam gives the bound
+    e^{-lam^2/4t + r lam} Z(r) / sqrt(4 pi t), Z from ``_resolvent_table``.
+    It drops the end pieces a + b >= 0 of each walk, so it holds for every
+    point pair.  Minimum over the tabulated r; inf if none is admissible.
+    """
+    r, log_z = _resolvent_table(g)
+    ok = 2.0 * t * r <= lam
+    if not ok.any():
         return math.inf
-    total = math.exp(lt)
-    k = k_star + 1
-    for _ in range(100000):
-        lt = log_term(math.log(2.0) + k * math.log(d), (k - 1) * lmin)
-        if lt > 500:
-            return math.inf
-        term = math.exp(lt)
-        ratio = d * math.exp(-(2 * k - 1) * lmin * lmin / (4.0 * t))
-        if ratio < 0.5:
-            total += term / (1.0 - ratio)
-            return total
-        total += term
-        k += 1
-    return math.inf
+    log_b = float(np.min(r[ok] * lam + log_z[ok])) - lam * lam / (4.0 * t)
+    return math.exp(min(log_b - 0.5 * math.log(4.0 * math.pi * t), 700.0))
 
 
+@lru_cache(maxsize=4096)
 def _certified_lambda(g: MetricGraph, t: float, tol: float) -> tuple[float, float]:
-    """(lambda, tail bound): the first doubled truncation length certifying tol.
+    """(lambda, tail bound): the shortest truncation length certifying tol.
 
-    Depends only on (graph, t, tol) so that grid evaluations at one time
-    reuse the cached walk families.
+    At each tabulated r the bound meets tol at the larger root
+    lam = 2tr + sqrt(4t^2 r^2 + 4t C(r)), C(r) = ln Z(r) - ln(tol sqrt(4 pi t)),
+    or, with no real root, at the validity floor 2tr; lambda is the minimum
+    over r.  Memoized per (graph, t, tol), so grid evaluations reuse the
+    cached walk families.
     """
     _check_time(t)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    peak = 1.0 / math.sqrt(4.0 * math.pi * t)
-    lam = max(g.min_edge_length,
-              math.sqrt(max(4.0 * t * math.log(max(2.0 * peak / tol, 1.0)), 0.0)))
-    for _ in range(200):
-        bound = pathsum_tail_bound(g, t, lam)
-        if bound <= tol:
-            return lam, bound
-        lam *= 2.0
-    raise TruncationError(f"tail bound will not certify tolerance {tol:g} at t={t:g}")
+    r, log_z = _resolvent_table(g)
+    # aim at tol (1 - 1e-9), so that rounding cannot lift the bound above tol
+    c = log_z - math.log(tol) + 1e-9 - 0.5 * math.log(4.0 * math.pi * t)
+    lam = float(np.min(2.0 * t * r + np.sqrt(np.maximum(4.0 * t * (t * r * r + c), 0.0))))
+    bound = pathsum_tail_bound(g, t, lam)
+    if not bound <= tol:
+        raise TruncationError(f"tail bound will not certify tolerance {tol:g} at t={t:g}")
+    return lam, bound
 
 
 @lru_cache(maxsize=4096)
@@ -268,14 +287,16 @@ def kernel_pathsum(
 ) -> KernelEval:
     """Heat kernel by truncated scattering-walk summation.
 
-    The truncation length is grown until a rigorous Gaussian tail bound falls
-    below ``tol``; the certified remainder is returned in ``tail_bound``.
+    The truncation length is the shortest one whose rigorous Gaussian tail
+    bound is at most ``tol``; the certified remainder is returned in
+    ``tail_bound``.
     """
     g.check_point(x)
     g.check_point(y)
     lam, tail = _certified_lambda(g, t, tol)
     val = _eval_pathsum(g, t, x.edge, x.s, y.edge, y.s, lam)
-    return KernelEval(t, x, y, float(val), tail)
+    walks = sum(ls.size for ls, _ in _families(g, x.edge, y.edge, lam).values())
+    return KernelEval(t, x, y, float(val), tail, lam, walks + (x.edge == y.edge))
 
 
 def pathsum_profile(

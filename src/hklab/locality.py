@@ -195,7 +195,7 @@ def kernel_killed(
         raise SubdomainError("killed kernel arguments must lie in U")
     cg, to_cut, _ = spec.cut_graph()
     ev = kernel_pathsum(cg, t, to_cut(x), to_cut(y), tol=tol)
-    return KernelEval(t, x, y, ev.value, ev.tail_bound)
+    return KernelEval(t, x, y, ev.value, ev.tail_bound, ev.lam, ev.walks)
 
 
 def _cut_inward(spec: SubdomainSpec, b: GraphPoint):

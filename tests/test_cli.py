@@ -72,6 +72,20 @@ class TestKernelCommand:
         assert lines[0].startswith("# hklab")
         row = lines[2].split(",")
         assert float(row[5]) == pytest.approx(1.278567, abs=1e-6)
+        assert lines[1].endswith("tail_bound,lam,walks")
+        assert float(row[7]) > 0 and int(row[8]) > 1
+        out = capsys.readouterr().out
+        assert f"lam {row[7]} walks {row[8]}" in out
+
+    def test_closed_forms_report_no_truncation(self, workdir, capsys):
+        assert main([
+            "kernel", "--graph", str(workdir / "interval.json"),
+            "--method", "interval", "--t", "0.05", "--x", "e:0.5", "--y", "e:0.5",
+            "--out", str(workdir),
+        ]) == 0
+        row = (workdir / "kernel.csv").read_text().splitlines()[2].split(",")
+        assert row[7:] == ["", ""]
+        assert "walks" not in capsys.readouterr().out
 
     def test_methods_agree(self, workdir):
         vals = {}
@@ -184,6 +198,20 @@ class TestOtherCommands:
                      "--tgrid", "0.01:0.1:5", "--out", str(workdir)]) == 0
         lines = (workdir / "trace.csv").read_text().splitlines()
         assert len(lines) == 2 + 5
+
+    @pytest.mark.parametrize("command", ["trace", "locality"])
+    @pytest.mark.parametrize("tgrid", ["0.01:inf:3", "nan:0.05:3", "0:0.05:3",
+                                       "0.01:-0.05:3", "0.01:0.05:0"])
+    def test_bad_tgrid_exit_2(self, workdir, command, tgrid, capsys):
+        graph = ["--graph", str(workdir / "interval.json")]
+        if command == "locality":
+            graph = ["--graph-a", str(workdir / "interval.json"),
+                     "--graph-b", str(workdir / "interval_d.json"),
+                     "--map", str(workdir / "map.json"), "--V", "0.4:0.6"]
+        assert main([command, *graph, "--tgrid", tgrid, "--out", str(workdir)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "t-grid" in err["error"]
+        assert not (workdir / "trace.csv").exists()
 
     def test_trace_bytes_repeat_across_processes(self, workdir):
         # each run is its own interpreter, so nothing that varies between

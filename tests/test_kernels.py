@@ -1,12 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import make_graph
 from hklab._quad import simpson_nodes
 from hklab.graph import GraphPoint, enumerate_walks
 from hklab.kernels import (
     _certified_lambda,
+    _families,
+    _resolvent_table,
     gauss_free,
     kernel_interval,
     kernel_mass,
@@ -194,6 +198,119 @@ def test_pathsum_matches_enumerated_walks(request, name, t, tol):
     ref = sum(w.weight * gauss_free(t, w.length) for w in walks)
     ev = kernel_pathsum(g, t, x, y, tol=tol)
     assert abs(ev.value - ref) <= ev.tail_bound + 1e-13 * max(1.0, abs(ref))
+
+
+def _star(legs, leaf="kirchhoff"):
+    return make_graph([("c", "kirchhoff")] + [(f"l{i}", leaf) for i in range(len(legs))],
+                      [(f"e{i}", "c", f"l{i}", leg) for i, leg in enumerate(legs)])
+
+
+def _random_graph(kind, rng):
+    """A small graph of the given kind with seeded, unequal edge lengths."""
+    u = rng.uniform
+    if kind in ("star", "star_dirichlet"):
+        leaf = "dirichlet" if kind == "star_dirichlet" else "kirchhoff"
+        return _star([u(0.8, 1.2), u(0.8, 1.2), u(0.05, 0.3)], leaf)
+    if kind == "triangle":
+        return make_graph([(v, "kirchhoff") for v in "abc"],
+                          [("e1", "a", "b", u(0.5, 1.5)), ("e2", "b", "c", u(0.5, 1.5)),
+                           ("e3", "c", "a", u(0.5, 1.5))])
+    if kind == "lollipop":
+        return make_graph([("o", "kirchhoff"), ("l", "dirichlet")],
+                          [("loop", "o", "o", u(0.8, 1.5)), ("stem", "o", "l", u(0.2, 0.6))])
+    if kind == "multi":
+        return make_graph([("a", "kirchhoff"), ("b", "kirchhoff")],
+                          [("e1", "a", "b", u(0.5, 1.0)), ("e2", "a", "b", u(0.5, 1.0)),
+                           ("e3", "a", "b", u(1.0, 1.5))])
+    raise ValueError(kind)
+
+
+GRAPH_KINDS = ["star", "star_dirichlet", "triangle", "lollipop", "multi"]
+
+
+def _at_floor(g, t, lam):
+    # lambda sits at a validity floor 2tr of the tangent bound, not at a root
+    r, _ = _resolvent_table(g)
+    return bool(np.isclose(lam, 2.0 * t * r, rtol=1e-9).any())
+
+
+class TestResolventTable:
+    def test_interval_closed_form(self, interval):
+        # on [0, 1] every bounce is a reflection of weight 1, so from either
+        # end z = 1 / (1 - e^-r), and a point leaves through both ends
+        r, log_z = _resolvent_table(interval)
+        assert r.size == 64
+        z = 2.0 / -np.expm1(-r)
+        np.testing.assert_allclose(log_z, np.log(z), rtol=1e-8)
+        t, lam = 0.05, 2.0
+        ok = 2.0 * t * r <= lam
+        expect = np.min(np.exp(-lam * lam / (4.0 * t) + r[ok] * lam) * z[ok])
+        assert pathsum_tail_bound(interval, t, lam) == pytest.approx(
+            expect / math.sqrt(4.0 * math.pi * t), rel=1e-8)
+
+    def test_star_keeps_rows_above_critical_r(self, star3):
+        # with equal legs M(r) = e^-r A, and A^2 acts on the centre states as
+        # |sigma|, whose spectral radius is 1/3 + 2 * 2/3 = 5/3
+        r, _ = _resolvent_table(star3)
+        r_c = math.log(5.0 / 3.0) / 2.0
+        assert r_c < r.min() < 1.25 * r_c
+
+
+class TestCertifiedTruncation:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("t", [0.01, 0.035, 0.06])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_bound_is_tight(self, kind, seed, t, tol):
+        g = _random_graph(kind, np.random.default_rng(seed))
+        lam, bound = _certified_lambda(g, t, tol)
+        assert bound <= tol
+        assert bound == pathsum_tail_bound(g, t, lam)
+        if not _at_floor(g, t, lam):
+            assert bound >= 1e-3 * tol
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("t", [0.01, 0.035, 0.06])
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_missing_walks_within_bound(self, kind, t, tol):
+        # graph.enumerate_walks finds every walk the certified families sum,
+        # and the ones they leave out weigh no more than the reported bound.
+        # Both points sit at vertices, where a walk's length can equal its
+        # mid-length, the length the bound is written in.
+        g = _random_graph(kind, np.random.default_rng(7))
+        ex, ey = g.edges[0], g.edges[-1]
+        lam, bound = _certified_lambda(g, t, tol)
+        walks = enumerate_walks(g, GraphPoint(ex.id, 0.0), GraphPoint(ey.id, 0.0),
+                                lam + 0.6 + ex.length + ey.length)
+
+        def key(length, weight):
+            return round(float(length), 9), float(f"{weight:.12g}")
+
+        enumerated = Counter(key(w.length, w.weight) for w in walks)
+        summed = Counter([key(0.0, 1.0)] if ex.id == ey.id else [])
+        ends = {0: 0.0, 1: ex.length}, {0: 0.0, 1: ey.length}
+        for (d1, d2), (ls, ws) in _families(g, ex.id, ey.id, lam).items():
+            summed.update(key(ends[0][d1] + mid + ends[1][d2], w) for mid, w in zip(ls, ws))
+        assert not summed - enumerated
+        missing = sum(n * abs(w) * gauss_free(t, length)
+                      for (length, w), n in (enumerated - summed).items())
+        assert missing <= bound
+
+    def test_short_leg_probe(self):
+        # a short leg packs many walks into little length; a tight lambda
+        # keeps the number summed small
+        ev = kernel_pathsum(_star([1.0, 1.0, 0.05]), 0.05, GraphPoint("e0", 0.3), GraphPoint("e1", 0.6), tol=1e-10)
+        assert ev.lam < 2.6
+        assert ev.walks < 200
+        assert 1e-13 <= ev.tail_bound <= 1e-10
+
+    def test_walk_count_reported(self, star3):
+        x = GraphPoint("e1", 0.4)
+        ev = kernel_pathsum(star3, 0.05, x, x, tol=1e-10)
+        lam, _ = _certified_lambda(star3, 0.05, 1e-10)
+        fams = _families(star3, "e1", "e1", lam)
+        assert ev.lam == lam
+        assert ev.walks == 1 + sum(ls.size for ls, _ in fams.values())
 
 
 class TestSemigroup:

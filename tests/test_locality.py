@@ -67,6 +67,15 @@ class TestKilledKernel:
         assert ev.value == pytest.approx(oracle.value, abs=1e-12)
         assert ev.value == pytest.approx(1.244566, abs=1e-6)
 
+    def test_reports_truncation_of_cut_graph(self, line):
+        u = interval_subdomain(line, "e", 3.0, 4.0)
+        cg, to_cut, _ = u.cut_graph()
+        x = GraphPoint("e", 3.5)
+        ev = kernel_killed(u, 0.05, x, x)
+        inner = kernel_pathsum(cg, 0.05, to_cut(x), to_cut(x))
+        assert (ev.lam, ev.walks, ev.tail_bound) == (inner.lam, inner.walks, inner.tail_bound)
+        assert ev.walks > 1
+
     def test_zero_at_cut_point(self, line):
         u = interval_subdomain(line, "e", 3.0, 4.0)
         v = kernel_killed(u, 0.05, GraphPoint("e", 3.5), GraphPoint("e", 4.0)).value
