@@ -26,6 +26,7 @@ from .kernels import (  # noqa: F401
     kernel_pathsum,
     kernel_semigroup_residual,
     kernel_star,
+    pathsum,
     star_sigma,
 )
 from .locality import (  # noqa: F401

@@ -7,10 +7,15 @@ import math
 import numpy as np
 
 
+def _check_step(step: float):
+    """Reject a quadrature step that is NaN, infinite or not positive."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+
+
 def simpson_nodes(length: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of composite Simpson on [0, length] with ~step spacing."""
-    if step <= 0:
-        raise ValueError("quadrature step must be positive")
+    _check_step(step)
     n = max(2, int(math.ceil(length / step)))
     if n % 2:
         n += 1

@@ -24,7 +24,7 @@ from .kernels import (
     kernel_pathsum,
     kernel_semigroup_residual,
     kernel_star,
-    pathsum_profile,
+    pathsum,
     star_sigma,
 )
 from .locality import (
@@ -33,7 +33,6 @@ from .locality import (
     ball_subdomain,
     decomposition_residual,
     interval_subdomain,
-    kernel_killed,
     locality_compare,
 )
 from .spectral import eigen, kernel_spectral
@@ -185,7 +184,7 @@ def criterion_2() -> CriterionResult:
     errs = []
     for t in (1e-2, 1e-3, 1e-4):
         nodes, w = simpson_nodes(1.0, 2e-4)
-        vals, _ = pathsum_profile(g, t, x, "e", nodes, tol=1e-12)
+        vals, _ = pathsum(g, t, x.edge, x.s, "e", nodes, tol=1e-12)
         errs.append(abs(float(np.dot(w, vals * f(nodes))) - f(0.5)))
     ok_ident = errs[0] > errs[1] > errs[2]
     checks.append(("identity", ok_ident, "errors " + ",".join(f"{e:.2e}" for e in errs)))
@@ -273,14 +272,10 @@ def _criterion_5_stats(seed: int):
     _, p_same = chi_square_two_sample(c1, c2)
     # paths that never left U versus the killed-kernel mass
     stay = spliced.stay_fraction()
-    u_n = interval_subdomain(interval_graph(), "e", 0.25, 0.75)
+    cg, to_cut, _ = interval_subdomain(interval_graph(), "e", 0.25, 0.75).cut_graph()
+    x = to_cut(GraphPoint("e", 0.5))
     nodes, w = simpson_nodes(0.5, 2e-4)
-    vals = np.array(
-        [
-            kernel_killed(u_n, cfg.T, GraphPoint("e", 0.5), GraphPoint("e", 0.25 + s)).value
-            for s in nodes
-        ]
-    )
+    vals, _ = pathsum(cg, cfg.T, x.edge, x.s, x.edge, nodes)
     stay_exact = float(np.dot(w, vals))
     se = math.sqrt(stay_exact * (1.0 - stay_exact) / cfg.n_paths)
     z_stay = (stay - stay_exact) / se

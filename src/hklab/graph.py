@@ -108,7 +108,12 @@ class MetricGraph:
         for v in self.vertices:
             if not tables["incidence"][v.id]:
                 raise GraphError(f"isolated vertex {v.id!r}", offending=v.id)
+        tables["hash"] = hash((self.vertices, self.edges))
         object.__setattr__(self, "_tables", tables)
+
+    def __hash__(self):
+        # computed once: walk families and truncation lengths are memoized by graph
+        return self._tables["hash"]
 
     # -- lookups ---------------------------------------------------------
 

@@ -3,7 +3,9 @@
 All kernels follow the variance-2t normalization: the free-line kernel is
 exp(-d^2/4t)/sqrt(4 pi t).  The walk-sum kernel truncates the scattering-walk
 expansion at the closed-form length where a rigorous Gaussian tail bound meets
-the tolerance; remainder, length and walk count come with every evaluation.
+the tolerance.  ``kernel_pathsum`` evaluates one point pair and reports the
+remainder, length and walk count; ``pathsum`` broadcasts arclengths sx against
+sy, so that one call gives a profile, a diagonal or a grid.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from ._quad import simpson_nodes
 from .graph import (
     _WEIGHT_FLOOR,
     KIRCHHOFF,
+    GraphError,
     GraphPoint,
     MetricGraph,
     ScatteringMatrix,
@@ -187,8 +190,8 @@ def _certified_lambda(g: MetricGraph, t: float, tol: float) -> tuple[float, floa
     cached walk families.
     """
     _check_time(t)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     r, log_z = _resolvent_table(g)
     # aim at tol (1 - 1e-9), so that rounding cannot lift the bound above tol
     c = log_z - math.log(tol) + 1e-9 - 0.5 * math.log(4.0 * math.pi * t)
@@ -254,32 +257,32 @@ def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float):
     }
 
 
-def _eval_pathsum(g, t, edge_x, sx, edge_y, sy, lam, grid=False):
-    """Walk-sum value(s); with grid=True, (sx, sy) arrays form an outer grid."""
+# Walk blocks hold at most _BLOCK Gaussians (one walk if the points alone are more);
+# blocks above _IN_PLACE are updated in place, smaller ones cost less to reallocate
+_BLOCK = 1 << 16
+_IN_PLACE = 1 << 10
+
+
+def _eval_pathsum(g, t, edge_x, sx, edge_y, sy, lam):
+    """Walk sum at flat arclengths sx, sy (equal sizes, or size 1) and the
+    number of walks summed; a lone point takes one dot product per family."""
     fams = _families(g, edge_x, edge_y, lam)
-    lx = g.edge_obj(edge_x).length
-    ly = g.edge_obj(edge_y).length
-    sx_a = np.asarray(sx, dtype=float)
-    sy_a = np.asarray(sy, dtype=float)
-    ax = {0: sx_a, 1: lx - sx_a}
-    by = {0: sy_a, 1: ly - sy_a}
-    if grid:
-        total = np.zeros((sx_a.size, sy_a.size))
-        if edge_x == edge_y:
-            total += gauss_free(t, sx_a[:, None] - sy_a[None, :])
-        for (d1, d2), (ls, ws) in fams.items():
-            base_x = ax[d1][:, None]
-            base_y = by[d2][None, :]
-            for mid, wgt in zip(ls, ws):
-                total += wgt * gauss_free(t, base_x + mid + base_y)
-        return total
-    total = np.zeros(np.broadcast(sx_a, sy_a).shape)
-    if edge_x == edge_y:
-        total = total + gauss_free(t, sx_a - sy_a)
+    sizes = [ls.size for ls, _ in fams.values()]
+    same = edge_x == edge_y
+    ax = (sx, g.edge_obj(edge_x).length - sx)
+    by = (sy, g.edge_obj(edge_y).length - sy)
+    c = -4.0 * t  # exp(d*d/c) / norm is gauss_free(t, d), bit for bit
+    norm = math.sqrt(4.0 * math.pi * t)
+    total = gauss_free(t, sx - sy) if same else np.zeros(max(sx.size, sy.size))
+    step = max(1, _BLOCK // max(1, total.size))
     for (d1, d2), (ls, ws) in fams.items():
-        base = np.asarray(ax[d1] + by[d2], dtype=float)
-        total = total + gauss_free(t, base[..., None] + ls) @ ws
-    return float(total) if total.ndim == 0 else total
+        base = ax[d1] + by[d2]
+        for k in range(0, ls.size, step):
+            d = ls[k:k + step, None] + base
+            o = d if d.size > _IN_PLACE else None
+            d = np.divide(np.exp(np.divide(np.multiply(d, d, o), c, o), o), norm, o)
+            total += np.dot(ws[k:k + step], d)
+    return total, sum(sizes) + same
 
 
 def kernel_pathsum(
@@ -294,56 +297,30 @@ def kernel_pathsum(
     g.check_point(x)
     g.check_point(y)
     lam, tail = _certified_lambda(g, t, tol)
-    val = _eval_pathsum(g, t, x.edge, x.s, y.edge, y.s, lam)
-    walks = sum(ls.size for ls, _ in _families(g, x.edge, y.edge, lam).values())
-    return KernelEval(t, x, y, float(val), tail, lam, walks + (x.edge == y.edge))
+    xs, ys = np.array([x.s], dtype=float), np.array([y.s], dtype=float)
+    val, walks = _eval_pathsum(g, t, x.edge, xs, y.edge, ys, lam)
+    return KernelEval(t, x, y, float(val[0]), tail, lam, walks)
 
 
-def pathsum_profile(
-    g: MetricGraph,
-    t: float,
-    x: GraphPoint,
-    edge_y: str,
-    s_values: np.ndarray,
-    tol: float = 1e-10,
+def pathsum(
+    g: MetricGraph, t: float, edge_x: str, sx, edge_y: str, sy, tol: float = 1e-10
 ) -> tuple[np.ndarray, float]:
-    """Vectorized p_t(x, .) along one edge; returns (values, tail bound)."""
-    g.check_point(x)
+    """p_t between arclengths sx on edge_x and sy on edge_y, numpy-broadcast.
+
+    A scalar against an array gives a profile, two equal arrays the diagonal,
+    ``sx[:, None]`` against ``sy[None, :]`` a grid.  Returns (values, tail
+    bound); the values agree with ``kernel_pathsum`` to rounding.
+    """
     lam, tail = _certified_lambda(g, t, tol)
-    vals = _eval_pathsum(g, t, x.edge, x.s, edge_y, np.asarray(s_values, float), lam)
-    return np.atleast_1d(vals), tail
-
-
-def pathsum_diag(
-    g: MetricGraph,
-    t: float,
-    edge: str,
-    s_values: np.ndarray,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, float]:
-    """On-diagonal kernel p_t(z, z) along one edge; returns (values, tail)."""
-    lam, tail = _certified_lambda(g, t, tol)
-    s = np.asarray(s_values, dtype=float)
-    vals = _eval_pathsum(g, t, edge, s, edge, s, lam)
-    return np.atleast_1d(vals), tail
-
-
-def pathsum_cross(
-    g: MetricGraph,
-    t: float,
-    edge_x: str,
-    sx: np.ndarray,
-    edge_y: str,
-    sy: np.ndarray,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, float]:
-    """Kernel values on the grid edge_x x edge_y; returns (matrix, tail bound)."""
-    lam, tail = _certified_lambda(g, t, tol)
-    vals = _eval_pathsum(
-        g, t, edge_x, np.asarray(sx, float), edge_y, np.asarray(sy, float), lam,
-        grid=True,
-    )
-    return vals, tail
+    sx, sy = np.broadcast_arrays(np.asarray(sx, dtype=float), np.asarray(sy, dtype=float))
+    for edge, s in ((edge_x, sx), (edge_y, sy)):
+        length = g.edge_obj(edge).length
+        off = ~((s >= 0.0) & (s <= length))
+        if off.any():
+            raise GraphError(f"point s={s[off][0]} off edge {edge!r} of length {length}",
+                             offending=edge)
+    values, _ = _eval_pathsum(g, t, edge_x, sx.ravel(), edge_y, sy.ravel(), lam)
+    return values.reshape(sx.shape), tail
 
 
 # -- kernel functionals --------------------------------------------------------
@@ -355,7 +332,7 @@ def kernel_mass(g: MetricGraph, t: float, x: GraphPoint, step_frac: float = 1e-3
     total = 0.0
     for e in g.edges:
         s, w = simpson_nodes(e.length, step_frac * e.length)
-        vals, _ = pathsum_profile(g, t, x, e.id, s, tol=tol)
+        vals, _ = pathsum(g, t, x.edge, x.s, e.id, s, tol=tol)
         total += float(np.dot(w, vals))
     return total
 
@@ -372,14 +349,12 @@ def kernel_semigroup_residual(
     """|p_{t+s}(x,y) - int_G p_t(x,z) p_s(z,y) dz| with per-edge Simpson."""
     _check_time(t)
     _check_time(s, "s")
-    if quadrature_step is not None and quadrature_step <= 0:
-        raise ValueError("quadrature_step must be positive")
     conv = 0.0
     for e in g.edges:
         step = quadrature_step if quadrature_step is not None else 1e-3 * e.length
         nodes, w = simpson_nodes(e.length, step)
-        row_t, _ = pathsum_profile(g, t, x, e.id, nodes, tol=tol)
-        row_s, _ = pathsum_profile(g, s, y, e.id, nodes, tol=tol)
+        row_t, _ = pathsum(g, t, x.edge, x.s, e.id, nodes, tol=tol)
+        row_s, _ = pathsum(g, s, y.edge, y.s, e.id, nodes, tol=tol)
         conv += float(np.dot(w, row_t * row_s))
     direct = kernel_pathsum(g, t + s, x, y, tol=tol).value
     return abs(direct - conv)

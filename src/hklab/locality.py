@@ -23,7 +23,7 @@ from .graph import (
     Vertex,
     _check_time,
 )
-from .kernels import KernelEval, kernel_pathsum
+from .kernels import KernelEval, kernel_pathsum, pathsum
 
 
 class SubdomainError(GraphError):
@@ -240,8 +240,6 @@ def decomposition_residual(
     exit density through cut point b; the time integral uses composite Simpson
     with the given step.
     """
-    if time_step <= 0:
-        raise ValueError("time_step must be positive")
     g = spec.parent
     full = kernel_pathsum(g, t, x, y, tol=tol).value
     killed = kernel_killed(spec, t, x, y, tol=tol).value
@@ -410,12 +408,20 @@ class LocalityCertificate:
         return self.C * math.exp(-self.eps / t)
 
 
-def _v_grid(spec: SubdomainSpec, points_per_piece: int = 9) -> list[GraphPoint]:
-    pts = []
+def _v_grid(spec: SubdomainSpec, iso: IsometryMap, points_per_piece: int = 9):
+    """V's grid points and their images, grouped by the edges they lie on.
+
+    Returns (edge_a, s_a, edge_b, s_b) runs: s_a on edge_a of V's graph maps to
+    s_b on edge_b of the image graph.
+    """
+    runs = {}
     for eid, lo, hi in spec.pieces:
         for s in np.linspace(lo, hi, points_per_piece):
-            pts.append(GraphPoint(eid, float(s)))
-    return pts
+            img = iso.apply(GraphPoint(eid, float(s)))
+            sa, sb = runs.setdefault((eid, img.edge), ([], []))
+            sa.append(float(s))
+            sb.append(img.s)
+    return [(ea, np.array(sa), eb, np.array(sb)) for (ea, eb), (sa, sb) in runs.items()]
 
 
 def locality_compare(
@@ -442,20 +448,19 @@ def locality_compare(
         ):
             raise SubdomainError("closure of V must be contained in U")
     t_grid = tuple(float(t) for t in t_grid)
-    pts = _v_grid(V, points_per_piece)
-    imgs = [iso.apply(p) for p in pts]
+    runs = _v_grid(V, iso, points_per_piece)
     sups, floors = [], []
     for t in t_grid:
         scale = 1.0 / math.sqrt(4.0 * math.pi * t)
         tol = max(1e-16 * scale, 1e-280)
         sup = 0.0
         kmax = 0.0
-        for xa, xb in zip(pts, imgs):
-            for ya, yb in zip(pts, imgs):
-                pa = kernel_pathsum(g_a, t, xa, ya, tol=tol).value
-                pb = kernel_pathsum(g_b, t, xb, yb, tol=tol).value
-                sup = max(sup, abs(pa - pb))
-                kmax = max(kmax, abs(pa), abs(pb))
+        for ex, xa, fx, xb in runs:
+            for ey, ya, fy, yb in runs:
+                pa, _ = pathsum(g_a, t, ex, xa[:, None], ey, ya[None, :], tol=tol)
+                pb, _ = pathsum(g_b, t, fx, xb[:, None], fy, yb[None, :], tol=tol)
+                sup = max(sup, float(np.max(np.abs(pa - pb))))
+                kmax = max(kmax, float(np.max(np.abs(pa))), float(np.max(np.abs(pb))))
         sups.append(sup)
         floors.append(64.0 * np.finfo(float).eps * kmax)
     usable = [i for i in range(len(t_grid)) if sups[i] > floors[i]]

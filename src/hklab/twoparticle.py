@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._quad import simpson_weights
+from ._quad import _check_step, simpson_weights
 from .graph import KIRCHHOFF, GraphError, GraphPoint, MetricGraph, _check_time, sigma_entries
-from .kernels import kernel_pathsum, pathsum_cross, pathsum_diag
+from .kernels import kernel_pathsum, pathsum
 from .spectral import EigenMode, eigen, spectral_tail_bound
 
 SQRT2 = math.sqrt(2.0)
@@ -69,11 +69,6 @@ class TraceSeries:
             raise ValueError("trace values must be positive")
 
 
-def _check_step(step: float):
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be finite and positive, got {step!r}")
-
-
 def _trace_parts(g: MetricGraph, t: float, step: float, tol: float):
     """Diagonal integral A = int p(z,z) dz and pair integral B = int int p^2."""
     strides = (1, 2)  # the full grid, and its half grid for the error estimate
@@ -84,7 +79,7 @@ def _trace_parts(g: MetricGraph, t: float, step: float, tol: float):
         n += (-n) % 4  # divisible by 4 so the half grid is Simpson-compatible
         s = np.linspace(0.0, e.length, n + 1)
         grids[e.id] = s
-        vals, _ = pathsum_diag(g, t, e.id, s, tol=tol)
+        vals, _ = pathsum(g, t, e.id, s, e.id, s, tol=tol)
         for i, k in enumerate(strides):
             m = n // k
             diag[i] += float(np.dot(simpson_weights(m), vals[::k])) * e.length / (3.0 * m)
@@ -92,7 +87,7 @@ def _trace_parts(g: MetricGraph, t: float, step: float, tol: float):
     for e1 in g.edges:
         for e2 in g.edges:
             s1, s2 = grids[e1.id], grids[e2.id]
-            mat, _ = pathsum_cross(g, t, e1.id, s1, e2.id, s2, tol=tol)
+            mat, _ = pathsum(g, t, e1.id, s1[:, None], e2.id, s2[None, :], tol=tol)
             sq = mat * mat
             for i, k in enumerate(strides):
                 m1, m2 = (len(s1) - 1) // k, (len(s2) - 1) // k

@@ -6,8 +6,9 @@ import pytest
 
 from conftest import make_graph
 from hklab._quad import simpson_nodes
-from hklab.graph import GraphPoint, enumerate_walks
+from hklab.graph import GraphError, GraphPoint, enumerate_walks
 from hklab.kernels import (
+    _BLOCK,
     _certified_lambda,
     _families,
     _resolvent_table,
@@ -17,7 +18,7 @@ from hklab.kernels import (
     kernel_pathsum,
     kernel_semigroup_residual,
     kernel_star,
-    pathsum_profile,
+    pathsum,
     pathsum_tail_bound,
     star_sigma,
 )
@@ -128,6 +129,34 @@ class TestKernelInterval:
             kernel_interval(1.0, "neumann", "neumann", 0.05, 1.2, 0.5)
 
 
+def _star(legs, leaf="kirchhoff"):
+    return make_graph([("c", "kirchhoff")] + [(f"l{i}", leaf) for i in range(len(legs))],
+                      [(f"e{i}", "c", f"l{i}", leg) for i, leg in enumerate(legs)])
+
+
+def _random_graph(kind, rng):
+    """A small graph of the given kind with seeded, unequal edge lengths."""
+    u = rng.uniform
+    if kind in ("star", "star_dirichlet"):
+        leaf = "dirichlet" if kind == "star_dirichlet" else "kirchhoff"
+        return _star([u(0.8, 1.2), u(0.8, 1.2), u(0.05, 0.3)], leaf)
+    if kind == "triangle":
+        return make_graph([(v, "kirchhoff") for v in "abc"],
+                          [("e1", "a", "b", u(0.5, 1.5)), ("e2", "b", "c", u(0.5, 1.5)),
+                           ("e3", "c", "a", u(0.5, 1.5))])
+    if kind == "lollipop":
+        return make_graph([("o", "kirchhoff"), ("l", "dirichlet")],
+                          [("loop", "o", "o", u(0.8, 1.5)), ("stem", "o", "l", u(0.2, 0.6))])
+    if kind == "multi":
+        return make_graph([("a", "kirchhoff"), ("b", "kirchhoff")],
+                          [("e1", "a", "b", u(0.5, 1.0)), ("e2", "a", "b", u(0.5, 1.0)),
+                           ("e3", "a", "b", u(1.0, 1.5))])
+    raise ValueError(kind)
+
+
+GRAPH_KINDS = ["star", "star_dirichlet", "triangle", "lollipop", "multi"]
+
+
 class TestKernelPathsum:
     def test_matches_interval_images(self, interval):
         x = GraphPoint("e", 0.5)
@@ -161,12 +190,65 @@ class TestKernelPathsum:
         assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_profile_matches_pointwise(self, star3):
-        x = GraphPoint("e1", 0.25)
-        s = np.linspace(0.0, 1.0, 7)
-        prof, _ = pathsum_profile(star3, 0.05, x, "e2", s, tol=1e-11)
-        for si, vi in zip(s, prof):
-            direct = kernel_pathsum(star3, 0.05, x, GraphPoint("e2", float(si)), 1e-11)
-            assert vi == pytest.approx(direct.value, abs=1e-11)
+        # every broadcast shape of pathsum agrees with kernel_pathsum point by
+        # point, on star3 and on random graphs with Dirichlet leaves, a loop,
+        # a multi-edge and unequal lengths
+        graphs = [star3] + [_random_graph(k, np.random.default_rng(11)) for k in GRAPH_KINDS]
+        for g in graphs:
+            rng = np.random.default_rng(3)
+            ex, ey = g.edges[0], g.edges[-1]
+            sx = np.sort(rng.uniform(0.0, ex.length, 5))
+            sy = np.append(rng.uniform(0.0, ey.length, 6), ey.length)
+            cases = [
+                (ex.id, sx[2], ey.id, sy[3]),  # scalar
+                (ex.id, sx[1], ey.id, sy),  # profile
+                (ey.id, sy, ey.id, sy),  # diagonal
+                (ex.id, sx[:, None], ey.id, sy[None, :]),  # grid
+            ]
+            for edge_x, a, edge_y, b in cases:
+                vals, tail = pathsum(g, 0.05, edge_x, a, edge_y, b, tol=1e-11)
+                assert vals.shape == np.broadcast(a, b).shape
+                for v, u, w in zip(vals.ravel(), *(c.ravel() for c in np.broadcast_arrays(a, b))):
+                    ev = kernel_pathsum(g, 0.05, GraphPoint(edge_x, float(u)),
+                                        GraphPoint(edge_y, float(w)), 1e-11)
+                    assert ev.tail_bound == tail
+                    assert abs(v - ev.value) <= tail + 1e-15 * abs(ev.value)
+            assert pathsum(g, 0.05, ex.id, sx[:0], ey.id, sy[0])[0].shape == (0,)
+            # and one grid value against the reference walk enumeration
+            x, y = GraphPoint(ex.id, float(sx[2])), GraphPoint(ey.id, float(sy[3]))
+            lam, _ = _certified_lambda(g, 0.05, 1e-11)
+            ref = sum(w.weight * gauss_free(0.05, w.length)
+                      for w in enumerate_walks(g, x, y, lam + ex.length + ey.length))
+            assert abs(vals[2, 3] - ref) <= tail + 1e-13 * max(1.0, abs(ref))
+
+    def test_grid_blocks_match_profiles(self, star3):
+        # a grid this large sums its families one walk per block; each of
+        # its rows agrees with the profile that sums them in one block
+        sx = np.linspace(0.0, 1.0, 181)
+        sy = np.linspace(0.0, 1.0, 191)
+        lam, _ = _certified_lambda(star3, 0.2, 1e-12)
+        longest = max(ls.size for ls, _ in _families(star3, "e1", "e2", lam).values())
+        assert _BLOCK // (sx.size * sy.size) < longest <= _BLOCK // sy.size
+        grid, tail = pathsum(star3, 0.2, "e1", sx[:, None], "e2", sy[None, :], tol=1e-12)
+        for u, row in zip(sx, grid):
+            prof, _ = pathsum(star3, 0.2, "e1", u, "e2", sy, tol=1e-12)
+            assert np.all(np.abs(row - prof) <= tail + 1e-15 * np.abs(prof))
+
+    @pytest.mark.parametrize("sx, sy", [
+        (-5.0, np.array([0.5])), (0.5, np.array([7.0])), (0.5, np.array([0.2, math.nan])),
+        (np.array([math.nan]), 0.5),
+    ])
+    def test_pathsum_rejects_points_off_the_edge(self, interval, sx, sy):
+        with pytest.raises(GraphError, match="off edge 'e'"):
+            pathsum(interval, 0.05, "e", sx, "e", sy)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+    def test_rejects_bad_tol(self, interval, tol):
+        x = GraphPoint("e", 0.5)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            kernel_pathsum(interval, 0.05, x, x, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            pathsum(interval, 0.05, "e", 0.5, "e", [0.5], tol=tol)
 
     def test_stochastic_completeness(self, interval, star3, triangle):
         for g in (interval, star3, triangle):
@@ -200,32 +282,6 @@ def test_pathsum_matches_enumerated_walks(request, name, t, tol):
     assert abs(ev.value - ref) <= ev.tail_bound + 1e-13 * max(1.0, abs(ref))
 
 
-def _star(legs, leaf="kirchhoff"):
-    return make_graph([("c", "kirchhoff")] + [(f"l{i}", leaf) for i in range(len(legs))],
-                      [(f"e{i}", "c", f"l{i}", leg) for i, leg in enumerate(legs)])
-
-
-def _random_graph(kind, rng):
-    """A small graph of the given kind with seeded, unequal edge lengths."""
-    u = rng.uniform
-    if kind in ("star", "star_dirichlet"):
-        leaf = "dirichlet" if kind == "star_dirichlet" else "kirchhoff"
-        return _star([u(0.8, 1.2), u(0.8, 1.2), u(0.05, 0.3)], leaf)
-    if kind == "triangle":
-        return make_graph([(v, "kirchhoff") for v in "abc"],
-                          [("e1", "a", "b", u(0.5, 1.5)), ("e2", "b", "c", u(0.5, 1.5)),
-                           ("e3", "c", "a", u(0.5, 1.5))])
-    if kind == "lollipop":
-        return make_graph([("o", "kirchhoff"), ("l", "dirichlet")],
-                          [("loop", "o", "o", u(0.8, 1.5)), ("stem", "o", "l", u(0.2, 0.6))])
-    if kind == "multi":
-        return make_graph([("a", "kirchhoff"), ("b", "kirchhoff")],
-                          [("e1", "a", "b", u(0.5, 1.0)), ("e2", "a", "b", u(0.5, 1.0)),
-                           ("e3", "a", "b", u(1.0, 1.5))])
-    raise ValueError(kind)
-
-
-GRAPH_KINDS = ["star", "star_dirichlet", "triangle", "lollipop", "multi"]
 
 
 def _at_floor(g, t, lam):
@@ -330,7 +386,7 @@ class TestSemigroup:
         # int p_t(x,z)^2 dz = p_2t(x,x) > 0
         x = GraphPoint("e", 0.5)
         s, w = simpson_nodes(1.0, 1e-3)
-        row, _ = pathsum_profile(interval, 0.05, x, "e", s, tol=1e-12)
+        row, _ = pathsum(interval, 0.05, x.edge, x.s, "e", s, tol=1e-12)
         conv = float(np.dot(w, row * row))
         direct = kernel_pathsum(interval, 0.1, x, x, tol=1e-12).value
         assert conv > 0
@@ -345,7 +401,7 @@ class TestSemigroup:
         errs = []
         for t in (1e-2, 1e-3, 1e-4):
             s, w = simpson_nodes(1.0, 2e-4)
-            vals, _ = pathsum_profile(interval, t, x, "e", s, tol=1e-12)
+            vals, _ = pathsum(interval, t, x.edge, x.s, "e", s, tol=1e-12)
             errs.append(abs(float(np.dot(w, vals * f(s))) - f(0.5)))
         assert errs[0] > errs[1] > errs[2]
 

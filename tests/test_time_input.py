@@ -9,15 +9,14 @@ from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import (
     gauss_free,
     kernel_interval,
+    kernel_mass,
     kernel_pathsum,
     kernel_semigroup_residual,
     kernel_star,
-    pathsum_cross,
-    pathsum_diag,
-    pathsum_profile,
+    pathsum,
     star_sigma,
 )
-from hklab.locality import exit_density, interval_subdomain
+from hklab.locality import decomposition_residual, exit_density, interval_subdomain
 from hklab.spectral import kernel_spectral
 from hklab.twoparticle import (
     SymPoint,
@@ -37,9 +36,9 @@ CALLS = {
     "kernel_star": lambda g, t: kernel_star(3, star_sigma(3), t, (0, 0.1), (1, 0.2)),
     "kernel_interval": lambda g, t: kernel_interval(1.0, "neumann", "dirichlet", t, 0.3, 0.6),
     "kernel_pathsum": lambda g, t: kernel_pathsum(g, t, X, X),
-    "pathsum_profile": lambda g, t: pathsum_profile(g, t, X, "e", S),
-    "pathsum_diag": lambda g, t: pathsum_diag(g, t, "e", S),
-    "pathsum_cross": lambda g, t: pathsum_cross(g, t, "e", S, "e", S),
+    "pathsum_at_profile": lambda g, t: pathsum(g, t, X.edge, X.s, "e", S),
+    "pathsum_at_diagonal": lambda g, t: pathsum(g, t, "e", S, "e", S),
+    "pathsum_at_grid": lambda g, t: pathsum(g, t, "e", S[:, None], "e", S[None, :]),
     "semigroup_t": lambda g, t: kernel_semigroup_residual(g, t, 0.05, X, X),
     "semigroup_s": lambda g, t: kernel_semigroup_residual(g, 0.05, t, X, X),
     "kernel_spectral": lambda g, t: kernel_spectral(g, t, X, X, []),
@@ -68,7 +67,12 @@ def test_bad_time_rejected(interval, name, t):
 @pytest.mark.parametrize("call", [
     lambda g, step: trace_two_particle(g, 0.05, step),
     lambda g, step: trace_series(g, [0.05], step),
-], ids=["trace_two_particle", "trace_series"])
+    lambda g, step: kernel_semigroup_residual(g, 0.05, 0.05, X, X, quadrature_step=step),
+    lambda g, step: decomposition_residual(
+        interval_subdomain(g, "e", 0.25, 0.75), 0.05, X, X, time_step=step),
+    lambda g, step: kernel_mass(g, 0.05, X, step_frac=step),
+], ids=["trace_two_particle", "trace_series", "kernel_semigroup_residual",
+        "decomposition_residual", "kernel_mass"])
 def test_bad_quadrature_step_rejected(interval, call, step):
     with pytest.raises(ValueError, match="step must be finite and positive"):
         call(interval, step)

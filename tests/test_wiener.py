@@ -6,7 +6,7 @@ import pytest
 
 from hklab._quad import simpson_nodes
 from hklab.graph import GraphError, GraphPoint
-from hklab.kernels import kernel_interval, kernel_mass, pathsum_profile
+from hklab.kernels import kernel_interval, kernel_mass, pathsum
 from hklab.locality import (
     IsometryMap,
     MapPiece,
@@ -144,7 +144,7 @@ class TestGeneralEngine:
         coords = ens.endpoint_coords()
         frac = float(np.mean(coords < 1.0))  # edge e1 occupies [0, 1)
         s, w = simpson_nodes(1.0, 1e-3)
-        vals, _ = pathsum_profile(star3, 0.02, GraphPoint("e1", 0.5), "e1", s)
+        vals, _ = pathsum(star3, 0.02, "e1", 0.5, "e1", s)
         p1 = float(np.dot(w, vals))
         assert abs(frac - p1) <= 3 * math.sqrt(p1 * (1 - p1) / 6000)
 
