@@ -24,6 +24,7 @@ from .graph import (
     GraphPoint,
     MetricGraph,
     ScatteringMatrix,
+    _bond_table,
     _check_time,
     _sigma_cache,
     sigma_entries,
@@ -133,9 +134,10 @@ def _image_tail(L, t, n_img):
 def _resolvent_table(g: MetricGraph) -> tuple[np.ndarray, np.ndarray]:
     """(r, ln Z(r)) of the weighted scattering resolvent, cached per graph.
 
-    States are incoming half-edges; a bounce at v onto the outgoing half-edge
-    j, crossing edge j into state k, gives M(r)[h, k] = |sigma_v[h, j]| e^{-r L_j},
-    and rho_h = sum_j |sigma_v[h, j]|.  (I - M(r)) z = rho is solved at once
+    On the bond table of ``graph._bond_table`` (states are incoming
+    half-edges), the transition from h through the outgoing half-edge j into
+    state k gives M(r)[h, k] = |sigma_v[h, j]| e^{-r L_j}, and
+    rho_h = sum_j |sigma_v[h, j]|.  (I - M(r)) z = rho is solved at once
     for 64 geometric r from 1e-3/(total length) to where M's rows sum below
     e^-40.  A row is kept if z > 0 and (I - M) z >= rho (z inflated by 1e-9
     against rounding): by Collatz-Wielandt M's spectral radius is below 1, so
@@ -144,19 +146,15 @@ def _resolvent_table(g: MetricGraph) -> tuple[np.ndarray, np.ndarray]:
     """
     tables = g._tables
     if tables.get("resolvent") is None:
-        index = {(e.id, end): 2 * i + end for i, e in enumerate(g.edges) for end in (0, 1)}
-        moves = [(index[h_in], index[(eid, 1 - end)], abs(float(sig.entries[a, j])),
-                  g.edge_obj(eid).length)
-                 for sig in _sigma_cache(g).values()
-                 for a, h_in in enumerate(sig.halfedges)
-                 for j, (eid, end) in enumerate(sig.halfedges)]
-        rows, cols, weights, lengths = (np.array(col) for col in zip(*moves))
-        rho = np.bincount(rows, weights=weights, minlength=len(index))
+        rows, cols, sigma, lengths = _bond_table(g)
+        weights = np.abs(sigma)
+        n = 2 * len(g.edges)
+        rho = np.bincount(rows, weights=weights, minlength=n)
         r = np.geomspace(1e-3 / g.total_length,
                          (math.log(rho.max()) + 40.0) / g.min_edge_length, 64)
-        m = np.zeros((r.size, len(index), len(index)))
+        m = np.zeros((r.size, n, n))
         m[:, rows, cols] = weights * np.exp(-np.outer(r, lengths))
-        z = np.linalg.solve(np.eye(len(index)) - m, rho[:, None])[..., 0] * (1.0 + 1e-9)
+        z = np.linalg.solve(np.eye(n) - m, rho[:, None])[..., 0] * (1.0 + 1e-9)
         ok = (z > 0).all(axis=1) & (z - (m @ z[..., None])[..., 0] >= rho).all(axis=1)
         pairs = z[ok][:, 0::2] + z[ok][:, 1::2]
         tables["resolvent"] = (r[ok], np.log(pairs.max(axis=1)))

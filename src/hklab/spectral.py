@@ -1,19 +1,20 @@
 """Eigenvalues and eigenfunctions of the graph Laplacian; spectral heat kernel.
 
-Modes are located as dips of the smallest singular value of the vertex
-condition system, which also catches eigenvalues of even multiplicity that a
-determinant sign scan would miss; multiplicities come from the rank
-deficiency at the located root.
+Roots k of the secular equation are counted exactly, with multiplicity, by
+the eigenphases of the bond-scattering matrix sigma e^{ikL}; bisection on that
+count brackets every root, its jump gives the multiplicity, and the modes
+span the null space of the vertex condition system at the root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _check_time
+from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _bond_table, _check_time
 from .kernels import KernelEval, TruncationError
 
 
@@ -62,74 +63,23 @@ class EigenMode:
 
 
 def _condition_matrix(g: MetricGraph, k: float) -> np.ndarray:
-    m = 2 * len(g.edges)
-    eidx = {e.id: i for i, e in enumerate(g.edges)}
+    """Vertex conditions on the per-edge coefficients (A, B), one row per half-edge.
+
+    At end 0 of an edge the value is A and the outward derivative over k is B;
+    at end 1 they are A cos kL + B sin kL and A sin kL - B cos kL.
+    """
+    col = {e.id: 2 * i for i, e in enumerate(g.edges)}
     rows = []
-
-    def val_row(h):
-        row = np.zeros(m)
-        e = g.edge_obj(h[0])
-        i = eidx[h[0]]
-        if h[1] == 0:
-            row[2 * i] = 1.0
-        else:
-            row[2 * i] = math.cos(k * e.length)
-            row[2 * i + 1] = math.sin(k * e.length)
-        return row
-
-    def der_row(h):
-        # outward derivative divided by k, keeping rows O(1)
-        row = np.zeros(m)
-        e = g.edge_obj(h[0])
-        i = eidx[h[0]]
-        if h[1] == 0:
-            row[2 * i + 1] = 1.0
-        else:
-            row[2 * i] = math.sin(k * e.length)
-            row[2 * i + 1] = -math.cos(k * e.length)
-        return row
-
     for v in g.vertices:
         hs = g.incidence(v.id)
-        if v.condition == DIRICHLET:
-            rows.extend(val_row(h) for h in hs)
-        else:
-            for h1, h2 in zip(hs, hs[1:]):
-                rows.append(val_row(h1) - val_row(h2))
-            rows.append(sum(der_row(h) for h in hs))
+        val, der = np.zeros((len(hs), 2 * len(g.edges))), np.zeros(2 * len(g.edges))
+        for r, (eid, end) in enumerate(hs):
+            kl = k * g.edge_obj(eid).length
+            c, s = (1.0, 0.0) if end == 0 else (math.cos(kl), math.sin(kl))
+            val[r, col[eid]:col[eid] + 2] = c, s
+            der[col[eid]:col[eid] + 2] += (s, c) if end == 0 else (s, -c)
+        rows.extend(val if v.condition == DIRICHLET else [*(val[:-1] - val[1:]), der])
     return np.array(rows)
-
-
-def _sigma_min(g: MetricGraph, k: float) -> float:
-    return float(np.linalg.svd(_condition_matrix(g, k), compute_uv=False)[-1])
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_refine(f, a: float, b: float, iters: int = 90) -> tuple[float, float]:
-    """Golden-section minimum of a V-shaped function, absolute convergence.
-
-    scipy's bounded minimizer stops at sqrt(eps) relative width, which is not
-    enough for the 1e-12 frequency refinement; plain golden section has no
-    such floor.
-    """
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if b - a < 1e-14:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    x = x1 if f1 <= f2 else x2
-    return x, min(f1, f2)
 
 
 def _norm_matrix(g: MetricGraph, k: float) -> np.ndarray:
@@ -150,18 +100,15 @@ def _norm_matrix(g: MetricGraph, k: float) -> np.ndarray:
     return gram
 
 
-def _null_modes(g: MetricGraph, k: float, rank_tol: float = 1e-8) -> list[EigenMode]:
-    mat = _condition_matrix(g, k)
-    _, svals, vt = np.linalg.svd(mat)
-    smax = svals[0] if svals[0] > 0 else 1.0
-    null = vt[svals < rank_tol * smax]
-    if null.size == 0:
-        null = vt[-1:]
-    gram = _norm_matrix(g, k)
-    overlap = null @ gram @ null.T
-    evals, evecs = np.linalg.eigh(overlap)
-    keep = evals > 1e-12 * evals.max()
-    basis = (evecs[:, keep] / np.sqrt(evals[keep])).T @ null
+def _null_modes(g: MetricGraph, k: float, m: int) -> list[EigenMode]:
+    """The m modes of a root k of multiplicity m, orthonormal in L2(G).
+
+    The null space of the condition system is spanned by its m smallest
+    right-singular vectors; the Gram matrix of _norm_matrix orthonormalizes them.
+    """
+    null = np.linalg.svd(_condition_matrix(g, k))[2][-m:]
+    evals, evecs = np.linalg.eigh(null @ _norm_matrix(g, k) @ null.T)
+    basis = (evecs / np.sqrt(evals)).T @ null
     modes = []
     for row in basis:
         coeffs = tuple(
@@ -173,8 +120,7 @@ def _null_modes(g: MetricGraph, k: float, rank_tol: float = 1e-8) -> list[EigenM
 
 
 def _constant_modes(g: MetricGraph) -> list[EigenMode]:
-    if any(v.condition == DIRICHLET for v in g.vertices):
-        return []
+    """One k = 0 mode per connected component without a Dirichlet vertex."""
     dvv = g.vertex_distances()
     comps: list[set[str]] = []
     for v in g.vertices:
@@ -186,6 +132,8 @@ def _constant_modes(g: MetricGraph) -> list[EigenMode]:
             comps.append({v.id})
     modes = []
     for comp in comps:
+        if any(g.condition(vid) == DIRICHLET for vid in comp):
+            continue
         vol = sum(e.length for e in g.edges if e.u in comp)
         amp = 1.0 / math.sqrt(vol)
         coeffs = tuple(
@@ -195,36 +143,68 @@ def _constant_modes(g: MetricGraph) -> list[EigenMode]:
     return modes
 
 
-def eigen(g: MetricGraph, k_max: float, accept_tol: float = 1e-6) -> list[EigenMode]:
+# eigen refuses a k_max whose Weyl count L k_max / pi is above this many modes
+_MAX_MODES = 100_000
+# matrix entries per stack of bond-scattering matrices (32 MiB of complex)
+_STACK = 2**21
+
+
+def _phase_count(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
+    """(k sum_b L_b - sum_j theta_j(k)) / 2pi for each k of a stack.
+
+    theta_j in [0, 2pi) are the eigenphases of the bond-scattering matrix
+    U(k) = sigma e^{ikL} (``graph._bond_table``).  U is unitary and det U
+    turns as e^{ik sum_b L_b} with sum_b L_b twice the total length, while each
+    eigenphase turns forward; so this is an integer plus a constant, and it
+    steps up by m where m eigenphases pass through 0: at a root k of
+    multiplicity m (Kottos & Smilansky, Ann. Phys. 274, 1999).
+    """
+    rows, cols, sigma, lengths = _bond_table(g)
+    n = 2 * len(g.edges)
+    phases = []
+    for chunk in np.array_split(ks, -(-ks.size * n * n // _STACK)):
+        u = np.zeros((chunk.size, n, n), dtype=complex)
+        u[:, rows, cols] = sigma * np.exp(1j * np.outer(chunk, lengths))
+        phases.append((np.angle(np.linalg.eigvals(u)) % (2.0 * math.pi)).sum(axis=1))
+    return (2.0 * g.total_length * ks - np.concatenate(phases)) / (2.0 * math.pi)
+
+
+def eigen(g: MetricGraph, k_max: float) -> list[EigenMode]:
     """All modes with frequency k <= k_max, orthonormal in L2(G).
 
-    The count is cross-checked against the Weyl estimate N(k) ~ L k / pi; a
-    mismatch beyond the O(1) allowance raises "missed eigenvalue".
+    N(k), the number of roots in (0, k] with multiplicity, is counted exactly
+    by ``_phase_count`` from k_lo = pi/4L, below every positive root (the
+    first eigenvalue is at least (pi/2L)^2, Nicaise 1987).  Every bracket of
+    (k_lo, k_max] over which N jumps is bisected, all at once, until it is
+    1e-13 relative wide; its midpoint is one distinct root and the jump is its
+    multiplicity.  The modes found must number N(k_max) plus the constant
+    modes, or ``GraphError`` is raised.
     """
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
-    modes = _constant_modes(g)
-    step = math.pi / (8.0 * g.total_length)
-    ks = np.arange(step / 2.0, k_max + step, step)
-    sig = np.array([_sigma_min(g, k) for k in ks])
-    found: list[float] = []
-    for i in range(1, len(ks) - 1):
-        if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]:
-            k_root, f_root = _golden_refine(
-                lambda k: _sigma_min(g, k), ks[i - 1], ks[i + 1], iters=120
-            )
-            if f_root < accept_tol and k_root <= k_max and k_root > 10 * step / 8:
-                if not found or abs(k_root - found[-1]) > 1e-9:
-                    found.append(k_root)
-    for k_root in found:
-        modes.extend(_null_modes(g, k_root))
-    modes.sort(key=lambda md: md.k)
+    if not 0.0 < k_max < math.inf:
+        raise ValueError("k_max must be finite and positive")
     weyl = g.total_length * k_max / math.pi
-    allowance = len(g.vertices) + 2
-    if abs(len(modes) - weyl) > allowance:
+    if weyl > _MAX_MODES:
+        raise ValueError(
+            f"k_max={k_max:g} asks for about {weyl:.3g} modes, above {_MAX_MODES}"
+        )
+    k_lo = min(k_max, math.pi / (4.0 * g.total_length))
+    base, top = _phase_count(g, np.array([k_lo, k_max]))
+    ks, ns = np.array([k_lo, k_max]), np.array([0, round(top - base)])
+    while True:
+        jump = np.diff(ns) > 0
+        wide = np.flatnonzero(jump & (np.diff(ks) > 1e-13 * ks[1:]))
+        if not wide.size:
+            break
+        mid = 0.5 * (ks[wide] + ks[wide + 1])
+        ks = np.insert(ks, wide + 1, mid)
+        ns = np.insert(ns, wide + 1, np.rint(_phase_count(g, mid) - base).astype(int))
+    modes = _constant_modes(g)
+    expected = ns[-1] + len(modes)
+    for i in np.flatnonzero(jump):
+        modes.extend(_null_modes(g, 0.5 * (ks[i] + ks[i + 1]), int(ns[i + 1] - ns[i])))
+    if len(modes) != expected:
         raise GraphError(
-            f"missed eigenvalue: found {len(modes)} modes, Weyl estimate {weyl:.2f} "
-            f"(allowance {allowance}); scan step {step:.4g}"
+            f"found {len(modes)} modes up to k={k_max:g}, exact count {expected}"
         )
     _validate_modes(g, modes)
     return modes
@@ -330,20 +310,18 @@ def spectral_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
 
 
 def eigen_report(g: MetricGraph, modes: list[EigenMode]) -> list[dict]:
-    """Rows for the eigen CSV: k, lambda, multiplicity, residuals."""
+    """Rows for the eigen CSV: k, lambda, multiplicity, residuals.
+
+    The modes of one root share one k, so consecutive equal k form a row.
+    """
     rows = []
-    by_k: list[list[EigenMode]] = []
-    for mode in modes:
-        if by_k and abs(mode.k - by_k[-1][0].k) < 1e-9:
-            by_k[-1].append(mode)
-        else:
-            by_k.append([mode])
-    for group in by_k:
+    for k, group in groupby(modes, key=lambda mode: mode.k):
+        group = list(group)
         res = [_mode_residuals(g, mode, v.id) for mode in group for v in g.vertices]
         rows.append(
             {
-                "k": group[0].k,
-                "lambda": group[0].k ** 2,
+                "k": k,
+                "lambda": k**2,
                 "multiplicity": len(group),
                 "continuity_residual": max([0.0] + [cont for cont, _ in res]),
                 "kirchhoff_residual": max([0.0] + [flux for _, flux in res]),

@@ -214,6 +214,8 @@ def _sigma_sums(g: MetricGraph, vertex_id: str):
 
 
 def _check_eps(g: MetricGraph, eps) -> Fraction:
+    if not math.isfinite(eps):
+        raise GraphError(f"eps must be finite, got {eps!r}")
     eps = Fraction(eps)
     if not 0 < eps < Fraction(g.min_edge_length) / 4:
         raise GraphError("eps must be positive and below a quarter edge length")

@@ -19,6 +19,34 @@ def make_graph(vertices, edges) -> MetricGraph:
     )
 
 
+def make_star(legs, leaf="kirchhoff"):
+    return make_graph([("c", "kirchhoff")] + [(f"l{i}", leaf) for i in range(len(legs))],
+                      [(f"e{i}", "c", f"l{i}", leg) for i, leg in enumerate(legs)])
+
+
+def random_graph(kind, rng):
+    """A small graph of the given kind with seeded, unequal edge lengths."""
+    u = rng.uniform
+    if kind in ("star", "star_dirichlet"):
+        leaf = "dirichlet" if kind == "star_dirichlet" else "kirchhoff"
+        return make_star([u(0.8, 1.2), u(0.8, 1.2), u(0.05, 0.3)], leaf)
+    if kind == "triangle":
+        return make_graph([(v, "kirchhoff") for v in "abc"],
+                          [("e1", "a", "b", u(0.5, 1.5)), ("e2", "b", "c", u(0.5, 1.5)),
+                           ("e3", "c", "a", u(0.5, 1.5))])
+    if kind == "lollipop":
+        return make_graph([("o", "kirchhoff"), ("l", "dirichlet")],
+                          [("loop", "o", "o", u(0.8, 1.5)), ("stem", "o", "l", u(0.2, 0.6))])
+    if kind == "multi":
+        return make_graph([("a", "kirchhoff"), ("b", "kirchhoff")],
+                          [("e1", "a", "b", u(0.5, 1.0)), ("e2", "a", "b", u(0.5, 1.0)),
+                           ("e3", "a", "b", u(1.0, 1.5))])
+    raise ValueError(kind)
+
+
+GRAPH_KINDS = ["star", "star_dirichlet", "triangle", "lollipop", "multi"]
+
+
 @pytest.fixture(scope="session")
 def interval():
     return make_graph(

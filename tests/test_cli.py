@@ -193,6 +193,24 @@ class TestOtherCommands:
         assert ks[0] == 0.0
         assert ks[1] == pytest.approx(math.pi, abs=1e-10)
 
+    def test_eigen_circle_double_roots(self, workdir):
+        circle = {"vertices": [{"id": "o", "condition": "kirchhoff"}],
+                  "edges": [{"id": "loop", "u": "o", "v": "o", "length": 1.0}]}
+        (workdir / "circle.json").write_text(json.dumps(circle))
+        assert main(["eigen", "--graph", str(workdir / "circle.json"),
+                     "--kmax", "40", "--out", str(workdir)]) == 0
+        rows = [r.split(",") for r in (workdir / "eigen.csv").read_text().splitlines()[2:]]
+        assert [float(r[0]) for r in rows] == pytest.approx(
+            [2 * math.pi * n for n in range(7)], abs=1e-10)
+        assert [int(r[2]) for r in rows] == [1] + [2] * 6
+
+    @pytest.mark.parametrize("kmax", ["nan", "inf", "1e12"])
+    def test_eigen_bad_kmax_exit_2(self, workdir, kmax, capsys):
+        assert main(["eigen", "--graph", str(workdir / "interval.json"),
+                     "--kmax", kmax, "--out", str(workdir)]) == 2
+        assert "k_max" in json.loads(capsys.readouterr().err)["error"]
+        assert not (workdir / "eigen.csv").exists()
+
     def test_trace_csv(self, workdir):
         assert main(["trace", "--graph", str(workdir / "interval.json"),
                      "--tgrid", "0.01:0.1:5", "--out", str(workdir)]) == 0

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_graph
+from conftest import GRAPH_KINDS, make_star, random_graph
 from hklab._quad import simpson_nodes
 from hklab.graph import GraphError, GraphPoint, enumerate_walks
 from hklab.kernels import (
@@ -129,34 +129,6 @@ class TestKernelInterval:
             kernel_interval(1.0, "neumann", "neumann", 0.05, 1.2, 0.5)
 
 
-def _star(legs, leaf="kirchhoff"):
-    return make_graph([("c", "kirchhoff")] + [(f"l{i}", leaf) for i in range(len(legs))],
-                      [(f"e{i}", "c", f"l{i}", leg) for i, leg in enumerate(legs)])
-
-
-def _random_graph(kind, rng):
-    """A small graph of the given kind with seeded, unequal edge lengths."""
-    u = rng.uniform
-    if kind in ("star", "star_dirichlet"):
-        leaf = "dirichlet" if kind == "star_dirichlet" else "kirchhoff"
-        return _star([u(0.8, 1.2), u(0.8, 1.2), u(0.05, 0.3)], leaf)
-    if kind == "triangle":
-        return make_graph([(v, "kirchhoff") for v in "abc"],
-                          [("e1", "a", "b", u(0.5, 1.5)), ("e2", "b", "c", u(0.5, 1.5)),
-                           ("e3", "c", "a", u(0.5, 1.5))])
-    if kind == "lollipop":
-        return make_graph([("o", "kirchhoff"), ("l", "dirichlet")],
-                          [("loop", "o", "o", u(0.8, 1.5)), ("stem", "o", "l", u(0.2, 0.6))])
-    if kind == "multi":
-        return make_graph([("a", "kirchhoff"), ("b", "kirchhoff")],
-                          [("e1", "a", "b", u(0.5, 1.0)), ("e2", "a", "b", u(0.5, 1.0)),
-                           ("e3", "a", "b", u(1.0, 1.5))])
-    raise ValueError(kind)
-
-
-GRAPH_KINDS = ["star", "star_dirichlet", "triangle", "lollipop", "multi"]
-
-
 class TestKernelPathsum:
     def test_matches_interval_images(self, interval):
         x = GraphPoint("e", 0.5)
@@ -193,7 +165,7 @@ class TestKernelPathsum:
         # every broadcast shape of pathsum agrees with kernel_pathsum point by
         # point, on star3 and on random graphs with Dirichlet leaves, a loop,
         # a multi-edge and unequal lengths
-        graphs = [star3] + [_random_graph(k, np.random.default_rng(11)) for k in GRAPH_KINDS]
+        graphs = [star3] + [random_graph(k, np.random.default_rng(11)) for k in GRAPH_KINDS]
         for g in graphs:
             rng = np.random.default_rng(3)
             ex, ey = g.edges[0], g.edges[-1]
@@ -318,7 +290,7 @@ class TestCertifiedTruncation:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
     def test_bound_is_tight(self, kind, seed, t, tol):
-        g = _random_graph(kind, np.random.default_rng(seed))
+        g = random_graph(kind, np.random.default_rng(seed))
         lam, bound = _certified_lambda(g, t, tol)
         assert bound <= tol
         assert bound == pathsum_tail_bound(g, t, lam)
@@ -333,7 +305,7 @@ class TestCertifiedTruncation:
         # and the ones they leave out weigh no more than the reported bound.
         # Both points sit at vertices, where a walk's length can equal its
         # mid-length, the length the bound is written in.
-        g = _random_graph(kind, np.random.default_rng(7))
+        g = random_graph(kind, np.random.default_rng(7))
         ex, ey = g.edges[0], g.edges[-1]
         lam, bound = _certified_lambda(g, t, tol)
         walks = enumerate_walks(g, GraphPoint(ex.id, 0.0), GraphPoint(ey.id, 0.0),
@@ -355,7 +327,7 @@ class TestCertifiedTruncation:
     def test_short_leg_probe(self):
         # a short leg packs many walks into little length; a tight lambda
         # keeps the number summed small
-        ev = kernel_pathsum(_star([1.0, 1.0, 0.05]), 0.05, GraphPoint("e0", 0.3), GraphPoint("e1", 0.6), tol=1e-10)
+        ev = kernel_pathsum(make_star([1.0, 1.0, 0.05]), 0.05, GraphPoint("e0", 0.3), GraphPoint("e1", 0.6), tol=1e-10)
         assert ev.lam < 2.6
         assert ev.walks < 200
         assert 1e-13 <= ev.tail_bound <= 1e-10

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph
-from hklab.graph import GraphError, GraphPoint
+from conftest import GRAPH_KINDS, make_graph, make_star, random_graph
+from hklab.graph import GraphPoint
 from hklab.kernels import kernel_interval, kernel_pathsum
 from hklab.spectral import (
     EigenMode,
+    _phase_count,
     eigen,
     eigen_report,
     kernel_spectral,
@@ -48,6 +49,14 @@ class TestEigen:
         mult = {round(r["k"], 6): r["multiplicity"] for r in report}
         assert mult[round(2 * math.pi / 3, 6)] == 2
 
+    def test_constant_mode_per_component(self):
+        # a Neumann interval beside a Dirichlet-Kirchhoff one keeps its k = 0 mode
+        g = make_graph([("a", "kirchhoff"), ("b", "kirchhoff"), ("c", "kirchhoff"),
+                        ("d", "dirichlet")],
+                       [("e1", "a", "b", 1.0), ("e2", "c", "d", 1.0)])
+        ks = [m.k for m in eigen(g, 4.0)]
+        assert ks == pytest.approx([0.0, math.pi / 2, math.pi], abs=1e-11)
+
     def test_weyl_window_up_to_50(self, interval, star3, triangle):
         for g in (interval, star3, triangle):
             modes = eigen(g, 50.0)
@@ -59,8 +68,13 @@ class TestEigen:
         assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-8
 
     def test_rejects_bad_kmax(self, interval):
-        with pytest.raises(ValueError):
-            eigen(interval, -1.0)
+        # 1e12 would ask for about 3e11 modes: refused before any allocation
+        for k_max, match in [(-1.0, "finite and positive"), (0.0, "finite and positive"),
+                             (math.nan, "finite and positive"),
+                             (math.inf, "finite and positive"),
+                             (-math.inf, "finite and positive"), (1e12, "modes, above")]:
+            with pytest.raises(ValueError, match=match):
+                eigen(interval, k_max)
 
 
 class TestKirchhoffResidual:
@@ -156,30 +170,23 @@ class TestContinuityValidation:
                 assert max(vals) - min(vals) < 1e-10
 
 
-class TestKnownEigenDefects:
-    """``eigen`` misses modes on graphs with unequal edge lengths and on loop
-    edges.  These record the defect; strict, so a fix shows up as XPASS."""
+class TestUnequalLengthsAndLoops:
+    """Graphs with close roots (a short leg), double roots (a loop), loops,
+    multi-edges and Dirichlet leaves: the eigenmode kernel must match the
+    walk sum, and the modes must number the exact count."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="eigen misses modes on unequal edge lengths")
     def test_unequal_leg_star_matches_pathsum(self):
-        g = make_graph(
-            [("c", "kirchhoff"), ("l1", "kirchhoff"), ("l2", "kirchhoff"),
-             ("l3", "kirchhoff")],
-            [("e1", "c", "l1", 1.0), ("e2", "c", "l2", 1.0), ("e3", "c", "l3", 0.3)],
-        )
+        g = make_star([1.0, 1.0, 0.3])
         t = 0.04
         modes = eigen(g, math.sqrt(math.log(1e14) / t) + 5.0)
-        x, y = GraphPoint("e1", 0.3), GraphPoint("e2", 0.6)
+        assert any(m.k == pytest.approx(4.9076, abs=1e-4) for m in modes)
+        x, y = GraphPoint("e0", 0.3), GraphPoint("e1", 0.6)
         ps = kernel_pathsum(g, t, x, y, tol=1e-10)
         assert ps.value == pytest.approx(0.0060, abs=1e-4)
-        # today the eigenmode sum gives -0.082
         assert kernel_spectral(g, t, x, y, modes).value == pytest.approx(
             ps.value, abs=1e-8
         )
 
-    @pytest.mark.xfail(strict=True, raises=GraphError,
-                       reason="eigen raises 'missed eigenvalue' on a loop edge")
     def test_unit_circle_matches_pathsum(self, circle):
         modes = eigen(circle, 40.0)
         x, y = GraphPoint("loop", 0.2), GraphPoint("loop", 0.7)
@@ -187,3 +194,23 @@ class TestKnownEigenDefects:
         assert kernel_spectral(circle, 0.02, x, y, modes).value == pytest.approx(
             ps.value, abs=1e-8
         )
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs_match_pathsum(self, kind, seed):
+        rng = np.random.default_rng(100 + seed)
+        g = random_graph(kind, rng)
+        t = 0.04
+        k_max = math.sqrt(math.log(1e14) / t) + 5.0
+        modes = eigen(g, k_max)
+        k_lo = math.pi / (4.0 * g.total_length)
+        exact = round(float(np.diff(_phase_count(g, np.array([k_lo, k_max])))[0]))
+        assert len(modes) - sum(m.k == 0.0 for m in modes) == exact
+        pts = []
+        for _ in range(4):
+            e = g.edges[int(rng.integers(len(g.edges)))]
+            pts.append(GraphPoint(e.id, float(rng.uniform(0.0, e.length))))
+        for x in pts:
+            for y in pts:
+                ps = kernel_pathsum(g, t, x, y, tol=1e-10).value
+                assert abs(kernel_spectral(g, t, x, y, modes).value - ps) <= 1e-8

@@ -127,9 +127,10 @@ class TestRegions:
         )
         assert val == pytest.approx(expect, rel=1e-14)
 
-    def test_eps_too_large_rejected(self, interval):
+    @pytest.mark.parametrize("eps", [0.3, math.nan, math.inf, -math.inf])
+    def test_eps_too_large_rejected(self, interval, eps):
         with pytest.raises(GraphError):
-            region_coefficients(interval, "E", {"eps": 0.3, "vertex": "a"})
+            region_coefficients(interval, "E", {"eps": eps, "vertex": "a"})
 
     @pytest.mark.parametrize("eps", [Fraction(1, 16), Fraction(1, 10), Fraction(3, 50)])
     def test_full_decomposition_matches_predicted(
