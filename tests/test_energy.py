@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_graph, make_star
 from hklab.energy import (
     SampledFunction,
     convergence_study,
@@ -165,3 +166,52 @@ class TestProperties:
         assert energy_Er(circle, fg, r) <= 2 * energy_Er(circle, f, r) + 2 * energy_Er(
             circle, g, r
         ) + 1e-9
+
+
+GOLDEN_GRAPHS = {
+    "circle": make_graph([("o", "kirchhoff")], [("loop", "o", "o", 1.0)]),
+    "interval": make_graph([("a", "kirchhoff"), ("b", "kirchhoff")], [("e", "a", "b", 1.0)]),
+    "star_dirichlet": make_star([1.0, 0.7, 0.45], leaf="dirichlet"),
+    "lollipop": make_graph([("o", "kirchhoff"), ("l", "dirichlet")],
+                           [("loop", "o", "o", 1.1), ("stem", "o", "l", 0.4)]),
+    "multi": make_graph([("a", "kirchhoff"), ("b", "kirchhoff")],
+                        [("e1", "a", "b", 0.6), ("e2", "a", "b", 0.8), ("e3", "a", "b", 1.3)]),
+}
+
+# E_r recorded from the node-by-node quadrature that the array form replaced.
+# The grid step is 2^-10, so r = 2^-5 is a whole number of cells on every
+# edge of length 1 (no fringe there) and r = 0.03 is not.
+GOLDEN_ER = {
+    ("circle", 0.03125): "0x1.7e932a6c3def5p+0",
+    ("circle", 0.03): "0x1.7e73e9b46aff7p+0",
+    ("interval", 0.03125): "0x1.9c86924d073f8p+0",
+    ("interval", 0.03): "0x1.9d02623fababfp+0",
+    ("star_dirichlet", 0.03125): "0x1.d159883f97feap+4",
+    ("star_dirichlet", 0.03): "0x1.d15123de83bbbp+4",
+    ("lollipop", 0.03125): "0x1.b38a5b0dbb751p+3",
+    ("lollipop", 0.03): "0x1.b35dd720ec6cfp+3",
+    ("multi", 0.03125): "0x1.b15d29562eb4ep+3",
+    ("multi", 0.03): "0x1.b14c3f76dc03cp+3",
+}
+
+
+def _golden_sample(g):
+    """A smooth function through fixed vertex heights with one bump per edge."""
+    height = {v.id: 0.3 * k - 0.4 for k, v in enumerate(g.vertices)}
+
+    def fn(eid, s):
+        e = g.edge_obj(eid)
+        x = s / e.length
+        bump = 0.5 + 0.25 * g.edges.index(e)
+        return (height[e.u] * (1 - x) + height[e.v] * x
+                + bump * np.sin(np.pi * x) * np.cos(2.0 * s))
+
+    return sample_function(g, fn, 2.0 ** -10)
+
+
+class TestEnergyGolden:
+    @pytest.mark.parametrize("name, r", sorted(GOLDEN_ER))
+    def test_matches_recorded_value(self, name, r):
+        g = GOLDEN_GRAPHS[name]
+        expected = float.fromhex(GOLDEN_ER[name, r])
+        assert energy_Er(g, _golden_sample(g), r) == pytest.approx(expected, rel=1e-12)
