@@ -78,16 +78,17 @@ def _point(text: str) -> GraphPoint:
     return GraphPoint(edge, float(s))
 
 
-def _tgrid(text: str) -> np.ndarray:
+def _grid(text: str, name: str) -> np.ndarray:
+    """The geometric grid lo..hi of n points given as lo:hi:n."""
     try:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
-        raise GraphError(f"t-grid {text!r} must look like lo:hi:n") from exc
-    _check_time(lo, "t-grid start")
-    _check_time(hi, "t-grid end")
+        raise GraphError(f"{name} {text!r} must look like lo:hi:n") from exc
+    _check_time(lo, f"{name} start")
+    _check_time(hi, f"{name} end")
     if n < 1:
-        raise GraphError(f"t-grid {text!r} needs at least one time")
+        raise GraphError(f"{name} {text!r} needs at least one point")
     return np.geomspace(lo, hi, n)
 
 
@@ -185,7 +186,7 @@ def _cmd_eigen(args):
 
 def _cmd_trace(args):
     g = load_graph(args.graph)
-    ts = _tgrid(args.tgrid)
+    ts = _grid(args.tgrid, "t-grid")
     k_max = math.sqrt(math.log(1e16) / float(ts.min())) + 3.0
     modes = eigen(g, k_max)
     rows = [[t, single_trace_eigen(modes, t), 0.0] for t in ts]
@@ -200,7 +201,7 @@ def _cmd_locality(args):
     g_b = load_graph(args.graph_b)
     iso = _load_map(g_a, g_b, args.map)
     v = _subdomain(g_a, args.V)
-    cert = locality_compare(g_a, g_b, iso, v, _tgrid(args.tgrid))
+    cert = locality_compare(g_a, g_b, iso, v, _grid(args.tgrid, "t-grid"))
     cfg = _options(args)
     out = Path(args.out) / "certificate.json"
     _write_json(
@@ -299,7 +300,7 @@ def _cmd_twoparticle(args):
     g = load_graph(args.graph)
     cfg = _options(args)
     if args.action == "trace":
-        series = trace_series(g, _tgrid(args.tgrid), args.step)
+        series = trace_series(g, _grid(args.tgrid, "t-grid"), args.step)
         out = Path(args.out) / "trace.csv"
         _write_csv(
             out,
@@ -319,7 +320,7 @@ def _cmd_twoparticle(args):
             }
         }
         if args.fit:
-            fit = asymptotic_fit(eigen_trace_series(g, _tgrid(args.tgrid)))
+            fit = asymptotic_fit(eigen_trace_series(g, _grid(args.tgrid, "t-grid")))
             payload["fitted"] = {
                 "a_minus1": fit.a_minus1,
                 "a_half": fit.a_half,
@@ -357,9 +358,8 @@ def _cmd_energy(args):
         raise GraphError(
             f"unknown test function {args.f!r}; choices: {sorted(_ENERGY_FUNCTIONS)}"
         ) from None
-    lo, hi, n = args.rgrid.split(":")
-    r_grid = np.geomspace(float(hi), float(lo), int(n))  # decreasing
-    f = sample_function(g, fn, float(lo) / 25.0)
+    r_grid = _grid(args.rgrid, "r-grid")[::-1]  # decreasing
+    f = sample_function(g, fn, r_grid[-1] / 25.0)
     study = convergence_study(g, f, r_grid)
     out = Path(args.out) / "study.csv"
     _write_csv(out, ["r", "E_r", "ratio"], [list(row) for row in study.rows],

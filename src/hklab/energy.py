@@ -5,6 +5,11 @@ sampled function over metric balls of radius r and converges, as r shrinks,
 to a fixed multiple of the classical edgewise energy of the first
 derivative.  The normalization constant is measured by the convergence
 study, not assumed.
+
+The quadrature is trapezoidal on each edge's sample grid and is evaluated
+with array operations: one shifted difference quotient per ball offset
+serves every node of the edge at once, and each arm of a ball that passes
+through a vertex is one masked block of nodes by arm offsets.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import _check_step
 from .graph import GraphError, MetricGraph
 
 
@@ -31,8 +37,7 @@ class SampledFunction:
 
     def __post_init__(self):
         g = self.graph
-        if self.step <= 0:
-            raise GraphError("grid step must be positive")
+        _check_step(self.step)
         for e in g.edges:
             arr = self.values.get(e.id)
             if arr is None or len(arr) < 2:
@@ -65,6 +70,7 @@ class SampledFunction:
 
 def sample_function(g: MetricGraph, fn, step: float) -> SampledFunction:
     """Sample fn(edge_id, s_array) on uniform per-edge grids of ~step spacing."""
+    _check_step(step)
     values = {}
     for e in g.edges:
         n = max(2, int(math.ceil(e.length / step)))
@@ -94,51 +100,20 @@ def energy_classical(g: MetricGraph, f: SampledFunction) -> float:
 # -- difference-quotient energy -------------------------------------------------
 
 
-def _inner_same_edge(arr, i, j_lo, j_hi, delta, r):
-    """Inner integral along the function's own edge, trapezoid plus fringe.
-
-    Integrates ((f(y)-f(x))/(y-x))^2 for y in [x - r, x + r] clipped to the
-    edge, on the sample grid, with the end fringes (shorter than one grid
-    cell) handled by linear interpolation of f.
-    """
-    fx = arr[i]
-    total = 0.0
-    for sgn, j_max in ((-1, j_lo), (1, j_hi)):
-        if j_max == 0:
-            continue
-        js = np.arange(1, j_max + 1)
-        diffs = (arr[i + sgn * js] - fx) / (js * delta)
-        weights = np.full(j_max, delta)
-        weights[-1] = delta / 2.0
-        total += float(np.dot(weights, diffs * diffs))
-        # fringe between the last full node and the ball radius
-        edge_room = j_max * delta
-        fringe = min(r, (len(arr) - 1 - i) * delta if sgn > 0 else i * delta) - edge_room
-        if fringe > 1e-15:
-            y = edge_room + fringe
-            idx = i + sgn * j_max
-            f_y = arr[idx] + sgn * (arr[idx + sgn] - arr[idx]) * fringe / delta \
-                if 0 <= idx + sgn < len(arr) else arr[idx]
-            q = (f_y - fx) / y
-            q0 = diffs[-1]
-            total += 0.5 * (q * q + q0 * q0) * fringe
-    # the puncture at y = x contributes the squared derivative limit
-    if 0 < i < len(arr) - 1:
-        der = (arr[i + 1] - arr[i - 1]) / (2 * delta)
-    elif i == 0:
-        der = (arr[1] - arr[0]) / delta
-    else:
-        der = (arr[-1] - arr[-2]) / delta
-    total += der * der * min(delta, r)  # node weight around the puncture
-    return total
-
-
 def energy_Er(g: MetricGraph, f: SampledFunction, r: float) -> float:
     """Difference-quotient energy over metric balls of radius r.
 
     Requires r below half the shortest edge and a sample grid at least twenty
     times finer than r.  Balls around near-vertex points extend through the
     vertex into every incident arm with the graph distance in the quotient.
+
+    On each edge the inner integrals of all nodes are built together.  Each
+    ball offset j gives one shifted quotient (f[i+j] - f[i]) / (j delta),
+    which is node i's term on its right and node i+j's on its left; the half
+    trapezoid weight at each side's last offset, the interpolated fringe
+    beyond it and the puncture term are then per-node vector corrections.
+    Each arm through a vertex closer than r is one masked block of (nodes
+    nearer than r) x (arm offsets).
     """
     if not 0 < r < g.min_edge_length / 2.0:
         raise GraphError("r must be positive and below half the shortest edge")
@@ -155,51 +130,58 @@ def energy_Er(g: MetricGraph, f: SampledFunction, r: float) -> float:
         outer_w[0] = outer_w[-1] = delta / 2.0
         j_ball = int(r / delta)
         inner = np.zeros(n + 1)
-        for i in range(n + 1):
-            j_lo = min(j_ball, i)
-            j_hi = min(j_ball, n - i)
-            inner[i] = _inner_same_edge(arr, i, j_lo, j_hi, delta, r)
-            # arms through a vertex closer than r
-            for end, dist_v in ((0, i * delta), (1, (n - i) * delta)):
-                if dist_v >= r:
-                    continue
-                vid = e.u if end == 0 else e.v
-                for eid2, end2 in g.incidence(vid):
-                    if eid2 == e.id and end2 == end:
-                        continue  # that side is the direct segment
-                    inner[i] += _arm_integral(
-                        g, f, eid2, end2, float(arr[i]), dist_v, r - dist_v
-                    )
+        for j in range(1, j_ball + 1):
+            q = (arr[j:] - arr[:-j]) / (j * delta)
+            term = delta * (q * q)
+            inner[:n + 1 - j] += term
+            inner[j:] += term
+        i = np.arange(n + 1)
+        for sgn, side in ((-1, i), (1, n - i)):
+            j_max = np.minimum(j_ball, side)
+            idx = i + sgn * j_max
+            # the last offset has half weight (q0 is 0 on a side with none)
+            q0 = (arr[idx] - arr) / (np.maximum(j_max, 1) * delta)
+            inner -= 0.5 * delta * (q0 * q0)
+            # fringe between the last full node and the ball radius
+            edge_room = j_max * delta
+            fringe = np.minimum(r, side * delta) - edge_room
+            k = np.flatnonzero(fringe > 1e-15)
+            idx, fringe = idx[k], fringe[k]
+            nxt = np.clip(idx + sgn, 0, n)  # off the edge: f_y = arr[idx]
+            f_y = arr[idx] + sgn * (arr[nxt] - arr[idx]) * fringe / delta
+            q = (f_y - arr[k]) / (edge_room[k] + fringe)
+            inner[k] += 0.5 * (q * q + q0[k] * q0[k]) * fringe
+        # the puncture at y = x contributes the squared derivative limit
+        der = np.gradient(arr, delta)
+        inner += der * der * min(delta, r)
+        # arms through a vertex closer than r: one (near nodes) x (offsets) block
+        for end, dist in ((0, i * delta), (1, (n - i) * delta)):
+            near = np.flatnonzero(dist < r)
+            a, fx = dist[near], arr[near]
+            reach = r - a
+            for eid2, end2 in g.incidence(e.u if end == 0 else e.v):
+                if eid2 == e.id and end2 == end:
+                    continue  # that side is the direct segment
+                vals = f.values[eid2] if end2 == 0 else f.values[eid2][::-1]
+                d2 = f.edge_step(eid2)
+                j_max = (reach / d2).astype(int)
+                js = np.arange(1, j_max.max() + 1)
+                diffs = (vals[js] - fx[:, None]) / (a[:, None] + js * d2)
+                w = d2 * ((js < j_max[:, None]) + 0.5 * (js == j_max[:, None]))
+                # half weight toward the vertex node as well
+                q_v = np.where(a > 0, (vals[0] - fx) / np.where(a > 0, a, 1.0),
+                               (vals[1] - vals[0]) / d2)
+                arm = (w * (diffs * diffs)).sum(axis=1)
+                arm += 0.5 * q_v * q_v * d2 * (j_max >= 1)
+                fringe = reach - j_max * d2
+                f_y = vals[j_max] + (vals[j_max + 1] - vals[j_max]) * fringe / d2
+                q = (f_y - fx) / (a + reach)
+                q_prev = np.where(j_max >= 1, (vals[j_max] - fx) / (a + j_max * d2), q_v)
+                arm += np.where(fringe > 1e-15,
+                                0.5 * (q * q + q_prev * q_prev) * fringe, 0.0)
+                inner[near] += arm
         total += float(np.dot(outer_w, inner))
     return total / r
-
-
-def _arm_integral(g, f, edge_id, end, fx, a, reach):
-    """Integral of ((f(y)-fx)/(a+b))^2 over the arm 0 < b <= reach into an edge."""
-    arr = f.values[edge_id]
-    delta = f.edge_step(edge_id)
-    vals = arr if end == 0 else arr[::-1]
-    j_max = int(reach / delta)
-    total = 0.0
-    if j_max >= 1:
-        js = np.arange(1, j_max + 1)
-        diffs = (vals[js] - fx) / (a + js * delta)
-        weights = np.full(j_max, delta)
-        weights[-1] = delta / 2.0
-        # half weight toward the vertex node as well
-        q_v = ((vals[0] - fx) / a) if a > 0 else (
-            (vals[1] - vals[0]) / delta
-        )
-        total += 0.5 * q_v * q_v * delta + float(np.dot(weights, diffs * diffs))
-    fringe = reach - j_max * delta
-    if fringe > 1e-15 and j_max + 1 < len(vals):
-        f_y = vals[j_max] + (vals[j_max + 1] - vals[j_max]) * fringe / delta
-        q = (f_y - fx) / (a + reach)
-        q_prev = (vals[j_max] - fx) / (a + j_max * delta) if j_max >= 1 else (
-            ((vals[0] - fx) / a) if a > 0 else (vals[1] - vals[0]) / delta
-        )
-        total += 0.5 * (q * q + q_prev * q_prev) * fringe
-    return total
 
 
 # -- studies -------------------------------------------------------------------
@@ -219,6 +201,8 @@ def convergence_study(g: MetricGraph, f: SampledFunction, r_grid) -> Convergence
     differences shrinking certifies convergence of the limit.
     """
     r_grid = [float(r) for r in r_grid]
+    if not r_grid:
+        raise GraphError("r grid must not be empty")
     if any(b >= a for a, b in zip(r_grid, r_grid[1:])):
         raise GraphError("r grid must be strictly decreasing")
     classical = energy_classical(g, f)

@@ -267,6 +267,15 @@ class TestOtherCommands:
         last_ratio = float(lines[-1].split(",")[2])
         assert last_ratio == pytest.approx(2.0, abs=0.01)
 
+    @pytest.mark.parametrize("rgrid", ["1e-3:8e-3:0", "nan:8e-3:4", "1e-3:inf:4",
+                                       "0:8e-3:4", "1e-3:8e-3"])
+    def test_bad_rgrid_exit_2(self, workdir, rgrid, capsys):
+        assert main(["energy", "study", "--graph", str(workdir / "interval.json"),
+                     "--rgrid", rgrid, "--out", str(workdir)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "r-grid" in err["error"]
+        assert not (workdir / "study.csv").exists()
+
     def test_decompose(self, workdir, capsys):
         assert main(["decompose", "--graph", str(workdir / "interval.json"),
                      "--u", "0.25:0.75", "--x", "e:0.5", "--y", "e:0.5",

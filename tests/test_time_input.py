@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hklab.energy import SampledFunction, sample_function
 from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import (
     gauss_free,
@@ -71,8 +72,10 @@ def test_bad_time_rejected(interval, name, t):
     lambda g, step: decomposition_residual(
         interval_subdomain(g, "e", 0.25, 0.75), 0.05, X, X, time_step=step),
     lambda g, step: kernel_mass(g, 0.05, X, step_frac=step),
+    lambda g, step: sample_function(g, lambda eid, s: s, step),
+    lambda g, step: SampledFunction(g, {"e": S}, step),
 ], ids=["trace_two_particle", "trace_series", "kernel_semigroup_residual",
-        "decomposition_residual", "kernel_mass"])
+        "decomposition_residual", "kernel_mass", "sample_function", "SampledFunction"])
 def test_bad_quadrature_step_rejected(interval, call, step):
     with pytest.raises(ValueError, match="step must be finite and positive"):
         call(interval, step)
