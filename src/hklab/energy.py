@@ -148,7 +148,7 @@ def energy_Er(g: MetricGraph, f: SampledFunction, r: float) -> float:
             k = np.flatnonzero(fringe > 1e-15)
             idx, fringe = idx[k], fringe[k]
             nxt = np.clip(idx + sgn, 0, n)  # off the edge: f_y = arr[idx]
-            f_y = arr[idx] + sgn * (arr[nxt] - arr[idx]) * fringe / delta
+            f_y = arr[idx] + (arr[nxt] - arr[idx]) * fringe / delta
             q = (f_y - arr[k]) / (edge_room[k] + fringe)
             inner[k] += 0.5 * (q * q + q0[k] * q0[k]) * fringe
         # the puncture at y = x contributes the squared derivative limit
@@ -206,10 +206,14 @@ def convergence_study(g: MetricGraph, f: SampledFunction, r_grid) -> Convergence
     if any(b >= a for a, b in zip(r_grid, r_grid[1:])):
         raise GraphError("r grid must be strictly decreasing")
     classical = energy_classical(g, f)
+    if not classical > 0.0:
+        raise GraphError(
+            "classical energy is 0 (f is constant on every edge): no ratio E_r / classical"
+        )
     rows = []
     for r in r_grid:
         er = energy_Er(g, f, r)
-        rows.append((r, er, er / classical if classical > 0 else math.nan))
+        rows.append((r, er, er / classical))
     return ConvergenceStudy(tuple(rows), rows[-1][2], classical)
 
 

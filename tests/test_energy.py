@@ -83,6 +83,13 @@ class TestEnergyEr:
         with pytest.raises(GraphError, match="coarse"):
             energy_Er(interval, f, 5e-3)
 
+    @pytest.mark.parametrize("r", [0.03, 2.0**-5])
+    def test_linear_exact_with_and_without_fringe(self, interval, r):
+        # for f(s) = s on the unit interval the ball energy is exactly 2 - r;
+        # r = 0.03 ends each ball inside a cell on both sides, 2^-5 on a node
+        f = sample_function(interval, lambda eid, s: s, 2.0**-10)
+        assert abs(energy_Er(interval, f, r) - (2.0 - r)) <= 2e-5
+
 
 class TestConvergence:
     def test_circle_ratio_converges(self, circle):
@@ -127,6 +134,11 @@ class TestConvergence:
         vals = [energy_Er(star3, f, r) for r in (8e-3, 4e-3, 2e-3, 1e-3)]
         for a, b in zip(vals, vals[1:]):
             assert a <= b * (1 + 1e-6) + 1e-9
+
+    def test_constant_function_rejected(self, interval):
+        f = sample_function(interval, lambda eid, s: np.full_like(s, 2.0), 2e-4)
+        with pytest.raises(GraphError, match="classical energy is 0"):
+            convergence_study(interval, f, [8e-3, 4e-3])
 
     def test_increasing_grid_rejected(self, circle):
         f = sin_on_circle(circle, step=2e-4)
@@ -178,20 +190,23 @@ GOLDEN_GRAPHS = {
                         [("e1", "a", "b", 0.6), ("e2", "a", "b", 0.8), ("e3", "a", "b", 1.3)]),
 }
 
-# E_r recorded from the node-by-node quadrature that the array form replaced.
-# The grid step is 2^-10, so r = 2^-5 is a whole number of cells on every
-# edge of length 1 (no fringe there) and r = 0.03 is not.
+# E_r recorded from the node-by-node quadrature that the array form replaced,
+# then re-recorded where the left fringe moved them once it interpolated.  The
+# grid step is 2^-10, so r = 2^-5 is a whole number of cells on every edge of
+# length 1 (no fringe there: circle and interval kept their values) and
+# r = 0.03 is not; nor is r = 2^-5 on the other graphs' edges, whose steps are
+# not dyadic.
 GOLDEN_ER = {
     ("circle", 0.03125): "0x1.7e932a6c3def5p+0",
-    ("circle", 0.03): "0x1.7e73e9b46aff7p+0",
+    ("circle", 0.03): "0x1.7ea696987b5f5p+0",
     ("interval", 0.03125): "0x1.9c86924d073f8p+0",
-    ("interval", 0.03): "0x1.9d02623fababfp+0",
-    ("star_dirichlet", 0.03125): "0x1.d159883f97feap+4",
-    ("star_dirichlet", 0.03): "0x1.d15123de83bbbp+4",
-    ("lollipop", 0.03125): "0x1.b38a5b0dbb751p+3",
-    ("lollipop", 0.03): "0x1.b35dd720ec6cfp+3",
-    ("multi", 0.03125): "0x1.b15d29562eb4ep+3",
-    ("multi", 0.03): "0x1.b14c3f76dc03cp+3",
+    ("interval", 0.03): "0x1.9d3a2858f75b9p+0",
+    ("star_dirichlet", 0.03125): "0x1.d1598c9ab1182p+4",
+    ("star_dirichlet", 0.03): "0x1.d18ef8633cca7p+4",
+    ("lollipop", 0.03125): "0x1.b38a714acc4dep+3",
+    ("lollipop", 0.03): "0x1.b397a8c964266p+3",
+    ("multi", 0.03125): "0x1.b15d3c35d8b0ep+3",
+    ("multi", 0.03): "0x1.b188ffa7a6af4p+3",
 }
 
 
