@@ -4,11 +4,19 @@ Roots k of the secular equation are counted exactly, with multiplicity, by
 the eigenphases of the bond-scattering matrix sigma e^{ikL}; bisection on that
 count brackets every root, its jump gives the multiplicity, and the modes
 span the null space of the vertex condition system at the root.
+
+``eigen`` returns a ``ModeTable``: the modes as an immutable sequence of
+``EigenMode``, with their frequencies and per-edge coefficients also held as
+arrays, built once.  ``kernel_spectral`` evaluates every mode at both points
+from those arrays with a few numpy calls; a plain list of modes is turned
+into a table on entry.  ``EigenMode`` evaluates one mode, for the residuals
+and the Gram matrix.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -57,6 +65,47 @@ class EigenMode:
         if end == 0:
             return self.k * b
         return self.k * (a * math.sin(self.k * length) - b * math.cos(self.k * length))
+
+
+class ModeTable(tuple):
+    """The modes of one graph: a tuple of ``EigenMode`` and their arrays.
+
+    ``k`` holds the frequencies, shape (M,), and ``k_max`` the largest (0
+    without modes); ``coef[m, i]`` is the (A, B) of mode m on edge i of
+    ``g.edges``, shape (M, E, 2); ``col`` maps an edge id to i.  The arrays
+    are read-only.
+    """
+
+    def __new__(cls, g: MetricGraph, modes):
+        self = super().__new__(cls, modes)
+        self.graph = g
+        self.col = {e.id: i for i, e in enumerate(g.edges)}
+        self.k = np.array([mode.k for mode in self], dtype=float)
+        self.k_max = float(self.k.max(initial=0.0))
+        self.coef = np.array(
+            [[mode.coeff(e.id) for e in g.edges] for mode in self], dtype=float
+        ).reshape(len(self), len(g.edges), 2)
+        # per edge and mode: the cos and sin coefficients, and the slope of
+        # the affine k = 0 modes, shape (E, 3, M)
+        a, b = self.coef.T
+        affine = self.k == 0.0
+        self._basis = np.stack([a, np.where(affine, 0.0, b), np.where(affine, b, 0.0)],
+                               axis=1)
+        for arr in (self.k, self.coef, self._basis):
+            arr.flags.writeable = False
+        return self
+
+    def __getnewargs__(self):
+        return self.graph, tuple(self)
+
+    def at(self, edges, s: np.ndarray) -> np.ndarray:
+        """Every mode at the points (edges[j], s[j]), shape (len(s), M)."""
+        try:
+            rows = self._basis[[self.col[eid] for eid in edges]]
+        except KeyError as exc:
+            raise GraphError(f"mode table has no edge {exc.args[0]!r}") from None
+        ks = np.multiply.outer(s, self.k)
+        return rows[:, 0] * np.cos(ks) + rows[:, 1] * np.sin(ks) + rows[:, 2] * s[:, None]
 
 
 # -- vertex-condition system ---------------------------------------------------
@@ -169,7 +218,7 @@ def _phase_count(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
     return (2.0 * g.total_length * ks - np.concatenate(phases)) / (2.0 * math.pi)
 
 
-def eigen(g: MetricGraph, k_max: float) -> list[EigenMode]:
+def eigen(g: MetricGraph, k_max: float) -> ModeTable:
     """All modes with frequency k <= k_max, orthonormal in L2(G).
 
     N(k), the number of roots in (0, k] with multiplicity, is counted exactly
@@ -207,7 +256,7 @@ def eigen(g: MetricGraph, k_max: float) -> list[EigenMode]:
             f"found {len(modes)} modes up to k={k_max:g}, exact count {expected}"
         )
     _validate_modes(g, modes)
-    return modes
+    return ModeTable(g, modes)
 
 
 def _mode_residuals(g: MetricGraph, mode: EigenMode, vertex_id: str) -> tuple[float, float]:
@@ -282,16 +331,19 @@ def kernel_spectral(
     t: float,
     x: GraphPoint,
     y: GraphPoint,
-    modes: list[EigenMode],
+    modes: Sequence[EigenMode],
     tol: float | None = None,
 ) -> KernelEval:
-    """Spectral heat kernel sum over the supplied modes, with a tail estimate."""
+    """Spectral heat kernel sum over the supplied modes, with a tail estimate.
+
+    Every mode is evaluated at x and y at once from the table's arrays; a
+    plain list of modes is first turned into a ``ModeTable`` of g.
+    """
     _check_time(t)
-    val = 0.0
-    k_max = 0.0
-    for mode in modes:
-        val += math.exp(-mode.k**2 * t) * mode(x) * mode(y)
-        k_max = max(k_max, mode.k)
+    table = modes if isinstance(modes, ModeTable) else ModeTable(g, modes)
+    phi_x, phi_y = table.at((x.edge, y.edge), np.array([x.s, y.s], dtype=float))
+    val = np.dot(np.exp(-table.k**2 * t), phi_x * phi_y)
+    k_max = table.k_max
     bound = spectral_tail_bound(g, t, k_max)
     if tol is not None and bound > tol:
         raise TruncationError(

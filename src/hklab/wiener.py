@@ -41,10 +41,10 @@ steps.  The outputs are bit-identical to unpacking every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
 
 from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _check_time
 from .locality import IsometryMap, SubdomainSpec
@@ -806,7 +806,26 @@ def chi_square_two_sample(c1: np.ndarray, c2: np.ndarray) -> tuple[float, float]
         e2 = pool * n2 / total
         stat += (c1[b] - e1) ** 2 / e1 + (c2[b] - e2) ** 2 / e2
     dof = len(c1) - 1
-    return float(stat), float(_chi2.sf(stat, dof))
+    return float(stat), _chi2_sf(float(stat), dof)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Survival function of the chi-square law with integer dof at x.
+
+    This is Q(dof/2, x/2) in closed form: erfc(sqrt(x/2)) for odd dof plus
+    the terms (x/2)^a e^{-x/2} / Gamma(a + 1) for a = 0 (even dof) or 1/2
+    (odd dof) upward in steps of 1 while a < dof/2, each summed from log
+    space so that large x underflows to 0 rather than overflowing.
+    """
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    a = 0.5 * (dof % 2)
+    total = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    while a < 0.5 * dof:
+        total += math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return total
 
 
 def compare_ensembles(

@@ -1,13 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from conftest import GRAPH_KINDS, make_graph, make_star, random_graph
-from hklab.graph import GraphPoint
-from hklab.kernels import kernel_interval, kernel_pathsum
+from hklab.graph import GraphError, GraphPoint
+from hklab.kernels import TruncationError, kernel_interval, kernel_pathsum
 from hklab.spectral import (
     EigenMode,
+    ModeTable,
     _phase_count,
     eigen,
     eigen_report,
@@ -151,12 +153,11 @@ class TestSpectralKernel:
                         assert abs(a.value - b.value) <= allow
 
     def test_insufficient_kmax_reported(self, interval):
-        from hklab.kernels import TruncationError
-
         modes = eigen(interval, 8.0)
         x = GraphPoint("e", 0.5)
-        with pytest.raises(TruncationError):
-            kernel_spectral(interval, 0.01, x, x, modes, tol=1e-10)
+        for given in (modes, list(modes)):
+            with pytest.raises(TruncationError):
+                kernel_spectral(interval, 0.01, x, x, given, tol=1e-10)
 
 
 class TestContinuityValidation:
@@ -214,3 +215,96 @@ class TestUnequalLengthsAndLoops:
             for y in pts:
                 ps = kernel_pathsum(g, t, x, y, tol=1e-10).value
                 assert abs(kernel_spectral(g, t, x, y, modes).value - ps) <= 1e-8
+
+
+def loop_reference(t, x, y, modes):
+    """The spectral sum one mode at a time, and the sum of its |terms|."""
+    terms = [math.exp(-mode.k**2 * t) * mode(x) * mode(y) for mode in modes]
+    return sum(terms), sum(abs(term) for term in terms)
+
+
+def end_and_inner_points(g, rng):
+    """Both ends of every edge and one seeded inner point per edge."""
+    pts = []
+    for e in g.edges:
+        pts += [GraphPoint(e.id, 0.0), GraphPoint(e.id, e.length),
+                GraphPoint(e.id, float(rng.uniform(0.0, e.length)))]
+    return pts
+
+
+class TestModeTable:
+    """kernel_spectral reads the table ``eigen`` builds; it must give the
+    per-mode sum to rounding on every kind of graph and at edge ends."""
+
+    def assert_matches_loop(self, g, modes, pts, ts=(0.01, 0.04, 0.5)):
+        for t in ts:
+            for x in pts:
+                for y in pts:
+                    ref, scale = loop_reference(t, x, y, modes)
+                    got = kernel_spectral(g, t, x, y, modes).value
+                    assert abs(got - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_graphs_match_loop(self, kind, seed):
+        rng = np.random.default_rng(300 + seed)
+        g = random_graph(kind, rng)
+        modes = eigen(g, 40.0)
+        self.assert_matches_loop(g, modes, end_and_inner_points(g, rng))
+
+    def test_circle_double_modes_match_loop(self, circle):
+        modes = eigen(circle, 40.0)
+        assert [r["multiplicity"] for r in eigen_report(circle, modes)][1:] == [2] * 6
+        pts = [GraphPoint("loop", s) for s in (0.0, 0.2, 0.7, 1.0)]
+        self.assert_matches_loop(circle, modes, pts)
+
+    def test_constant_modes_match_loop(self):
+        g = make_graph([("a", "kirchhoff"), ("b", "kirchhoff"), ("c", "kirchhoff"),
+                        ("d", "dirichlet")],
+                       [("e1", "a", "b", 1.0), ("e2", "c", "d", 0.7)])
+        modes = eigen(g, 30.0)
+        assert modes.k[0] == 0.0 and modes.k_max == max(m.k for m in modes)
+        self.assert_matches_loop(g, modes, end_and_inner_points(g, np.random.default_rng(5)))
+
+    def test_affine_mode_uses_its_slope(self, interval):
+        # a hand-built k = 0 mode with a slope: A + B s, not A cos 0 + B sin 0
+        modes = [EigenMode(interval, 0.0, (("e", 0.25, 0.5),))]
+        x, y = GraphPoint("e", 0.4), GraphPoint("e", 1.0)
+        assert kernel_spectral(interval, 0.1, x, y, modes).value == pytest.approx(
+            0.45 * 0.75, rel=1e-15)
+        self.assert_matches_loop(interval, modes, [x, y])
+
+    def test_plain_lists_give_the_table_values(self, star3, interval_dirichlet):
+        modes = eigen(star3, 30.0)
+        pts = end_and_inner_points(star3, np.random.default_rng(9))
+        for x in pts:
+            for y in pts:
+                a = kernel_spectral(star3, 0.03, x, y, modes)
+                b = kernel_spectral(star3, 0.03, x, y, list(modes))
+                assert (a.value, a.tail_bound) == (b.value, b.tail_bound)
+        # below the first Dirichlet root eigen finds nothing, as [] holds nothing
+        empty = eigen(interval_dirichlet, 2.0)
+        assert len(empty) == 0 and empty.coef.shape == (0, 1, 2)
+        x = GraphPoint("e", 0.5)
+        for given in (empty, []):
+            ev = kernel_spectral(interval_dirichlet, 0.1, x, x, given)
+            assert ev.value == 0.0 and ev.tail_bound == math.inf
+
+    def test_table_is_an_immutable_mode_sequence(self, star3):
+        modes = eigen(star3, 12.0)
+        assert isinstance(modes, tuple) and isinstance(modes[0], EigenMode)
+        assert modes.coef.shape == (len(modes), 3, 2)
+        assert modes.k.tolist() == [m.k for m in modes]
+        i = modes.col["e2"]
+        for m, mode in enumerate(modes):
+            assert tuple(modes.coef[m, i]) == mode.coeff("e2")
+        with pytest.raises(ValueError):
+            modes.coef[0, 0, 0] = 1.0
+        copy = pickle.loads(pickle.dumps(modes))
+        assert isinstance(copy, ModeTable) and copy == modes
+        assert np.array_equal(copy.coef, modes.coef)
+
+    def test_unknown_edge_rejected(self, star3):
+        modes = eigen(star3, 12.0)
+        with pytest.raises(GraphError, match="no edge 'zz'"):
+            kernel_spectral(star3, 0.1, GraphPoint("zz", 0.1), GraphPoint("e1", 0.2), modes)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hklab.wiener import (
     _BYTE_POS,
     SpliceConfig,
     _block_bytes,
+    _chi2_sf,
     _crossings,
     _first_passage,
     _step_uniforms,
@@ -401,6 +404,24 @@ class TestCompare:
     def test_insufficient_counts(self):
         with pytest.raises(GraphError):
             chi_square_two_sample(np.array([1.0]), np.array([2.0]))
+
+    def test_chi2_survival_matches_scipy(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        worst = 0.0
+        for dof in range(1, 60):
+            for x in np.geomspace(1e-6, 2000.0, 200):
+                ref = chi2.sf(x, dof)
+                if ref > 1e-290:
+                    worst = max(worst, abs(_chi2_sf(float(x), dof) - ref) / ref)
+        assert worst < 1e-12
+        assert _chi2_sf(0.0, 4) == 1.0
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = ("import sys, hklab; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
 
     def test_mismatched_horizons_rejected(self, interval):
         a = simulate_ensemble(interval, GraphPoint("e", 0.5), 0.02, 2e-3, 5, 100)
