@@ -72,8 +72,8 @@ class ModeTable(tuple):
 
     ``k`` holds the frequencies, shape (M,), and ``k_max`` the largest (0
     without modes); ``coef[m, i]`` is the (A, B) of mode m on edge i of
-    ``g.edges``, shape (M, E, 2); ``col`` maps an edge id to i.  The arrays
-    are read-only.
+    ``g.edges``, shape (M, E, 2); ``col`` maps an edge id to i; ``graph`` is
+    g.  The arrays are read-only.
     """
 
     def __new__(cls, g: MetricGraph, modes):
