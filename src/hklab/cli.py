@@ -175,7 +175,7 @@ def _cmd_eigen(args):
     rows = [
         [r["k"], r["lambda"], r["multiplicity"], r["continuity_residual"],
          r["kirchhoff_residual"]]
-        for r in eigen_report(g, modes)
+        for r in eigen_report(modes)
     ]
     out = Path(args.out) / "eigen.csv"
     _write_csv(out, ["k", "lambda", "multiplicity", "continuity_residual",

@@ -141,10 +141,6 @@ class MetricGraph:
     def degree(self, vertex_id: str) -> int:
         return len(self.incidence(vertex_id))
 
-    def halfedge_vertex(self, edge_id: str, end: int) -> str:
-        e = self.edge_obj(edge_id)
-        return e.u if end == 0 else e.v
-
     @property
     def total_length(self) -> float:
         return self._tables["total_length"]
@@ -274,16 +270,6 @@ def load_graph(path: str) -> MetricGraph:
         return parse_graph(fh.read())
 
 
-def graph_to_json(g: MetricGraph) -> str:
-    doc = {
-        "vertices": [{"id": v.id, "condition": v.condition} for v in g.vertices],
-        "edges": [
-            {"id": e.id, "u": e.u, "v": e.v, "length": e.length} for e in g.edges
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
 # -- scattering matrices ----------------------------------------------------
 
 
@@ -298,11 +284,6 @@ class ScatteringMatrix:
     vertex: str
     halfedges: tuple[tuple[str, int], ...]
     entries: np.ndarray
-
-    def entry(self, h_in: tuple[str, int], h_out: tuple[str, int]) -> float:
-        i = self.halfedges.index(h_in)
-        j = self.halfedges.index(h_out)
-        return float(self.entries[i, j])
 
 
 @lru_cache(maxsize=None)
@@ -360,15 +341,6 @@ def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
         for vb, db in ends_y:
             best = min(best, da + dvv[(va, vb)] + db)
     return best
-
-
-def point_to_vertex_distance(g: MetricGraph, x: GraphPoint, vertex_id: str) -> float:
-    ex = g.check_point(x)
-    dvv = g.vertex_distances()
-    return min(
-        x.s + dvv[(ex.u, vertex_id)],
-        (ex.length - x.s) + dvv[(ex.v, vertex_id)],
-    )
 
 
 # -- scattering walks --------------------------------------------------------

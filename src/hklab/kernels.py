@@ -169,6 +169,7 @@ def pathsum_tail_bound(g: MetricGraph, t: float, lam: float) -> float:
     It drops the end pieces a + b >= 0 of each walk, so it holds for every
     point pair.  Minimum over the tabulated r; inf if none is admissible.
     """
+    _check_time(t)
     r, log_z = _resolvent_table(g)
     ok = 2.0 * t * r <= lam
     if not ok.any():

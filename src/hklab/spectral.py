@@ -5,86 +5,39 @@ the eigenphases of the bond-scattering matrix sigma e^{ikL}; bisection on that
 count brackets every root, its jump gives the multiplicity, and the modes
 span the null space of the vertex condition system at the root.
 
-``eigen`` returns a ``ModeTable``: the modes as an immutable sequence of
-``EigenMode``, with their frequencies and per-edge coefficients also held as
-arrays, built once.  ``kernel_spectral`` evaluates every mode at both points
-from those arrays with a few numpy calls; a plain list of modes is turned
-into a table on entry.  ``EigenMode`` evaluates one mode, for the residuals
-and the Gram matrix.
+``eigen`` returns a ``ModeTable``: the frequencies and per-edge coefficients
+of every mode as read-only arrays.  The vertex check, the Gram matrix, the
+eigen report, the traces and ``kernel_spectral`` all read those arrays.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
+from ._quad import simpson_nodes
 from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _bond_table, _check_time
 from .kernels import KernelEval, TruncationError
 
 
-@dataclass(frozen=True)
-class EigenMode:
-    """One L2-normalized eigenfunction.
+class ModeTable:
+    """The modes of one graph, as read-only arrays.
 
-    On edge e the function is A cos(k s) + B sin(k s) with s the arclength
-    from the u-endpoint; for k = 0 the coefficients are affine: A + B s.
+    On edge e mode m is A cos(k s) + B sin(k s), s the arclength from the
+    u-endpoint; for k = 0 it is affine, A + B s.  ``k`` holds the
+    frequencies, shape (M,), and ``k_max`` the largest (0 without modes);
+    ``coef[m, i]`` is the (A, B) of mode m on edge i of ``g.edges``, shape
+    (M, E, 2); ``col`` maps an edge id to i; ``graph`` is g.
     """
 
-    graph: MetricGraph
-    k: float
-    coeffs: tuple[tuple[str, float, float], ...]  # (edge, A, B)
-
-    def coeff(self, edge_id: str) -> tuple[float, float]:
-        for eid, a, b in self.coeffs:
-            if eid == edge_id:
-                return a, b
-        raise GraphError(f"mode has no coefficients for edge {edge_id!r}")
-
-    def eval_edge(self, edge_id: str, s):
-        a, b = self.coeff(edge_id)
-        s = np.asarray(s, dtype=float)
-        if self.k == 0.0:
-            out = a + b * s
-        else:
-            out = a * np.cos(self.k * s) + b * np.sin(self.k * s)
-        return float(out) if out.ndim == 0 else out
-
-    def __call__(self, p: GraphPoint):
-        return self.eval_edge(p.edge, p.s)
-
-    def outward_derivative(self, edge_id: str, end: int) -> float:
-        """Derivative at an edge end, oriented away from the vertex."""
-        a, b = self.coeff(edge_id)
-        length = self.graph.edge_obj(edge_id).length
-        if self.k == 0.0:
-            return b if end == 0 else -b
-        if end == 0:
-            return self.k * b
-        return self.k * (a * math.sin(self.k * length) - b * math.cos(self.k * length))
-
-
-class ModeTable(tuple):
-    """The modes of one graph: a tuple of ``EigenMode`` and their arrays.
-
-    ``k`` holds the frequencies, shape (M,), and ``k_max`` the largest (0
-    without modes); ``coef[m, i]`` is the (A, B) of mode m on edge i of
-    ``g.edges``, shape (M, E, 2); ``col`` maps an edge id to i; ``graph`` is
-    g.  The arrays are read-only.
-    """
-
-    def __new__(cls, g: MetricGraph, modes):
-        self = super().__new__(cls, modes)
+    def __init__(self, g: MetricGraph, k, coef):
         self.graph = g
         self.col = {e.id: i for i, e in enumerate(g.edges)}
-        self.k = np.array([mode.k for mode in self], dtype=float)
+        self.k = np.array(k, dtype=float)
         self.k_max = float(self.k.max(initial=0.0))
-        self.coef = np.array(
-            [[mode.coeff(e.id) for e in g.edges] for mode in self], dtype=float
-        ).reshape(len(self), len(g.edges), 2)
+        self.coef = np.array(coef, dtype=float).reshape(len(self.k), len(g.edges), 2)
         # per edge and mode: the cos and sin coefficients, and the slope of
         # the affine k = 0 modes, shape (E, 3, M)
         a, b = self.coef.T
@@ -93,10 +46,12 @@ class ModeTable(tuple):
                                axis=1)
         for arr in (self.k, self.coef, self._basis):
             arr.flags.writeable = False
-        return self
 
-    def __getnewargs__(self):
-        return self.graph, tuple(self)
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __reduce__(self):
+        return ModeTable, (self.graph, self.k, self.coef)
 
     def at(self, edges, s: np.ndarray) -> np.ndarray:
         """Every mode at the points (edges[j], s[j]), shape (len(s), M)."""
@@ -149,27 +104,21 @@ def _norm_matrix(g: MetricGraph, k: float) -> np.ndarray:
     return gram
 
 
-def _null_modes(g: MetricGraph, k: float, m: int) -> list[EigenMode]:
-    """The m modes of a root k of multiplicity m, orthonormal in L2(G).
+def _null_modes(g: MetricGraph, k: float, m: int) -> np.ndarray:
+    """Coefficient rows of the m modes of a root k of multiplicity m,
+    orthonormal in L2(G), shape (m, 2E) with (A, B) per edge.
 
     The null space of the condition system is spanned by its m smallest
     right-singular vectors; the Gram matrix of _norm_matrix orthonormalizes them.
     """
     null = np.linalg.svd(_condition_matrix(g, k))[2][-m:]
     evals, evecs = np.linalg.eigh(null @ _norm_matrix(g, k) @ null.T)
-    basis = (evecs / np.sqrt(evals)).T @ null
-    modes = []
-    for row in basis:
-        coeffs = tuple(
-            (e.id, float(row[2 * i]), float(row[2 * i + 1]))
-            for i, e in enumerate(g.edges)
-        )
-        modes.append(EigenMode(g, k, coeffs))
-    return modes
+    return (evecs / np.sqrt(evals)).T @ null
 
 
-def _constant_modes(g: MetricGraph) -> list[EigenMode]:
-    """One k = 0 mode per connected component without a Dirichlet vertex."""
+def _constant_modes(g: MetricGraph) -> np.ndarray:
+    """Coefficient rows, shape (c, 2E), of one k = 0 mode per connected
+    component without a Dirichlet vertex."""
     dvv = g.vertex_distances()
     comps: list[set[str]] = []
     for v in g.vertices:
@@ -179,17 +128,14 @@ def _constant_modes(g: MetricGraph) -> list[EigenMode]:
                 break
         else:
             comps.append({v.id})
-    modes = []
+    rows = []
     for comp in comps:
         if any(g.condition(vid) == DIRICHLET for vid in comp):
             continue
         vol = sum(e.length for e in g.edges if e.u in comp)
         amp = 1.0 / math.sqrt(vol)
-        coeffs = tuple(
-            (e.id, amp if e.u in comp else 0.0, 0.0) for e in g.edges
-        )
-        modes.append(EigenMode(g, 0.0, coeffs))
-    return modes
+        rows.append([x for e in g.edges for x in (amp if e.u in comp else 0.0, 0.0)])
+    return np.array(rows, dtype=float).reshape(len(rows), 2 * len(g.edges))
 
 
 # eigen refuses a k_max whose Weyl count L k_max / pi is above this many modes
@@ -227,7 +173,9 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
     (k_lo, k_max] over which N jumps is bisected, all at once, until it is
     1e-13 relative wide; its midpoint is one distinct root and the jump is its
     multiplicity.  The modes found must number N(k_max) plus the constant
-    modes, or ``GraphError`` is raised.
+    modes, and each must meet every vertex condition (``vertex_residuals``
+    within 1e-10 for the value and 1e-8 for the flux), or ``GraphError`` is
+    raised.
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be finite and positive")
@@ -247,83 +195,73 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
         mid = 0.5 * (ks[wide] + ks[wide + 1])
         ks = np.insert(ks, wide + 1, mid)
         ns = np.insert(ns, wide + 1, np.rint(_phase_count(g, mid) - base).astype(int))
-    modes = _constant_modes(g)
-    expected = ns[-1] + len(modes)
+    rows = [_constant_modes(g)]
+    freqs = [0.0] * len(rows[0])
     for i in np.flatnonzero(jump):
-        modes.extend(_null_modes(g, 0.5 * (ks[i] + ks[i + 1]), int(ns[i + 1] - ns[i])))
-    if len(modes) != expected:
+        k = 0.5 * (ks[i] + ks[i + 1])
+        rows.append(_null_modes(g, k, int(ns[i + 1] - ns[i])))
+        freqs += [k] * len(rows[-1])
+    expected = ns[-1] + len(rows[0])
+    if len(freqs) != expected:
         raise GraphError(
-            f"found {len(modes)} modes up to k={k_max:g}, exact count {expected}"
+            f"found {len(freqs)} modes up to k={k_max:g}, exact count {expected}"
         )
-    _validate_modes(g, modes)
-    return ModeTable(g, modes)
+    modes = ModeTable(g, freqs, np.concatenate(rows))
+    value, flux = vertex_residuals(modes)
+    bad = (value > 1e-10) | (flux > 1e-8)
+    if bad.any():
+        m, j = np.argwhere(bad)[0]
+        v = g.vertices[j]
+        if value[m, j] > 1e-10:
+            what = "Dirichlet" if v.condition == DIRICHLET else "continuity"
+        else:
+            what = "flux condition"
+        raise GraphError(f"mode k={modes.k[m]}: {what} violated at {v.id}")
+    return modes
 
 
-def _mode_residuals(g: MetricGraph, mode: EigenMode, vertex_id: str) -> tuple[float, float]:
-    """(Dirichlet |value| or continuity spread, flux residual) of a mode at a vertex."""
-    vals = [
-        mode.eval_edge(h[0], 0.0 if h[1] == 0 else g.edge_obj(h[0]).length)
-        for h in g.incidence(vertex_id)
-    ]
-    if g.condition(vertex_id) == DIRICHLET:
-        return max(abs(x) for x in vals), 0.0
-    return max(vals) - min(vals), kirchhoff_residual(mode, vertex_id)
+def vertex_residuals(modes: ModeTable) -> tuple[np.ndarray, np.ndarray]:
+    """(value, flux) residuals of every mode at every vertex, each (M, V).
 
-
-def _validate_modes(g, modes, cont_tol=1e-10, kirch_tol=1e-8):
-    for mode in modes:
-        for v in g.vertices:
-            cont, flux = _mode_residuals(g, mode, v.id)
-            if cont > cont_tol:
-                what = "Dirichlet" if v.condition == DIRICHLET else "continuity"
-                raise GraphError(f"mode k={mode.k}: {what} violated at {v.id}")
-            if flux > kirch_tol:
-                raise GraphError(f"mode k={mode.k}: flux condition violated at {v.id}")
+    ``value`` is the largest |end value| at a Dirichlet vertex and the spread
+    of the end values at any other; ``flux`` is |sum of outward derivatives|,
+    or 0 at a Dirichlet vertex.  Columns follow ``g.vertices``.
+    """
+    g = modes.graph
+    halves = [h for v in g.vertices for h in g.incidence(v.id)]
+    starts = np.cumsum([0] + [g.degree(v.id) for v in g.vertices[:-1]])
+    far = np.array([end == 1 for _, end in halves])
+    s = np.where(far, [g.edge_obj(eid).length for eid, _ in halves], 0.0)
+    rows = modes._basis[[modes.col[eid] for eid, _ in halves]]
+    ks = np.multiply.outer(s, modes.k)
+    cos, sin = np.cos(ks), np.sin(ks)
+    val = rows[:, 0] * cos + rows[:, 1] * sin + rows[:, 2] * s[:, None]
+    der = modes.k * (rows[:, 1] * cos - rows[:, 0] * sin) + rows[:, 2]
+    der = np.where(far[:, None], -der, der)
+    dirichlet = np.array([[v.condition == DIRICHLET] for v in g.vertices])
+    hi, lo = np.maximum.reduceat(val, starts), np.minimum.reduceat(val, starts)
+    value = np.where(dirichlet, np.maximum(hi, -lo), hi - lo)
+    flux = np.where(dirichlet, 0.0, np.abs(np.add.reduceat(der, starts)))
+    return value.T, flux.T
 
 
 # -- derived quantities ---------------------------------------------------------
 
 
-def kirchhoff_residual(mode: EigenMode, vertex_id: str) -> float:
-    """|sum of outward derivatives| at a vertex, from the mode coefficients."""
-    g = mode.graph
-    total = sum(mode.outward_derivative(h[0], h[1]) for h in g.incidence(vertex_id))
-    return abs(total)
+def mode_gram(modes: ModeTable) -> np.ndarray:
+    """L2 Gram matrix of a mode table by composite Simpson on every edge.
 
-
-def kirchhoff_residual_fd(mode: EigenMode, vertex_id: str, h: float = 1e-6) -> float:
-    """Same residual by central differences of the mode along each edge."""
-    g = mode.graph
-    total = 0.0
-    for eid, end in g.incidence(vertex_id):
-        length = g.edge_obj(eid).length
-        s0 = 0.0 if end == 0 else length
-        sgn = 1.0 if end == 0 else -1.0
-        total += sgn * (mode.eval_edge(eid, s0 + h) - mode.eval_edge(eid, s0 - h)) / (2 * h)
-    return abs(total)
-
-
-def mode_gram(modes: list[EigenMode]) -> np.ndarray:
-    """L2 Gram matrix of a mode list (closed form per edge)."""
-    n = len(modes)
-    gram = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = _l2_inner(modes[i], modes[j])
-    return gram
-
-
-def _l2_inner(m1: EigenMode, m2: EigenMode) -> float:
-    from ._quad import simpson_nodes
-
-    g = m1.graph
-    total = 0.0
-    for e in g.edges:
-        k_scale = max(m1.k, m2.k, 1.0)
-        step = min(e.length / 8.0, math.pi / (20.0 * k_scale))
-        s, w = simpson_nodes(e.length, step)
-        total += float(np.dot(w, m1.eval_edge(e.id, s) * m2.eval_edge(e.id, s)))
-    return total
+    Nodes are at most an eighth of the edge and pi/20 over the largest
+    frequency (or 1) apart.
+    """
+    step_k = math.pi / (20.0 * max(modes.k_max, 1.0))
+    phi, weights = [], []
+    for e in modes.graph.edges:
+        s, w = simpson_nodes(e.length, min(e.length / 8.0, step_k))
+        phi.append(modes.at([e.id] * len(s), s))
+        weights.append(w)
+    phi = np.concatenate(phi)
+    return phi.T @ (np.concatenate(weights)[:, None] * phi)
 
 
 def kernel_spectral(
@@ -331,19 +269,19 @@ def kernel_spectral(
     t: float,
     x: GraphPoint,
     y: GraphPoint,
-    modes: Sequence[EigenMode],
+    modes: ModeTable,
     tol: float | None = None,
 ) -> KernelEval:
-    """Spectral heat kernel sum over the supplied modes, with a tail estimate.
+    """Spectral heat kernel sum over a mode table, with a tail estimate.
 
-    Every mode is evaluated at x and y at once from the table's arrays; a
-    plain list of modes is first turned into a ``ModeTable`` of g.
+    Every mode is evaluated at x and y at once from the table's arrays.
     """
     _check_time(t)
-    table = modes if isinstance(modes, ModeTable) else ModeTable(g, modes)
-    phi_x, phi_y = table.at((x.edge, y.edge), np.array([x.s, y.s], dtype=float))
-    val = np.dot(np.exp(-table.k**2 * t), phi_x * phi_y)
-    k_max = table.k_max
+    g.check_point(x)
+    g.check_point(y)
+    phi_x, phi_y = modes.at((x.edge, y.edge), np.array([x.s, y.s], dtype=float))
+    val = np.dot(np.exp(-modes.k**2 * t), phi_x * phi_y)
+    k_max = modes.k_max
     bound = spectral_tail_bound(g, t, k_max)
     if tol is not None and bound > tol:
         raise TruncationError(
@@ -354,6 +292,7 @@ def kernel_spectral(
 
 def spectral_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
     """Gaussian-in-k estimate for the spectral sum beyond k_max."""
+    _check_time(t)
     if k_max <= 2.0 / g.min_edge_length:
         return math.inf
     density = g.total_length / math.pi + len(g.vertices) + 2
@@ -361,22 +300,23 @@ def spectral_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
     return density * sup_sq * math.exp(-(k_max**2) * t) / (2.0 * k_max * t)
 
 
-def eigen_report(g: MetricGraph, modes: list[EigenMode]) -> list[dict]:
+def eigen_report(modes: ModeTable) -> list[dict]:
     """Rows for the eigen CSV: k, lambda, multiplicity, residuals.
 
     The modes of one root share one k, so consecutive equal k form a row.
     """
-    rows = []
-    for k, group in groupby(modes, key=lambda mode: mode.k):
-        group = list(group)
-        res = [_mode_residuals(g, mode, v.id) for mode in group for v in g.vertices]
+    value, flux = vertex_residuals(modes)
+    rows, start = [], 0
+    for k, group in groupby(modes.k.tolist()):
+        stop = start + len(list(group))
         rows.append(
             {
                 "k": k,
                 "lambda": k**2,
-                "multiplicity": len(group),
-                "continuity_residual": max([0.0] + [cont for cont, _ in res]),
-                "kirchhoff_residual": max([0.0] + [flux for _, flux in res]),
+                "multiplicity": stop - start,
+                "continuity_residual": float(value[start:stop].max(initial=0.0)),
+                "kirchhoff_residual": float(flux[start:stop].max(initial=0.0)),
             }
         )
+        start = stop
     return rows

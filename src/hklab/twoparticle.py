@@ -18,7 +18,7 @@ import numpy as np
 from ._quad import _check_step, simpson_weights
 from .graph import KIRCHHOFF, GraphError, GraphPoint, MetricGraph, _check_time, sigma_entries
 from .kernels import kernel_pathsum, pathsum
-from .spectral import EigenMode, eigen, spectral_tail_bound
+from .spectral import ModeTable, eigen, spectral_tail_bound
 
 SQRT2 = math.sqrt(2.0)
 
@@ -129,13 +129,15 @@ def trace_series(
     return TraceSeries(tuple(float(t) for t in t_grid), tuple(zs), step, tuple(errs))
 
 
-def single_trace_eigen(modes: list[EigenMode], t: float) -> float:
-    return sum(math.exp(-m.k**2 * t) for m in modes)
+def single_trace_eigen(modes: ModeTable, t: float) -> float:
+    _check_time(t)
+    return sum(math.exp(-k**2 * t) for k in modes.k.tolist())
 
 
-def trace_two_particle_eigen(modes: list[EigenMode], t: float) -> float:
+def trace_two_particle_eigen(modes: ModeTable, t: float) -> float:
     """Eigen-pair trace sum over unordered mode pairs, via the symmetrization
     identity Z_M(t) = (Z_1(t)^2 + Z_1(2t)) / 2."""
+    _check_time(t)
     z1 = single_trace_eigen(modes, t)
     return 0.5 * (z1 * z1 + single_trace_eigen(modes, 2.0 * t))
 

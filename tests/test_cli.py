@@ -110,6 +110,16 @@ class TestKernelCommand:
         err = json.loads(capsys.readouterr().err)
         assert "finite and positive" in err["error"]
 
+    @pytest.mark.parametrize("method", ["pathsum", "spectral"])
+    @pytest.mark.parametrize("x", ["e:5.0", "e:-0.5"])
+    def test_off_edge_point_exit_2(self, workdir, method, x, capsys):
+        args = ["kernel", "--graph", str(workdir / "interval.json"), "--method",
+                method, "--t", "0.05", "--x", x, "--y", "e:0.5", "--out", str(workdir)]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "off edge 'e'" in err["error"]
+        assert not (workdir / "kernel.csv").exists()
+
 
 class TestLocalityCommand:
     def test_certificate_json(self, workdir):

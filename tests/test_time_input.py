@@ -1,5 +1,7 @@
 """Every public entry point that takes a time rejects NaN, +-inf and t <= 0."""
 
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -15,19 +17,27 @@ from hklab.kernels import (
     kernel_semigroup_residual,
     kernel_star,
     pathsum,
+    pathsum_tail_bound,
     star_sigma,
 )
-from hklab.locality import decomposition_residual, exit_density, interval_subdomain
-from hklab.spectral import kernel_spectral
+from hklab.locality import (
+    decomposition_residual,
+    exit_density,
+    interval_subdomain,
+    kernel_killed,
+)
+from hklab.spectral import ModeTable, kernel_spectral, spectral_tail_bound
 from hklab.twoparticle import (
     SymPoint,
     eigen_trace_series,
     kernel_two_particle,
     region_contributions,
+    single_trace_eigen,
     trace_series,
     trace_two_particle,
+    trace_two_particle_eigen,
 )
-from hklab.wiener import n_steps
+from hklab.wiener import n_steps, simulate, simulate_ensemble
 
 X = GraphPoint("e", 0.5)
 S = np.linspace(0.0, 1.0, 5)
@@ -42,7 +52,13 @@ CALLS = {
     "pathsum_at_grid": lambda g, t: pathsum(g, t, "e", S[:, None], "e", S[None, :]),
     "semigroup_t": lambda g, t: kernel_semigroup_residual(g, t, 0.05, X, X),
     "semigroup_s": lambda g, t: kernel_semigroup_residual(g, 0.05, t, X, X),
-    "kernel_spectral": lambda g, t: kernel_spectral(g, t, X, X, []),
+    "pathsum_tail_bound": lambda g, t: pathsum_tail_bound(g, t, 2.0),
+    "kernel_mass": lambda g, t: kernel_mass(g, t, X, step_frac=0.05),
+    "kernel_spectral": lambda g, t: kernel_spectral(g, t, X, X, ModeTable(g, [], [])),
+    "spectral_tail_bound": lambda g, t: spectral_tail_bound(g, t, 40.0),
+    "single_trace_eigen": lambda g, t: single_trace_eigen(ModeTable(g, [], []), t),
+    "trace_two_particle_eigen": lambda g, t: trace_two_particle_eigen(
+        ModeTable(g, [], []), t),
     "kernel_two_particle": lambda g, t: kernel_two_particle(
         g, t, SymPoint(X, X), SymPoint(X, X)),
     "trace_two_particle": lambda g, t: trace_two_particle(g, t, 1e-2),
@@ -53,8 +69,45 @@ CALLS = {
         g, "B", {"eps": 0.1, "edge": "e"}, t),
     "exit_density": lambda g, t: exit_density(
         interval_subdomain(g, "e", 0.25, 0.75), X, GraphPoint("e", 0.25), t),
+    "kernel_killed": lambda g, t: kernel_killed(
+        interval_subdomain(g, "e", 0.25, 0.75), t, X, X),
+    "decomposition_residual": lambda g, t: decomposition_residual(
+        interval_subdomain(g, "e", 0.25, 0.75), t, X, X),
     "n_steps": lambda g, t: n_steps(t, 1e-3),
+    "simulate": lambda g, t: simulate(g, X, t, 2e-3, 1),
+    "simulate_ensemble": lambda g, t: simulate_ensemble(g, X, t, 2e-3, 1, 10),
 }
+
+LAYERS = ("graph", "kernels", "spectral", "locality", "twoparticle", "wiener", "energy")
+
+# public functions with a time parameter that CALLS leaves out, and why
+EXEMPT = {
+    "nonlocal_bound": "raises ValueError for t outside (0, T) of its fitted "
+                      "envelope; goes with the empirical envelope",
+    "fit_decay_params": "the empirical envelope fit, to be replaced by a "
+                        "certified locality bound",
+}
+
+
+def timed_functions():
+    """Names of the public functions of every layer with a parameter t, s or T."""
+    names = set()
+    for layer in LAYERS:
+        module = importlib.import_module(f"hklab.{layer}")
+        for name, fn in vars(module).items():
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not name.startswith("_")
+                    and {"t", "s", "T"} & set(inspect.signature(fn).parameters)):
+                names.add(name)
+    return names
+
+
+def test_every_time_parameter_is_checked():
+    # the function a CALLS entry tests is the first global name its lambda loads
+    called = {call.__code__.co_names[0] for call in CALLS.values()}
+    timed = timed_functions()
+    assert sorted(timed - called - set(EXEMPT)) == []
+    assert set(EXEMPT) <= timed and not set(EXEMPT) & called
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -0.1])
