@@ -1,10 +1,11 @@
+import hashlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import GRAPH_KINDS, make_star, random_graph
+from conftest import GRAPH_KINDS, make_graph, make_star, random_graph
 from hklab._quad import simpson_nodes
 from hklab.graph import GraphError, GraphPoint, enumerate_walks
 from hklab.kernels import (
@@ -339,6 +340,56 @@ class TestCertifiedTruncation:
         fams = _families(star3, "e1", "e1", lam)
         assert ev.lam == lam
         assert ev.walks == 1 + sum(ls.size for ls, _ in fams.values())
+
+
+# sha256 prefixes of every walk-family array of a graph, over every ordered
+# edge pair and three truncation lengths, recorded while _families still
+# walked per-vertex scattering matrices
+FAMILY_GOLDEN = {
+    "circle": "24ce0af1b1409e07",
+    "lollipop-0": "c9495b6a6780fd22",
+    "lollipop-1": "cf672c70e5e97d9e",
+    "lollipop-2": "47a60ede44695c98",
+    "multi-0": "8f221a8ed4b27a3b",
+    "multi-1": "e64fd8d830b47622",
+    "multi-2": "ca7e959f6677ea72",
+    "short_leg_star": "0b4f9b6f7fec9a8d",
+    "star-0": "e4c4ceb4e8f08c41",
+    "star-1": "886df73feb4a3ea1",
+    "star-2": "3cf885828e52b6e5",
+    "star_dirichlet-0": "5e7882194b8ff754",
+    "star_dirichlet-1": "0eb0640d5cfa280a",
+    "star_dirichlet-2": "5aeb65d3c6781adb",
+    "triangle-0": "98609c7098d9195c",
+    "triangle-1": "21358a7a8837d2e0",
+    "triangle-2": "e4450380a357b09f",
+}
+FAMILY_LAMS = (0.9, 2.36, 5.0)
+
+
+def _family_graph(name):
+    if name == "circle":
+        return make_graph([("o", "kirchhoff")], [("loop", "o", "o", 1.0)])
+    if name == "short_leg_star":
+        return make_star([1.0, 1.0, 0.05])
+    kind, seed = name.rsplit("-", 1)
+    return random_graph(kind, np.random.default_rng(int(seed)))
+
+
+class TestGoldenFamilies:
+    @pytest.mark.parametrize("name", sorted(FAMILY_GOLDEN))
+    def test_family_bytes_unchanged(self, name):
+        g = _family_graph(name)
+        digest = hashlib.sha256()
+        for ex in g.edges:
+            for ey in g.edges:
+                for lam in FAMILY_LAMS:
+                    for key, (ls, ws) in sorted(_families(g, ex.id, ey.id, lam).items()):
+                        assert ls.dtype == ws.dtype == np.float64
+                        digest.update(repr((ex.id, ey.id, lam, key)).encode())
+                        digest.update(ls.tobytes())
+                        digest.update(ws.tobytes())
+        assert digest.hexdigest()[:16] == FAMILY_GOLDEN[name]
 
 
 class TestSemigroup:
