@@ -140,6 +140,8 @@ def _cmd_graph(args):
 def _cmd_kernel(args):
     g = load_graph(args.graph)
     x, y = _point(args.x), _point(args.y)
+    g.check_point(x)  # before any method's work, such as the spectral eigen solve
+    g.check_point(y)
     cfg = _options(args)
     if args.method == "pathsum":
         ev = kernel_pathsum(g, args.t, x, y, tol=args.tol)

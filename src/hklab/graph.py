@@ -202,7 +202,6 @@ def _build_tables(vertices, edges):
         "min_length": float(min(e.length for e in edges)),
         "max_degree": max(len(h) for h in inc.values()),
         "dvv": None,
-        "sigmas": None,
         "bonds": None,
     }
 
@@ -360,28 +359,23 @@ class ScatteringWalk:
     weight: float
 
 
-def _sigma_cache(g: MetricGraph) -> dict[str, ScatteringMatrix]:
-    """Scattering matrix of every vertex, by vertex id (cached per graph)."""
-    if g._tables["sigmas"] is None:
-        g._tables["sigmas"] = {v.id: scattering_matrix(g, v.id) for v in g.vertices}
-    return g._tables["sigmas"]
-
-
 def _bond_table(g: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, sigma, lengths) of the bond-scattering operator (cached per graph).
 
     States are incoming half-edges, (edge i, end) at index 2i + end.  A bounce
     at v from the incoming half-edge h onto the outgoing half-edge j = (e, end)
     crosses e into the state (e, 1 - end): one transition per (h, j), carrying
-    the signed sigma_v[h, j] and the length of e.
+    the signed sigma_v[h, j] and the length of e.  Rows are sorted, each state's
+    moves in incidence order, for the walk families of ``kernels`` to step on.
     """
     if g._tables["bonds"] is None:
         index = {(e.id, end): 2 * i + end for i, e in enumerate(g.edges) for end in (0, 1)}
         moves = [(index[h_in], index[(eid, 1 - end)], float(sig.entries[a, j]),
                   g.edge_obj(eid).length)
-                 for sig in _sigma_cache(g).values()
+                 for sig in (scattering_matrix(g, v.id) for v in g.vertices)
                  for a, h_in in enumerate(sig.halfedges)
                  for j, (eid, end) in enumerate(sig.halfedges)]
+        moves.sort(key=lambda move: move[0])  # stable: j keeps its incidence order
         g._tables["bonds"] = tuple(np.array(col) for col in zip(*moves))
     return g._tables["bonds"]
 
@@ -399,7 +393,7 @@ def enumerate_walks(
         raise GraphError("max_length must be nonnegative")
     ex = g.check_point(x)
     ey = g.check_point(y)
-    sigmas = _sigma_cache(g)
+    sigmas = {v.id: scattering_matrix(g, v.id) for v in g.vertices}
     dvv = g.vertex_distances()
 
     def remaining(vid: str) -> float:

@@ -3,9 +3,10 @@
 All kernels follow the variance-2t normalization: the free-line kernel is
 exp(-d^2/4t)/sqrt(4 pi t).  The walk-sum kernel truncates the scattering-walk
 expansion at the closed-form length where a rigorous Gaussian tail bound meets
-the tolerance.  ``kernel_pathsum`` evaluates one point pair and reports the
-remainder, length and walk count; ``pathsum`` broadcasts arclengths sx against
-sy, so that one call gives a profile, a diagonal or a grid.
+the tolerance, and enumerates the walks on ``graph._bond_table``.
+``kernel_pathsum`` evaluates one point pair and reports the remainder, length
+and walk count; ``pathsum`` broadcasts arclengths sx against sy, so that one
+call gives a profile, a diagonal or a grid.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .graph import (
     ScatteringMatrix,
     _bond_table,
     _check_time,
-    _sigma_cache,
     sigma_entries,
     star_sigma,  # noqa: F401  (part of this module's interface)
 )
@@ -66,10 +66,10 @@ def kernel_star(degree, sigma, t, x, y) -> float:
     _check_time(t)
     alpha, s1 = x
     beta, s2 = y
-    if not (0 <= alpha < degree and 0 <= beta < degree):
-        raise ValueError("edge index out of range")
-    if s1 < 0 or s2 < 0:
-        raise ValueError("arclengths must be nonnegative")
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i < degree for i in (alpha, beta)):
+        raise ValueError("edge index must be an integer in range")
+    if not (0 <= s1 < math.inf and 0 <= s2 < math.inf):
+        raise ValueError("arclengths must be finite and nonnegative")
     mat = sigma.entries if isinstance(sigma, ScatteringMatrix) else np.asarray(sigma)
     direct = gauss_free(t, s1 - s2) if alpha == beta else 0.0
     return float(direct + mat[alpha, beta] * gauss_free(t, s1 + s2))
@@ -207,22 +207,23 @@ def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float):
 
     A family fixes the departure end d1 of edge_x and the entry end d2 of
     edge_y; a walk of the family evaluated at positions (sx, sy) has total
-    length a_{d1}(sx) + L_mid + b_{d2}(sy).
+    length a_{d1}(sx) + L_mid + b_{d2}(sy).  Walks step on the bond table
+    (``graph._bond_table``): a walk is at an incoming half-edge k = 2i + end,
+    and its moves are the table rows first[k] to first[k + 1].
     """
-    sigmas = _sigma_cache(g)
-    dvv = g.vertex_distances()
-    eex = g.edge_obj(edge_x)
+    rows, cols, sigma, lengths = _bond_table(g)
+    first = np.searchsorted(rows, np.arange(2 * len(g.edges) + 1)).tolist()
+    cols, sigma, lengths = cols.tolist(), sigma.tolist(), lengths.tolist()
+    ix = g.edges.index(g.edge_obj(edge_x))
     eey = g.edge_obj(edge_y)
-
-    def remaining(vid):
-        return min(dvv[(vid, eey.u)], dvv[(vid, eey.v)])
+    iy = g.edges.index(eey)
+    dvv = g.vertex_distances()
+    # distance from the vertex of each state to the nearer end of edge_y
+    remaining = [min(dvv[(v, eey.u)], dvv[(v, eey.v)]) for e in g.edges for v in (e.u, e.v)]
 
     groups = {(a, b): ([], []) for a in (0, 1) for b in (0, 1)}
-    frontier = []
-    for d1 in (0, 1):
-        vid = eex.u if d1 == 0 else eex.v
-        if remaining(vid) <= lam:
-            frontier.append((vid, (edge_x, d1), 0.0, 1.0, d1))
+    frontier = [(2 * ix + d1, 0.0, 1.0, d1) for d1 in (0, 1)
+                if remaining[2 * ix + d1] <= lam]
     visited = 0
     while frontier:
         visited += len(frontier)
@@ -232,22 +233,19 @@ def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float):
                 f"(truncation length {lam:.3g} is not enumerable)"
             )
         nxt = []
-        for vid, h_in, acc, w, d1 in frontier:
-            sig = sigmas[vid]
-            i = sig.halfedges.index(h_in)
-            for j, h_out in enumerate(sig.halfedges):
-                w2 = w * float(sig.entries[i, j])
+        for state, acc, w, d1 in frontier:
+            for m in range(first[state], first[state + 1]):
+                w2 = w * sigma[m]
                 if abs(w2) < _WEIGHT_FLOOR:
                     continue
-                if h_out[0] == edge_y and acc <= lam:
-                    ls, ws = groups[(d1, h_out[1])]
+                k = cols[m]
+                if k >> 1 == iy and acc <= lam:
+                    ls, ws = groups[(d1, 1 - (k & 1))]
                     ls.append(acc)
                     ws.append(w2)
-                e_out = g.edge_obj(h_out[0])
-                acc2 = acc + e_out.length
-                far_vid = e_out.v if h_out[1] == 0 else e_out.u
-                if acc2 + remaining(far_vid) <= lam:
-                    nxt.append((far_vid, (h_out[0], 1 - h_out[1]), acc2, w2, d1))
+                acc2 = acc + lengths[m]
+                if acc2 + remaining[k] <= lam:
+                    nxt.append((k, acc2, w2, d1))
         frontier = nxt
     return {
         key: (np.asarray(ls), np.asarray(ws))

@@ -297,6 +297,7 @@ def fit_decay_params(
     """
     from .graph import distance
 
+    _check_time(T, "T")
     if t_grid is None:
         t_grid = np.geomspace(T / 20.0, T * 0.999, 6)
     pts = [

@@ -634,6 +634,8 @@ def simulate_ensemble(
 ) -> EnsembleResult:
     """Lockstep ensemble of n_paths walkers started at x0; with U, the first
     exit of each path from U is recorded."""
+    if n_paths < 1:
+        raise GraphError("n_paths must be at least 1")
     _check_h(g, h)
     g.check_point(x0)
     if U is not None and U.parent != g:
@@ -735,6 +737,8 @@ class SpliceConfig:
 
     def __post_init__(self):
         _check_time(self.T, "horizon T")
+        if self.n_paths < 1:
+            raise GraphError("n_paths must be at least 1")
         if self.U.parent != self.graph_a:
             raise GraphError("U must be a subdomain of graph A")
         if not self.U.contains(self.x0):

@@ -110,7 +110,7 @@ class TestKernelCommand:
         err = json.loads(capsys.readouterr().err)
         assert "finite and positive" in err["error"]
 
-    @pytest.mark.parametrize("method", ["pathsum", "spectral"])
+    @pytest.mark.parametrize("method", ["pathsum", "spectral", "interval"])
     @pytest.mark.parametrize("x", ["e:5.0", "e:-0.5"])
     def test_off_edge_point_exit_2(self, workdir, method, x, capsys):
         args = ["kernel", "--graph", str(workdir / "interval.json"), "--method",
@@ -119,6 +119,19 @@ class TestKernelCommand:
         err = json.loads(capsys.readouterr().err)
         assert "off edge 'e'" in err["error"]
         assert not (workdir / "kernel.csv").exists()
+
+    @pytest.mark.parametrize("x,y", [("e:5.0", "e:0.5"), ("e:0.5", "e:5.0")])
+    def test_points_checked_before_eigen(self, workdir, monkeypatch, x, y, capsys):
+        from hklab import cli
+
+        def no_eigen(*args, **kwargs):
+            raise AssertionError("eigen ran before the points were checked")
+
+        monkeypatch.setattr(cli, "eigen", no_eigen)
+        args = ["kernel", "--graph", str(workdir / "interval.json"), "--method",
+                "spectral", "--t", "1e-4", "--x", x, "--y", y, "--out", str(workdir)]
+        assert main(args) == 2
+        assert "off edge 'e'" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestLocalityCommand:
@@ -172,6 +185,38 @@ class TestMcCommand:
         assert main(args) == 2
         err = json.loads(capsys.readouterr().err)
         assert "finite and positive" in err["error"]
+
+    @pytest.mark.parametrize("paths", ["0", "-5"])
+    def test_bad_path_count_exit_2(self, workdir, paths, capsys):
+        args = [
+            "mc", "simulate", "--graph", str(workdir / "interval.json"),
+            "--x0", "e:0.5", "--T", "0.01", "--h", "0.01", "--paths", paths,
+            "--out", str(workdir),
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "n_paths must be at least 1" in json.loads(captured.err)["error"]
+        assert "stay fraction" not in captured.out
+
+    @pytest.mark.parametrize("paths", [0, -1])
+    def test_splice_bad_path_count_exit_2(self, workdir, paths, capsys):
+        cfg = {
+            "graph_a": str(workdir / "interval_d.json"),
+            "graph_b": str(workdir / "interval.json"),
+            "u": [["e", 0.25, 0.75]],
+            "map": MAP,
+            "x0": "e:0.5",
+            "T": 0.01,
+            "h": 0.01,
+            "paths": paths,
+        }
+        (workdir / "splice.json").write_text(json.dumps(cfg))
+        rc = main(["mc", "splice", "--config", str(workdir / "splice.json"),
+                   "--out", str(workdir)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "n_paths must be at least 1" in json.loads(captured.err)["error"]
+        assert not (workdir / "ensemble.csv").exists()
 
     def test_splice_config(self, workdir):
         cfg = {

@@ -95,6 +95,20 @@ class TestKernelStar:
         with pytest.raises(ValueError):
             kernel_star(2, star_sigma(2), 0.1, (2, 0.0), (0, 0.0))
 
+    @pytest.mark.parametrize("x,y", [
+        ((0, math.nan), (1, 0.2)), ((0, math.inf), (1, 0.2)), ((0, 0.1), (1, -math.inf)),
+        ((0, -0.1), (1, 0.2)), ((1.5, 0.1), (1, 0.2)), ((0, 0.1), (np.float64(1.0), 0.2)),
+    ])
+    def test_bad_point_rejected(self, x, y):
+        # NaN and inf arclengths gave NaN and 0.0, an index of 1.5 a numpy IndexError
+        with pytest.raises(ValueError, match="must be"):
+            kernel_star(3, star_sigma(3), 0.1, x, y)
+
+    def test_numpy_integer_index_accepted(self):
+        sig = star_sigma(3)
+        assert kernel_star(3, sig, 0.1, (np.int64(0), 0.1), (1, 0.2)) == kernel_star(
+            3, sig, 0.1, (0, 0.1), (1, 0.2))
+
 
 class TestKernelInterval:
     def test_neumann_against_cosine_series(self):

@@ -23,6 +23,7 @@ from hklab.kernels import (
 from hklab.locality import (
     decomposition_residual,
     exit_density,
+    fit_decay_params,
     interval_subdomain,
     kernel_killed,
 )
@@ -73,6 +74,7 @@ CALLS = {
         interval_subdomain(g, "e", 0.25, 0.75), t, X, X),
     "decomposition_residual": lambda g, t: decomposition_residual(
         interval_subdomain(g, "e", 0.25, 0.75), t, X, X),
+    "fit_decay_params": lambda g, t: fit_decay_params(g, t),
     "n_steps": lambda g, t: n_steps(t, 1e-3),
     "simulate": lambda g, t: simulate(g, X, t, 2e-3, 1),
     "simulate_ensemble": lambda g, t: simulate_ensemble(g, X, t, 2e-3, 1, 10),
@@ -84,8 +86,6 @@ LAYERS = ("graph", "kernels", "spectral", "locality", "twoparticle", "wiener", "
 EXEMPT = {
     "nonlocal_bound": "raises ValueError for t outside (0, T) of its fitted "
                       "envelope; goes with the empirical envelope",
-    "fit_decay_params": "the empirical envelope fit, to be replaced by a "
-                        "certified locality bound",
 }
 
 

@@ -76,6 +76,18 @@ class TestScaling:
             SpliceConfig(interval, interval, u, identity_map(u),
                          GraphPoint("e", 0.5), T, 2e-3, 10, 1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bad_path_count_rejected(self, n, interval, star3):
+        # 0 gave a nan stay fraction after numpy warnings, -1 numpy's
+        # "negative dimensions" error
+        for g in (interval, star3):
+            with pytest.raises(GraphError, match="n_paths must be at least 1"):
+                simulate_ensemble(g, GraphPoint(g.edges[0].id, 0.5), 0.01, 2e-3, 1, n)
+        u = interval_subdomain(interval, "e", 0.25, 0.75)
+        with pytest.raises(GraphError, match="n_paths must be at least 1"):
+            SpliceConfig(interval, interval, u, identity_map(u),
+                         GraphPoint("e", 0.5), 0.01, 2e-3, n, 1)
+
     def test_mean_and_msd_on_line(self, long_interval):
         ens = simulate_ensemble(long_interval, GraphPoint("e", 4.0), 0.05, 2e-3,
                                 7, 50000)
