@@ -9,7 +9,6 @@ from .graph import (  # noqa: F401
     GraphError,
     GraphPoint,
     MetricGraph,
-    ScatteringMatrix,
     ScatteringWalk,
     Vertex,
     distance,

@@ -310,7 +310,7 @@ def criterion_6() -> CriterionResult:
         )
         sig = scattering_matrix(g, "c")
         expect = np.full((d, d), 2.0 / d) - np.eye(d)
-        if not np.array_equal(sig.entries, expect):
+        if not np.array_equal(sig, expect):
             ok = False
             details.append(f"deg {d} sigma mismatch")
     # degree-2 invisibility, exact in the star kernel

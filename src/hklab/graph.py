@@ -272,19 +272,6 @@ def load_graph(path: str) -> MetricGraph:
 # -- scattering matrices ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """Vertex matrix weighting reflected/transmitted heat-path contributions.
-
-    Rows and columns are indexed by the incident half-edges of the vertex in
-    the order reported by ``MetricGraph.incidence``.
-    """
-
-    vertex: str
-    halfedges: tuple[tuple[str, int], ...]
-    entries: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def sigma_entries(condition: str, degree: int) -> tuple[Fraction, Fraction]:
     """Exact (diagonal, off-diagonal) scattering entries of a vertex (cached).
@@ -315,12 +302,14 @@ def star_sigma(degree: int, condition: str = KIRCHHOFF) -> np.ndarray:
     return np.full((degree, degree), float(off)) - np.eye(degree)
 
 
-def scattering_matrix(g: MetricGraph, vertex_id: str) -> ScatteringMatrix:
-    """Reflection/transmission matrix of a vertex (entries: ``sigma_entries``)."""
-    hs = g.incidence(vertex_id)
-    m = star_sigma(len(hs), g.condition(vertex_id))
+def scattering_matrix(g: MetricGraph, vertex_id: str) -> np.ndarray:
+    """Reflection/transmission matrix of a vertex (entries: ``sigma_entries``).
+
+    A read-only array whose rows and columns follow ``g.incidence(vertex_id)``.
+    """
+    m = star_sigma(g.degree(vertex_id), g.condition(vertex_id))
     m.setflags(write=False)
-    return ScatteringMatrix(vertex_id, hs, m)
+    return m
 
 
 # -- path metric -------------------------------------------------------------
@@ -370,11 +359,12 @@ def _bond_table(g: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     """
     if g._tables["bonds"] is None:
         index = {(e.id, end): 2 * i + end for i, e in enumerate(g.edges) for end in (0, 1)}
-        moves = [(index[h_in], index[(eid, 1 - end)], float(sig.entries[a, j]),
-                  g.edge_obj(eid).length)
-                 for sig in (scattering_matrix(g, v.id) for v in g.vertices)
-                 for a, h_in in enumerate(sig.halfedges)
-                 for j, (eid, end) in enumerate(sig.halfedges)]
+        moves = []
+        for v in g.vertices:
+            hs, sig = g.incidence(v.id), scattering_matrix(g, v.id)
+            moves += [(index[h_in], index[(eid, 1 - end)], float(sig[a, j]),
+                       g.edge_obj(eid).length)
+                      for a, h_in in enumerate(hs) for j, (eid, end) in enumerate(hs)]
         moves.sort(key=lambda move: move[0])  # stable: j keeps its incidence order
         g._tables["bonds"] = tuple(np.array(col) for col in zip(*moves))
     return g._tables["bonds"]
@@ -393,7 +383,7 @@ def enumerate_walks(
         raise GraphError("max_length must be nonnegative")
     ex = g.check_point(x)
     ey = g.check_point(y)
-    sigmas = {v.id: scattering_matrix(g, v.id) for v in g.vertices}
+    sigmas = {v.id: (g.incidence(v.id), scattering_matrix(g, v.id)) for v in g.vertices}
     dvv = g.vertex_distances()
 
     def remaining(vid: str) -> float:
@@ -413,10 +403,10 @@ def enumerate_walks(
     while frontier:
         nxt = []
         for vid, h_in, acc, w, bounces in frontier:
-            sig = sigmas[vid]
-            i = sig.halfedges.index(h_in)
-            for j, h_out in enumerate(sig.halfedges):
-                w2 = w * float(sig.entries[i, j])
+            hs, sig = sigmas[vid]
+            i = hs.index(h_in)
+            for j, h_out in enumerate(hs):
+                w2 = w * float(sig[i, j])
                 if abs(w2) < _WEIGHT_FLOOR:
                     continue
                 e_out = g.edge_obj(h_out[0])

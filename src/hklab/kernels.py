@@ -24,7 +24,6 @@ from .graph import (
     GraphError,
     GraphPoint,
     MetricGraph,
-    ScatteringMatrix,
     _bond_table,
     _check_time,
     sigma_entries,
@@ -61,7 +60,7 @@ def kernel_star(degree, sigma, t, x, y) -> float:
     """Heat kernel of the star of half-lines joined at one vertex.
 
     ``x`` and ``y`` are (edge-index, arclength-from-vertex) pairs; ``sigma``
-    may be a ScatteringMatrix or a plain matrix.
+    is the vertex matrix, a plain array.
     """
     _check_time(t)
     alpha, s1 = x
@@ -70,7 +69,7 @@ def kernel_star(degree, sigma, t, x, y) -> float:
         raise ValueError("edge index must be an integer in range")
     if not (0 <= s1 < math.inf and 0 <= s2 < math.inf):
         raise ValueError("arclengths must be finite and nonnegative")
-    mat = sigma.entries if isinstance(sigma, ScatteringMatrix) else np.asarray(sigma)
+    mat = np.asarray(sigma)
     direct = gauss_free(t, s1 - s2) if alpha == beta else 0.0
     return float(direct + mat[alpha, beta] * gauss_free(t, s1 + s2))
 

@@ -1,9 +1,9 @@
 """Eigenvalues and eigenfunctions of the graph Laplacian; spectral heat kernel.
 
 Roots k of the secular equation are counted exactly, with multiplicity, by
-the eigenphases of the bond-scattering matrix sigma e^{ikL}; bisection on that
-count brackets every root, its jump gives the multiplicity, and the modes
-span the null space of the vertex condition system at the root.
+the eigenphases of the bond-scattering matrix U(k) = sigma e^{ikL}; bisection
+on that count brackets every root, its jump gives the multiplicity, and the
+modes come from the null space of I - U(k)^T at the root.
 
 ``eigen`` returns a ``ModeTable``: the frequencies and per-edge coefficients
 of every mode as read-only arrays.  The vertex check, the Gram matrix, the
@@ -63,27 +63,7 @@ class ModeTable:
         return rows[:, 0] * np.cos(ks) + rows[:, 1] * np.sin(ks) + rows[:, 2] * s[:, None]
 
 
-# -- vertex-condition system ---------------------------------------------------
-
-
-def _condition_matrix(g: MetricGraph, k: float) -> np.ndarray:
-    """Vertex conditions on the per-edge coefficients (A, B), one row per half-edge.
-
-    At end 0 of an edge the value is A and the outward derivative over k is B;
-    at end 1 they are A cos kL + B sin kL and A sin kL - B cos kL.
-    """
-    col = {e.id: 2 * i for i, e in enumerate(g.edges)}
-    rows = []
-    for v in g.vertices:
-        hs = g.incidence(v.id)
-        val, der = np.zeros((len(hs), 2 * len(g.edges))), np.zeros(2 * len(g.edges))
-        for r, (eid, end) in enumerate(hs):
-            kl = k * g.edge_obj(eid).length
-            c, s = (1.0, 0.0) if end == 0 else (math.cos(kl), math.sin(kl))
-            val[r, col[eid]:col[eid] + 2] = c, s
-            der[col[eid]:col[eid] + 2] += (s, c) if end == 0 else (s, -c)
-        rows.extend(val if v.condition == DIRICHLET else [*(val[:-1] - val[1:]), der])
-    return np.array(rows)
+# -- the modes of one root ------------------------------------------------------
 
 
 def _norm_matrix(g: MetricGraph, k: float) -> np.ndarray:
@@ -108,12 +88,22 @@ def _null_modes(g: MetricGraph, k: float, m: int) -> np.ndarray:
     """Coefficient rows of the m modes of a root k of multiplicity m,
     orthonormal in L2(G), shape (m, 2E) with (A, B) per edge.
 
-    The null space of the condition system is spanned by its m smallest
-    right-singular vectors; the Gram matrix of _norm_matrix orthonormalizes them.
+    The incoming bond amplitudes of a mode satisfy a = U(k)^T a, so the m
+    smallest right-singular vectors of I - U(k)^T, conjugated, span them.  On
+    edge i the mode is alpha e^{iks} + beta e^{-iks} with beta = a[2i], coming
+    in at s = 0, and alpha = a[2i+1] e^{-ik l_i}, coming in at s = l_i; so
+    A = alpha + beta and B = i(alpha - beta).  The real and imaginary parts of
+    these rows span the real modes; the Gram matrix of _norm_matrix
+    orthonormalizes them, keeping its m largest eigenvalues.
     """
-    null = np.linalg.svd(_condition_matrix(g, k))[2][-m:]
-    evals, evecs = np.linalg.eigh(null @ _norm_matrix(g, k) @ null.T)
-    return (evecs / np.sqrt(evals)).T @ null
+    n = 2 * len(g.edges)
+    a = np.linalg.svd(np.eye(n) - _bond_unitary(g, np.array([k]))[0].T)[2][-m:].conj()
+    beta = a[:, 0::2]
+    alpha = a[:, 1::2] * np.exp(-1j * k * np.array([e.length for e in g.edges]))
+    coef = np.stack([alpha + beta, 1j * (alpha - beta)], axis=2).reshape(m, n)
+    rows = np.concatenate([coef.real, coef.imag])
+    evals, evecs = np.linalg.eigh(rows @ _norm_matrix(g, k) @ rows.T)
+    return (evecs[:, -m:] / np.sqrt(evals[-m:])).T @ rows
 
 
 def _constant_modes(g: MetricGraph) -> np.ndarray:
@@ -144,24 +134,30 @@ _MAX_MODES = 100_000
 _STACK = 2**21
 
 
+def _bond_unitary(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
+    """The bond-scattering matrices U(k) = sigma e^{ikL} on ``graph._bond_table``,
+    one per k of a stack, shape (len(ks), 2E, 2E)."""
+    rows, cols, sigma, lengths = _bond_table(g)
+    n = 2 * len(g.edges)
+    u = np.zeros((ks.size, n, n), dtype=complex)
+    u[:, rows, cols] = sigma * np.exp(1j * np.outer(ks, lengths))
+    return u
+
+
 def _phase_count(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
     """(k sum_b L_b - sum_j theta_j(k)) / 2pi for each k of a stack.
 
-    theta_j in [0, 2pi) are the eigenphases of the bond-scattering matrix
-    U(k) = sigma e^{ikL} (``graph._bond_table``).  U is unitary and det U
-    turns as e^{ik sum_b L_b} with sum_b L_b twice the total length, while each
-    eigenphase turns forward; so this is an integer plus a constant, and it
-    steps up by m where m eigenphases pass through 0: at a root k of
-    multiplicity m (Kottos & Smilansky, Ann. Phys. 274, 1999).
+    theta_j in [0, 2pi) are the eigenphases of the bond-scattering matrix U(k)
+    (``_bond_unitary``).  U is unitary and det U turns as e^{ik sum_b L_b} with
+    sum_b L_b twice the total length, while each eigenphase turns forward; so
+    this is an integer plus a constant, and it steps up by m where m
+    eigenphases pass through 0: at a root k of multiplicity m (Kottos &
+    Smilansky, Ann. Phys. 274, 1999).
     """
-    rows, cols, sigma, lengths = _bond_table(g)
     n = 2 * len(g.edges)
-    phases = []
-    for chunk in np.array_split(ks, -(-ks.size * n * n // _STACK)):
-        u = np.zeros((chunk.size, n, n), dtype=complex)
-        u[:, rows, cols] = sigma * np.exp(1j * np.outer(chunk, lengths))
-        phases.append((np.angle(np.linalg.eigvals(u)) % (2.0 * math.pi)).sum(axis=1))
-    return (2.0 * g.total_length * ks - np.concatenate(phases)) / (2.0 * math.pi)
+    chunks = np.array_split(ks, -(-ks.size * n * n // _STACK))
+    phases = [np.angle(np.linalg.eigvals(_bond_unitary(g, c))) % (2.0 * math.pi) for c in chunks]
+    return (2.0 * g.total_length * ks - np.concatenate(phases).sum(axis=1)) / (2.0 * math.pi)
 
 
 def eigen(g: MetricGraph, k_max: float) -> ModeTable:

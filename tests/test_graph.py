@@ -65,11 +65,11 @@ class TestParse:
 class TestScatteringMatrix:
     def test_kirchhoff_deg3(self, star3):
         sig = scattering_matrix(star3, "c")
-        assert np.allclose(np.diag(sig.entries), -1.0 / 3.0)
-        off = sig.entries[~np.eye(3, dtype=bool)]
+        assert np.allclose(np.diag(sig), -1.0 / 3.0)
+        off = sig[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 2.0 / 3.0)
-        assert np.allclose(sig.entries, sig.entries.T)
-        assert np.allclose(sig.entries.sum(axis=1), 1.0)
+        assert np.allclose(sig, sig.T)
+        assert np.allclose(sig.sum(axis=1), 1.0)
 
     def test_kirchhoff_deg2_invisible(self):
         g = make_graph(
@@ -77,12 +77,12 @@ class TestScatteringMatrix:
             [("e1", "a", "m", 1.0), ("e2", "m", "b", 1.0)],
         )
         sig = scattering_matrix(g, "m")
-        assert np.array_equal(sig.entries, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(sig, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_dirichlet_is_minus_identity(self, star3_dirichlet_leaves):
         sig = scattering_matrix(star3_dirichlet_leaves, "l1")
-        assert np.array_equal(sig.entries, np.array([[-1.0]]))
-        assert sig.entries.sum() == -1.0
+        assert np.array_equal(sig, np.array([[-1.0]]))
+        assert sig.sum() == -1.0
 
     def test_dirichlet_higher_degree_rows(self):
         g = make_graph(
@@ -90,12 +90,18 @@ class TestScatteringMatrix:
             [("e1", "a", "m", 1.0), ("e2", "m", "b", 1.0)],
         )
         sig = scattering_matrix(g, "m")
-        assert np.array_equal(sig.entries, -np.eye(2))
-        assert np.allclose(sig.entries.sum(axis=1), -1.0)
+        assert np.array_equal(sig, -np.eye(2))
+        assert np.allclose(sig.sum(axis=1), -1.0)
 
     def test_unknown_vertex(self, star3):
         with pytest.raises(GraphError):
             scattering_matrix(star3, "zz")
+
+    def test_plain_read_only_array(self, star3):
+        sig = scattering_matrix(star3, "c")
+        assert isinstance(sig, np.ndarray) and sig.shape == (3, 3)
+        with pytest.raises(ValueError):
+            sig[0, 0] = 0.0
 
 
 class TestDistance:
@@ -201,7 +207,6 @@ class TestWalks:
         for w in walks:
             prod = 1.0
             for vid, ein, eout in w.bounces:
-                sig = scattering_matrix(star3, vid)
                 d = star3.degree(vid)
                 prod *= (2.0 / d) if ein != eout else (2.0 / d - 1.0)
             assert w.weight == pytest.approx(prod, rel=1e-12)
