@@ -60,16 +60,18 @@ def kernel_star(degree, sigma, t, x, y) -> float:
     """Heat kernel of the star of half-lines joined at one vertex.
 
     ``x`` and ``y`` are (edge-index, arclength-from-vertex) pairs; ``sigma``
-    is the vertex matrix, a plain array.
+    is the degree x degree vertex matrix.
     """
     _check_time(t)
+    mat = np.asarray(sigma)
+    if mat.shape != (degree, degree):
+        raise ValueError(f"sigma must be {degree} x {degree}, got shape {mat.shape}")
     alpha, s1 = x
     beta, s2 = y
     if not all(isinstance(i, (int, np.integer)) and 0 <= i < degree for i in (alpha, beta)):
         raise ValueError("edge index must be an integer in range")
     if not (0 <= s1 < math.inf and 0 <= s2 < math.inf):
         raise ValueError("arclengths must be finite and nonnegative")
-    mat = np.asarray(sigma)
     direct = gauss_free(t, s1 - s2) if alpha == beta else 0.0
     return float(direct + mat[alpha, beta] * gauss_free(t, s1 + s2))
 

@@ -104,6 +104,12 @@ class TestKernelStar:
         with pytest.raises(ValueError, match="must be"):
             kernel_star(3, star_sigma(3), 0.1, x, y)
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_wrong_sigma_shape_rejected(self, size):
+        # a 4 x 4 matrix gave 0.356 from the wrong entries, a 2 x 2 one an IndexError
+        with pytest.raises(ValueError, match="sigma must be 3 x 3"):
+            kernel_star(3, star_sigma(size), 0.1, (2, 0.1), (0, 0.2))
+
     def test_numpy_integer_index_accepted(self):
         sig = star_sigma(3)
         assert kernel_star(3, sig, 0.1, (np.int64(0), 0.1), (1, 0.2)) == kernel_star(
