@@ -275,9 +275,12 @@ def _cmd_mc(args):
         iso = _iso_from_doc(g_a, g_b, doc["map"])
         u = SubdomainSpec(g_a, tuple((e, float(lo), float(hi)) for e, lo, hi in doc["u"]))
         seed = acceptance.base_seed(int(doc.get("seed", acceptance.DEFAULT_SEED)))
+        paths = float(doc["paths"])
+        if not paths.is_integer():
+            raise GraphError(f"n_paths must be a whole number, got {doc['paths']!r}")
         cfg_obj = SpliceConfig(
             g_a, g_b, u, iso, _point(doc["x0"]), float(doc["T"]), float(doc["h"]),
-            int(doc["paths"]), seed,
+            int(paths), seed,
         )
         ens = splice(cfg_obj)
         counts, edges = histogram_counts(

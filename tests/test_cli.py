@@ -198,8 +198,9 @@ class TestMcCommand:
         assert "n_paths must be at least 1" in json.loads(captured.err)["error"]
         assert "stay fraction" not in captured.out
 
-    @pytest.mark.parametrize("paths", [0, -1])
+    @pytest.mark.parametrize("paths", [0, -1, 2.7])
     def test_splice_bad_path_count_exit_2(self, workdir, paths, capsys):
+        # 2.7 used to run 2 paths and exit 0
         cfg = {
             "graph_a": str(workdir / "interval_d.json"),
             "graph_b": str(workdir / "interval.json"),
@@ -215,7 +216,8 @@ class TestMcCommand:
                    "--out", str(workdir)])
         assert rc == 2
         captured = capsys.readouterr()
-        assert "n_paths must be at least 1" in json.loads(captured.err)["error"]
+        message = "at least 1" if paths < 1 else "a whole number"
+        assert f"n_paths must be {message}" in json.loads(captured.err)["error"]
         assert not (workdir / "ensemble.csv").exists()
 
     def test_splice_config(self, workdir):
