@@ -6,8 +6,8 @@ on that count brackets every root, its jump gives the multiplicity, and the
 modes come from the null space of I - U(k)^T at the root.
 
 ``eigen`` returns a ``ModeTable``: the frequencies and per-edge coefficients
-of every mode as read-only arrays.  The vertex check, the Gram matrix, the
-eigen report, the traces and ``kernel_spectral`` all read those arrays.
+of every mode as read-only arrays.  The vertex check, the eigen report, the
+traces and ``kernel_spectral`` all read those arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from itertools import groupby
 
 import numpy as np
 
-from ._quad import simpson_nodes
 from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _bond_table, _check_time
 from .kernels import KernelEval, TruncationError
 
@@ -242,22 +241,6 @@ def vertex_residuals(modes: ModeTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- derived quantities ---------------------------------------------------------
-
-
-def mode_gram(modes: ModeTable) -> np.ndarray:
-    """L2 Gram matrix of a mode table by composite Simpson on every edge.
-
-    Nodes are at most an eighth of the edge and pi/20 over the largest
-    frequency (or 1) apart.
-    """
-    step_k = math.pi / (20.0 * max(modes.k_max, 1.0))
-    phi, weights = [], []
-    for e in modes.graph.edges:
-        s, w = simpson_nodes(e.length, min(e.length / 8.0, step_k))
-        phi.append(modes.at([e.id] * len(s), s))
-        weights.append(w)
-    phi = np.concatenate(phi)
-    return phi.T @ (np.concatenate(weights)[:, None] * phi)
 
 
 def kernel_spectral(

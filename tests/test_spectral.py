@@ -6,6 +6,7 @@ import pytest
 
 from conftest import GRAPH_KINDS, make_graph, make_star, random_graph
 from hklab import spectral
+from hklab._quad import simpson_nodes
 from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import TruncationError, kernel_interval, kernel_pathsum
 from hklab.spectral import (
@@ -14,9 +15,25 @@ from hklab.spectral import (
     eigen,
     eigen_report,
     kernel_spectral,
-    mode_gram,
     vertex_residuals,
 )
+
+
+def mode_gram(modes, per_wave=20):
+    """L2 Gram matrix of a mode table by composite Simpson on every edge: the
+    reference for the orthonormality the table's modes are built with.
+
+    Nodes are at most an eighth of the edge and pi/per_wave over the largest
+    frequency (or 1) apart.
+    """
+    step_k = math.pi / (per_wave * max(modes.k_max, 1.0))
+    phi, weights = [], []
+    for e in modes.graph.edges:
+        s, w = simpson_nodes(e.length, min(e.length / 8.0, step_k))
+        phi.append(modes.at([e.id] * len(s), s))
+        weights.append(w)
+    phi = np.concatenate(phi)
+    return phi.T @ (np.concatenate(weights)[:, None] * phi)
 
 
 def mode_at(modes, m, edge, s):
@@ -117,6 +134,19 @@ class TestEigen:
     def test_orthonormality(self, star3):
         modes = eigen(star3, 12.0)
         gram = mode_gram(modes)
+        assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-8
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS + ["star7"])
+    def test_orthonormality_loops_and_clusters(self, kind):
+        # loops, multi-edges, Dirichlet vertices, unequal lengths, and the
+        # multiplicity-6 roots of an equal 7-star; Simpson at pi/20 per unit
+        # of frequency is only good to about 4e-7 on these edges
+        if kind == "star7":
+            g = make_star([1.0] * 7)
+        else:
+            g = random_graph(kind, np.random.default_rng(3))
+        modes = eigen(g, 12.0)
+        gram = mode_gram(modes, per_wave=80)
         assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-8
 
     def test_rejects_bad_kmax(self, interval):
