@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -302,29 +303,18 @@ def region_contributions(g: MetricGraph, region: str, params: dict, t: float) ->
 def decomposition_coefficients(g: MetricGraph, eps):
     """Exact (vol, half, const) of the full epsilon-decomposition, all regions."""
     eps = _check_eps(g, eps)
-    vol = SymCoeff()
-    half = SymCoeff()
-    const = SymCoeff()
     eids = [e.id for e in g.edges]
     vids = [v.id for v in g.vertices]
-    p = {"eps": eps}
-    for i, e1 in enumerate(eids):
-        for e2 in eids[i + 1:]:
-            c = region_coefficients(g, "A", {**p, "edges": (e1, e2)})
-            vol, half, const = vol + c[0], half + c[1], const + c[2]
-    for e in eids:
-        c = region_coefficients(g, "B", {**p, "edge": e})
-        vol, half, const = vol + c[0], half + c[1], const + c[2]
-    for v in vids:
-        for e in eids:
-            c = region_coefficients(g, "C", {**p, "vertex": v, "edge": e})
-            vol, half, const = vol + c[0], half + c[1], const + c[2]
-    for i, v1 in enumerate(vids):
-        for v2 in vids[i + 1:]:
-            c = region_coefficients(g, "D", {**p, "vertices": (v1, v2)})
-            vol, half, const = vol + c[0], half + c[1], const + c[2]
-    for v in vids:
-        c = region_coefficients(g, "E", {**p, "vertex": v})
+    regions = (
+        [("A", {"edges": pair}) for pair in combinations(eids, 2)]
+        + [("B", {"edge": e}) for e in eids]
+        + [("C", {"vertex": v, "edge": e}) for v in vids for e in eids]
+        + [("D", {"vertices": pair}) for pair in combinations(vids, 2)]
+        + [("E", {"vertex": v}) for v in vids]
+    )
+    vol, half, const = SymCoeff(), SymCoeff(), SymCoeff()
+    for region, params in regions:
+        c = region_coefficients(g, region, {"eps": eps, **params})
         vol, half, const = vol + c[0], half + c[1], const + c[2]
     return vol, half, const
 
