@@ -78,6 +78,14 @@ def _point(text: str) -> GraphPoint:
     return GraphPoint(edge, float(s))
 
 
+def _whole(value, name: str) -> int:
+    """A count or seed from a config document; a fraction, inf or NaN is refused
+    rather than truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise GraphError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _grid(text: str, name: str) -> np.ndarray:
     """The geometric grid lo..hi of n points given as lo:hi:n."""
     try:
@@ -274,17 +282,14 @@ def _cmd_mc(args):
         g_b = parse_graph(Path(doc["graph_b"]).read_text())
         iso = _iso_from_doc(g_a, g_b, doc["map"])
         u = SubdomainSpec(g_a, tuple((e, float(lo), float(hi)) for e, lo, hi in doc["u"]))
-        seed = acceptance.base_seed(int(doc.get("seed", acceptance.DEFAULT_SEED)))
-        paths = float(doc["paths"])
-        if not paths.is_integer():
-            raise GraphError(f"n_paths must be a whole number, got {doc['paths']!r}")
+        seed = acceptance.base_seed(_whole(doc.get("seed", acceptance.DEFAULT_SEED), "seed"))
         cfg_obj = SpliceConfig(
             g_a, g_b, u, iso, _point(doc["x0"]), float(doc["T"]), float(doc["h"]),
-            int(paths), seed,
+            _whole(doc["paths"], "paths"), seed,
         )
         ens = splice(cfg_obj)
         counts, edges = histogram_counts(
-            ens.endpoint_coords(), 0.0, g_b.total_length, int(doc.get("bins", 20))
+            ens.endpoint_coords(), 0.0, g_b.total_length, _whole(doc.get("bins", 20), "bins")
         )
         out = Path(args.out) / "ensemble.csv"
         _write_csv(

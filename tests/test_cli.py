@@ -216,8 +216,29 @@ class TestMcCommand:
                    "--out", str(workdir)])
         assert rc == 2
         captured = capsys.readouterr()
-        message = "at least 1" if paths < 1 else "a whole number"
-        assert f"n_paths must be {message}" in json.loads(captured.err)["error"]
+        message = "n_paths must be at least 1" if paths < 1 else "paths must be a whole number"
+        assert message in json.loads(captured.err)["error"]
+        assert not (workdir / "ensemble.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("bins", 2.5), ("seed", 5.5), ("bins", math.inf)])
+    def test_splice_fractional_bins_or_seed_exit_2(self, workdir, key, value, capsys):
+        # 2.5 bins used to give 2, and seed 5.5 ran (and recorded) seed 5
+        cfg = {
+            "graph_a": str(workdir / "interval_d.json"),
+            "graph_b": str(workdir / "interval.json"),
+            "u": [["e", 0.25, 0.75]],
+            "map": MAP,
+            "x0": "e:0.5",
+            "T": 0.01,
+            "h": 0.01,
+            "paths": 20,
+            key: value,
+        }
+        (workdir / "splice.json").write_text(json.dumps(cfg))
+        rc = main(["mc", "splice", "--config", str(workdir / "splice.json"),
+                   "--out", str(workdir)])
+        assert rc == 2
+        assert f"{key} must be a whole number" in json.loads(capsys.readouterr().err)["error"]
         assert not (workdir / "ensemble.csv").exists()
 
     def test_splice_config(self, workdir):
