@@ -9,10 +9,8 @@ from .graph import (  # noqa: F401
     GraphError,
     GraphPoint,
     MetricGraph,
-    ScatteringWalk,
     Vertex,
     distance,
-    enumerate_walks,
     load_graph,
     parse_graph,
     scattering_matrix,

@@ -86,6 +86,15 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _require(doc, keys, name: str):
+    """Refuse a document that is not a JSON object or lacks one of the keys."""
+    if not isinstance(doc, dict):
+        raise GraphError(f"{name} must be a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise GraphError(f"{name} has no {', '.join(map(repr, missing))}")
+
+
 def _grid(text: str, name: str) -> np.ndarray:
     """The geometric grid lo..hi of n points given as lo:hi:n."""
     try:
@@ -112,6 +121,11 @@ def _subdomain(g, text: str) -> SubdomainSpec:
 
 
 def _iso_from_doc(g_a, g_b, doc: dict) -> IsometryMap:
+    _require(doc, ("pieces",), "map document")
+    if not isinstance(doc["pieces"], list):
+        raise GraphError("map document 'pieces' must be a list")
+    for p in doc["pieces"]:
+        _require(p, ("edge_a", "lo_a", "hi_a", "edge_b", "lo_b"), "map piece")
     pieces = tuple(
         MapPiece(
             p["edge_a"], float(p["lo_a"]), float(p["hi_a"]),
@@ -254,6 +268,9 @@ def _cmd_decompose(args):
 
 def _cmd_mc(args):
     if args.action == "simulate":
+        missing = [f"--{k}" for k in ("graph", "x0", "T", "h") if getattr(args, k) is None]
+        if missing:
+            raise GraphError(f"mc simulate requires {', '.join(missing)}")
         g = load_graph(args.graph)
         u = _subdomain(g, args.u) if args.u else None
         seed = acceptance.base_seed(args.seed)
@@ -278,6 +295,8 @@ def _cmd_mc(args):
         if not args.config:
             raise GraphError("mc splice requires --config")
         doc = json.loads(Path(args.config).read_text())
+        _require(doc, ("graph_a", "graph_b", "map", "u", "x0", "T", "h", "paths"),
+                 "splice config")
         g_a = parse_graph(Path(doc["graph_a"]).read_text())
         g_b = parse_graph(Path(doc["graph_b"]).read_text())
         iso = _iso_from_doc(g_a, g_b, doc["map"])
@@ -337,11 +356,13 @@ def _cmd_twoparticle(args):
                 "a_0": fit.a_0,
                 "residual": fit.residual,
             }
+            pairs = {name: (getattr(fit, name), getattr(pred, name))
+                     for name in ("a_minus1", "a_half", "a_0")}
+            # a coefficient predicted to be exactly 0 has no relative error
             payload["relative_errors"] = {
-                "a_minus1": abs(fit.a_minus1 / pred.a_minus1 - 1.0),
-                "a_half": abs(fit.a_half / pred.a_half - 1.0),
-                "a_0": abs(fit.a_0 / pred.a_0 - 1.0),
+                name: None if p == 0.0 else abs(f / p - 1.0) for name, (f, p) in pairs.items()
             }
+            payload["absolute_errors"] = {name: abs(f - p) for name, (f, p) in pairs.items()}
         out = Path(args.out) / "fit_report.json"
         _write_json(out, payload, cfg)
         print(

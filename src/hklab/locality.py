@@ -342,6 +342,10 @@ class MapPiece:
     lo_b: float
     sign: int  # +1 keeps orientation, -1 reverses it
 
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise SubdomainError(f"map piece sign must be +1 or -1, got {self.sign!r}")
+
     def apply(self, s: float) -> float:
         return self.lo_b + (s - self.lo_a) if self.sign > 0 else self.lo_b + (self.hi_a - s)
 

@@ -4,7 +4,8 @@ The state space is the symmetric product of the graph with itself; its heat
 kernel is the symmetrized product of single-particle kernels.  The module
 computes heat traces by quadrature and by eigenvalue-pair sums, the
 closed-form small-time contributions of an epsilon-decomposition of the state
-space, and the predicted trace coefficients for all-Kirchhoff graphs.
+space, and the predicted trace coefficients of any graph, which follow from
+the total length and the constant term of the one-particle trace.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from ._quad import _check_step, simpson_weights
-from .graph import KIRCHHOFF, GraphError, GraphPoint, MetricGraph, _check_time, sigma_entries
+from .graph import GraphError, GraphPoint, MetricGraph, _check_time, sigma_entries
 from .kernels import kernel_pathsum, pathsum
 from .spectral import ModeTable, eigen, spectral_tail_bound
 
@@ -180,14 +181,6 @@ class SymCoeff:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _as_coeff(other)
-        return SymCoeff(self.q - other.q, self.r2 - other.r2, self.ip - other.ip)
-
-    def scale(self, factor) -> "SymCoeff":
-        f = Fraction(factor)
-        return SymCoeff(self.q * f, self.r2 * f, self.ip * f)
-
     def __float__(self):
         return float(self.q) + float(self.r2) * SQRT2 + float(self.ip) / math.pi
 
@@ -333,32 +326,23 @@ class AsymptoticFit:
 
 
 def predicted_coefficients_exact(g: MetricGraph):
-    """Exact (vol, half, const) of the small-time trace expansion.
+    """Exact (vol, half, const) of the small-time trace expansion, on any graph.
 
     Same units as region_coefficients: the trace tends to
-    vol/(4 pi t) + half/(8 sqrt(pi t)) + const.  All vertices Kirchhoff.
+    vol/(4 pi t) + half/(8 sqrt(pi t)) + const.  The one-particle trace is
+    Z_1(t) = L/(2 sqrt(pi t)) + c0 + O(exp(-l_min^2/4t)) with
+    c0 = 1/4 sum_v tr sigma_v (Kottos & Smilansky 1999), so the
+    symmetrization identity Z(t) = (Z_1(t)^2 + Z_1(2t))/2 gives
+    vol = L^2/2, half = 4 L c0 + sqrt(2) L and const = c0^2/2 + c0/2.
     """
-    if any(v.condition != KIRCHHOFF for v in g.vertices):
-        raise GraphError("predicted coefficients require all-Kirchhoff vertices")
-    L = Fraction(0)
-    for e in g.edges:
-        L += Fraction(e.length)
-    n_v = len(g.vertices)
-    n_e = len(g.edges)
-    vol = SymCoeff(L * L / 2)
-    half = SymCoeff(2 * L * (n_v - n_e), L)
-    const = SymCoeff()
-    degs = [g.degree(v.id) for v in g.vertices]
-    for i, d1 in enumerate(degs):
-        for d2 in degs[i + 1:]:
-            const = const + SymCoeff(Fraction((2 - d1) * (2 - d2), 16))
-    for d in degs:
-        const = const + SymCoeff(Fraction(3, 8) - Fraction(d, 4) + Fraction(d * d, 32))
-    return vol, half, const
+    L = sum(Fraction(e.length) for e in g.edges)
+    c0 = sum(_sigma_sums(g, v.id)[1] for v in g.vertices) / 4
+    return SymCoeff(L * L / 2), SymCoeff(4 * L * c0, L), SymCoeff(c0 * c0 / 2 + c0 / 2)
 
 
 def predicted_coefficients(g: MetricGraph) -> AsymptoticFit:
-    """Predicted trace coefficients (a_minus1, a_half, a_0) for Kirchhoff graphs."""
+    """Predicted trace coefficients (a_minus1, a_half, a_0) from the total
+    length L and the one-particle constant c0, on any graph."""
     vol, half, const = predicted_coefficients_exact(g)
     return AsymptoticFit(
         float(vol) / (4.0 * math.pi),

@@ -24,6 +24,18 @@ INTERVAL_D = {
     "edges": [{"id": "e", "u": "a", "v": "b", "length": 1.0}],
 }
 
+TRIANGLE = {
+    "vertices": [{"id": v, "condition": "kirchhoff"} for v in "abc"],
+    "edges": [{"id": f"e{i}", "u": u, "v": v, "length": 1.0}
+              for i, (u, v) in enumerate(("ab", "bc", "ca"))],
+}
+
+STAR_D = {
+    "vertices": [{"id": "c", "condition": "kirchhoff"}]
+    + [{"id": f"l{i}", "condition": "dirichlet"} for i in range(3)],
+    "edges": [{"id": f"e{i}", "u": "c", "v": f"l{i}", "length": 1.0} for i in range(3)],
+}
+
 MAP = {
     "pieces": [
         {"edge_a": "e", "lo_a": 0.25, "hi_a": 0.75, "edge_b": "e", "lo_b": 0.25,
@@ -36,6 +48,8 @@ MAP = {
 def workdir(tmp_path):
     (tmp_path / "interval.json").write_text(json.dumps(INTERVAL))
     (tmp_path / "interval_d.json").write_text(json.dumps(INTERVAL_D))
+    (tmp_path / "triangle.json").write_text(json.dumps(TRIANGLE))
+    (tmp_path / "star_d.json").write_text(json.dumps(STAR_D))
     (tmp_path / "map.json").write_text(json.dumps(MAP))
     bad = dict(INTERVAL)
     bad["edges"] = [{"id": "e1", "u": "a", "v": "b", "length": -0.5}]
@@ -150,6 +164,25 @@ class TestLocalityCommand:
         assert len(doc["sup_diffs"]) == 8
         assert "config_hash" in doc
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"pieces": [{k: v for k, v in MAP["pieces"][0].items() if k != "lo_b"}]},
+         "map piece has no 'lo_b'"),
+        ({}, "map document has no 'pieces'"),
+        ({"pieces": [dict(MAP["pieces"][0], sign=0)]}, "sign must be +1 or -1"),
+    ], ids=["no_lo_b", "no_pieces", "sign_0"])
+    def test_malformed_map_exit_2(self, workdir, doc, message, capsys):
+        # the first two used to end in a KeyError traceback, and sign 0 ran
+        (workdir / "bad_map.json").write_text(json.dumps(doc))
+        rc = main([
+            "locality", "--graph-a", str(workdir / "interval.json"),
+            "--graph-b", str(workdir / "interval_d.json"),
+            "--map", str(workdir / "bad_map.json"), "--V", "0.4:0.6",
+            "--tgrid", "0.01:0.05:8", "--out", str(workdir),
+        ])
+        assert rc == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (workdir / "certificate.json").exists()
+
 
 class TestMcCommand:
     def test_simulate_deterministic_bytes(self, workdir):
@@ -198,6 +231,19 @@ class TestMcCommand:
         assert "n_paths must be at least 1" in json.loads(captured.err)["error"]
         assert "stay fraction" not in captured.out
 
+    @pytest.mark.parametrize("option", ["--graph", "--x0", "--T", "--h"])
+    def test_simulate_missing_option_exit_2(self, workdir, option, capsys):
+        # each used to end in a TypeError or AttributeError traceback
+        args = {"--graph": str(workdir / "interval.json"), "--x0": "e:0.5",
+                "--T": "0.01", "--h": "0.01"}
+        del args[option]
+        argv = ["mc", "simulate", "--paths", "10", "--out", str(workdir)]
+        for k, v in args.items():
+            argv += [k, v]
+        assert main(argv) == 2
+        assert f"mc simulate requires {option}" in json.loads(capsys.readouterr().err)["error"]
+        assert not (workdir / "ensemble.csv").exists()
+
     @pytest.mark.parametrize("paths", [0, -1, 2.7])
     def test_splice_bad_path_count_exit_2(self, workdir, paths, capsys):
         # 2.7 used to run 2 paths and exit 0
@@ -239,6 +285,29 @@ class TestMcCommand:
                    "--out", str(workdir)])
         assert rc == 2
         assert f"{key} must be a whole number" in json.loads(capsys.readouterr().err)["error"]
+        assert not (workdir / "ensemble.csv").exists()
+
+    @pytest.mark.parametrize("malform, message", [
+        (lambda cfg: {k: v for k, v in cfg.items() if k != "T"}, "splice config has no 'T'"),
+        (lambda cfg: [cfg], "splice config must be a JSON object"),
+    ], ids=["no_T", "list"])
+    def test_splice_malformed_config_exit_2(self, workdir, malform, message, capsys):
+        # a missing key used to end in a KeyError traceback, and a list in a TypeError
+        cfg = {
+            "graph_a": str(workdir / "interval_d.json"),
+            "graph_b": str(workdir / "interval.json"),
+            "u": [["e", 0.25, 0.75]],
+            "map": MAP,
+            "x0": "e:0.5",
+            "T": 0.01,
+            "h": 0.01,
+            "paths": 20,
+        }
+        (workdir / "splice.json").write_text(json.dumps(malform(cfg)))
+        rc = main(["mc", "splice", "--config", str(workdir / "splice.json"),
+                   "--out", str(workdir)])
+        assert rc == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (workdir / "ensemble.csv").exists()
 
     def test_splice_config(self, workdir):
@@ -328,6 +397,18 @@ class TestOtherCommands:
         doc = json.loads((workdir / "fit_report.json").read_text())
         assert doc["predicted"]["a_0"] == pytest.approx(0.375)
         assert doc["relative_errors"]["a_0"] < 0.01
+
+    @pytest.mark.parametrize("graph", ["triangle.json", "star_d.json"])
+    def test_twoparticle_predict_fit_zero_a0(self, workdir, graph):
+        # both predict a_0 = 0, which used to raise ZeroDivisionError
+        assert main(["twoparticle", "predict", "--graph", str(workdir / graph),
+                     "--fit", "--out", str(workdir)]) == 0
+        doc = json.loads((workdir / "fit_report.json").read_text())
+        pred, rel, err = doc["predicted"], doc["relative_errors"], doc["absolute_errors"]
+        assert pred["a_0"] == 0.0 and rel["a_0"] is None
+        assert rel["a_minus1"] < 1e-6 and rel["a_half"] < 1e-6
+        assert err["a_0"] < 1e-6
+        assert err["a_half"] == pytest.approx(rel["a_half"] * abs(pred["a_half"]))
 
     def test_twoparticle_trace(self, workdir):
         assert main(["twoparticle", "trace", "--graph",

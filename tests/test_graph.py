@@ -7,12 +7,12 @@ from hklab.graph import (
     GraphError,
     GraphPoint,
     distance,
-    enumerate_walks,
     parse_graph,
     scattering_matrix,
 )
 
 from conftest import make_graph
+from walk_reference import enumerate_walks
 
 MINIMAL = """
 {"vertices":[{"id":"u","condition":"kirchhoff"},{"id":"v","condition":"kirchhoff"}],

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import GRAPH_KINDS, make_graph, make_star, random_graph
+from walk_reference import enumerate_walks
 from hklab._quad import simpson_nodes
-from hklab.graph import GraphError, GraphPoint, enumerate_walks
+from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import (
     _BLOCK,
     _certified_lambda,

@@ -280,6 +280,12 @@ class TestLocalityCompare:
                        for x in pts for y in pts)
             assert abs(sup - loop) <= floor < sup
 
+    @pytest.mark.parametrize("sign", [0, 2, -3])
+    def test_map_piece_sign_must_be_unit(self, sign):
+        # 0 and -3 used to reverse the orientation, and 2 to keep it
+        with pytest.raises(SubdomainError, match="sign must be"):
+            MapPiece("e", 0.25, 0.75, "e", 0.25, sign)
+
     def test_v_must_sit_inside_u(self, interval, interval_dirichlet):
         u_n = interval_subdomain(interval, "e", 0.25, 0.75)
         u_d = interval_subdomain(interval_dirichlet, "e", 0.25, 0.75)

@@ -19,12 +19,24 @@ from hklab.twoparticle import (
     predicted_coefficients_exact,
     region_coefficients,
     region_contributions,
+    single_trace_eigen,
     trace_series,
     trace_two_particle,
     trace_two_particle_eigen,
 )
 
-from conftest import make_graph
+from conftest import make_graph, make_star
+
+K, D = "kirchhoff", "dirichlet"
+# graphs with Dirichlet vertices; every edge is at least 0.6 and the loop 1,
+# so their periodic orbits are long enough for small-time checks
+INTERVAL_DK = make_graph([("a", D), ("b", K)], [("e", "a", "b", 1.0)])
+LOLLIPOP_D = make_graph([("o", K), ("l", D)],
+                        [("loop", "o", "o", 1.0), ("stem", "o", "l", 0.6)])
+TRIANGLE_DDK = make_graph([("a", D), ("b", D), ("c", K)],
+                          [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.0), ("e3", "c", "a", 1.0)])
+MULTI_D = make_graph([("a", K), ("b", D)],
+                     [("e1", "a", "b", 0.6), ("e2", "a", "b", 0.8), ("e3", "a", "b", 1.2)])
 
 
 class TestKernelTwoParticle:
@@ -134,9 +146,12 @@ class TestRegions:
 
     @pytest.mark.parametrize("eps", [Fraction(1, 16), Fraction(1, 10), Fraction(3, 50)])
     def test_full_decomposition_matches_predicted(
-        self, eps, interval, star3, triangle, circle
+        self, eps, interval, star3, triangle, circle, interval_dirichlet,
+        star3_dirichlet_leaves,
     ):
-        for g in (interval, star3, triangle, circle):
+        for g in (interval, star3, triangle, circle, interval_dirichlet,
+                  star3_dirichlet_leaves, INTERVAL_DK, LOLLIPOP_D, TRIANGLE_DDK,
+                  make_star([1.0, 0.75, 0.5], D), MULTI_D):
             dec = decomposition_coefficients(g, eps)
             pred = predicted_coefficients_exact(g)
             assert dec[0] == pred[0]
@@ -179,9 +194,37 @@ class TestPredicted:
         assert f1.a_half == pytest.approx(f2.a_half, rel=1e-14)
         assert f1.a_0 == pytest.approx(f2.a_0, abs=1e-14)
 
-    def test_requires_kirchhoff(self, interval_dirichlet):
-        with pytest.raises(GraphError):
-            predicted_coefficients(interval_dirichlet)
+    def test_dirichlet_interval_values(self, interval_dirichlet):
+        fit = predicted_coefficients(interval_dirichlet)
+        assert fit.a_minus1 == pytest.approx(1.0 / (8 * math.pi), rel=1e-14)
+        # Neumann diagonal of length sqrt(2), two Dirichlet sides of length 1
+        assert fit.a_half == pytest.approx(
+            (math.sqrt(2) - 2) / (8 * math.sqrt(math.pi)), rel=1e-14
+        )
+        # cross-check: the Dirichlet corner pi/2 plus two mixed
+        # Dirichlet/Neumann corners pi/4 of the triangle
+        corner = lambda th: (math.pi**2 - th**2) / (24 * math.pi * th)
+        mixed = lambda th: -(math.pi**2 + 2 * th**2) / (48 * math.pi * th)
+        assert fit.a_0 == pytest.approx(corner(math.pi / 2) + 2 * mixed(math.pi / 4),
+                                        rel=1e-12)
+        assert fit.a_0 == -0.125
+
+    @pytest.mark.parametrize("g, c0", [
+        (make_graph([("a", D), ("b", D)], [("e", "a", "b", 1.0)]), Fraction(-1, 2)),
+        (INTERVAL_DK, Fraction(0)),
+        (make_star([1.0, 1.0, 1.0], D), Fraction(-1)),
+        (LOLLIPOP_D, Fraction(-1, 2)),
+        (TRIANGLE_DDK, Fraction(-1)),
+        (MULTI_D, Fraction(-1)),
+    ], ids=["dd", "dk", "star_d", "lollipop_d", "triangle_ddk", "multi_d"])
+    def test_one_particle_constant(self, g, c0):
+        # Z_1(t) - L/(2 sqrt(pi t)) is the constant c0 = 1/4 sum_v tr sigma_v
+        # up to the periodic-orbit terms, of order e^-50 here
+        t = 0.005
+        z1 = single_trace_eigen(eigen(g, 90.0), t)
+        assert abs(z1 - g.total_length / (2 * math.sqrt(math.pi * t)) - float(c0)) < 1e-9
+        L = sum(Fraction(e.length) for e in g.edges)
+        assert predicted_coefficients_exact(g)[1] == SymCoeff(4 * L * c0, L)
 
 
 class TestFit:
