@@ -78,10 +78,18 @@ def _point(text: str) -> GraphPoint:
     return GraphPoint(edge, float(s))
 
 
+def _real(value, name: str) -> float:
+    """A number from a config document; null, a list, a string or a boolean
+    is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GraphError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(value, name: str) -> int:
     """A count or seed from a config document; a fraction, inf or NaN is refused
     rather than truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    if not _real(value, name).is_integer():
         raise GraphError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -128,8 +136,8 @@ def _iso_from_doc(g_a, g_b, doc: dict) -> IsometryMap:
         _require(p, ("edge_a", "lo_a", "hi_a", "edge_b", "lo_b"), "map piece")
     pieces = tuple(
         MapPiece(
-            p["edge_a"], float(p["lo_a"]), float(p["hi_a"]),
-            p["edge_b"], float(p["lo_b"]), int(p.get("sign", 1)),
+            p["edge_a"], _real(p["lo_a"], "lo_a"), _real(p["hi_a"], "hi_a"),
+            p["edge_b"], _real(p["lo_b"], "lo_b"), _whole(p.get("sign", 1), "sign"),
         )
         for p in doc["pieces"]
     )
@@ -300,10 +308,11 @@ def _cmd_mc(args):
         g_a = parse_graph(Path(doc["graph_a"]).read_text())
         g_b = parse_graph(Path(doc["graph_b"]).read_text())
         iso = _iso_from_doc(g_a, g_b, doc["map"])
-        u = SubdomainSpec(g_a, tuple((e, float(lo), float(hi)) for e, lo, hi in doc["u"]))
+        u = SubdomainSpec(g_a, tuple((e, _real(lo, "u lo"), _real(hi, "u hi"))
+                                     for e, lo, hi in doc["u"]))
         seed = acceptance.base_seed(_whole(doc.get("seed", acceptance.DEFAULT_SEED), "seed"))
         cfg_obj = SpliceConfig(
-            g_a, g_b, u, iso, _point(doc["x0"]), float(doc["T"]), float(doc["h"]),
+            g_a, g_b, u, iso, _point(doc["x0"]), _real(doc["T"], "T"), _real(doc["h"], "h"),
             _whole(doc["paths"], "paths"), seed,
         )
         ens = splice(cfg_obj)

@@ -35,8 +35,12 @@ class GraphError(ValueError):
 
 
 def _check_time(t, name: str = "t"):
-    """Reject a time that is NaN, infinite or not positive."""
-    if not 0.0 < t < math.inf:
+    """Reject a time, or an array with a time, that is NaN, infinite or not positive."""
+    if isinstance(t, np.ndarray):
+        bad = t[~((t > 0.0) & (t < math.inf))]
+        if bad.size:
+            raise GraphError(f"{name} must be finite and positive, got {float(bad[0])!r}")
+    elif not 0.0 < t < math.inf:
         raise GraphError(f"{name} must be finite and positive, got {t!r}")
 
 
@@ -108,12 +112,7 @@ class MetricGraph:
         for v in self.vertices:
             if not tables["incidence"][v.id]:
                 raise GraphError(f"isolated vertex {v.id!r}", offending=v.id)
-        tables["hash"] = hash((self.vertices, self.edges))
         object.__setattr__(self, "_tables", tables)
-
-    def __hash__(self):
-        # computed once: walk families and truncation lengths are memoized by graph
-        return self._tables["hash"]
 
     # -- lookups ---------------------------------------------------------
 

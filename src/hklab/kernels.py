@@ -6,14 +6,17 @@ expansion at the closed-form length where a rigorous Gaussian tail bound meets
 the tolerance, and enumerates the walks on ``graph._bond_table``.
 ``kernel_pathsum`` evaluates one point pair and reports the remainder, length
 and walk count; ``pathsum`` broadcasts arclengths sx against sy, so that one
-call gives a profile, a diagonal or a grid.
+call gives a profile, a diagonal or a grid, and broadcasts times t against
+both, so that one walk enumeration serves every time of an array.  Truncation
+lengths and walk families are memoized in the graph's own tables, at most
+``_MEMO_SIZE`` entries per graph, and are freed with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -179,15 +182,35 @@ def pathsum_tail_bound(g: MetricGraph, t: float, lam: float) -> float:
     return math.exp(min(log_b - 0.5 * math.log(4.0 * math.pi * t), 700.0))
 
 
-@lru_cache(maxsize=4096)
+# each graph memoizes at most this many truncation lengths and walk families
+_MEMO_SIZE = 4096
+
+
+def _memo_per_graph(fn):
+    """Memoize fn(g, *args) in ``g._tables``; a full memo is cleared."""
+
+    @wraps(fn)
+    def memoized(g: MetricGraph, *args):
+        memo = g._tables.setdefault("walk_memo", {})
+        key = (fn.__name__, *args)
+        if key not in memo:
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            memo[key] = fn(g, *args)
+        return memo[key]
+
+    return memoized
+
+
+@_memo_per_graph
 def _certified_lambda(g: MetricGraph, t: float, tol: float) -> tuple[float, float]:
     """(lambda, tail bound): the shortest truncation length certifying tol.
 
     At each tabulated r the bound meets tol at the larger root
     lam = 2tr + sqrt(4t^2 r^2 + 4t C(r)), C(r) = ln Z(r) - ln(tol sqrt(4 pi t)),
     or, with no real root, at the validity floor 2tr; lambda is the minimum
-    over r.  Memoized per (graph, t, tol), so grid evaluations reuse the
-    cached walk families.
+    over r.  Memoized per graph and (t, tol), so evaluations at one time
+    reuse the memoized walk families.
     """
     _check_time(t)
     if not 0.0 < tol < math.inf:
@@ -202,7 +225,7 @@ def _certified_lambda(g: MetricGraph, t: float, tol: float) -> tuple[float, floa
     return lam, bound
 
 
-@lru_cache(maxsize=4096)
+@_memo_per_graph
 def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float):
     """Scattering-walk families from edge_x into edge_y with mid-length <= lam.
 
@@ -262,16 +285,18 @@ _IN_PLACE = 1 << 10
 
 
 def _eval_pathsum(g, t, edge_x, sx, edge_y, sy, lam):
-    """Walk sum at flat arclengths sx, sy (equal sizes, or size 1) and the
-    number of walks summed; a lone point takes one dot product per family."""
+    """Walk sum at flat arclengths sx, sy and times t (a scalar t, or an
+    array; equal sizes, or size 1) and the number of walks summed; a lone
+    point takes one dot product per family."""
     fams = _families(g, edge_x, edge_y, lam)
     sizes = [ls.size for ls, _ in fams.values()]
     same = edge_x == edge_y
     ax = (sx, g.edge_obj(edge_x).length - sx)
     by = (sy, g.edge_obj(edge_y).length - sy)
     c = -4.0 * t  # exp(d*d/c) / norm is gauss_free(t, d), bit for bit
-    norm = math.sqrt(4.0 * math.pi * t)
-    total = gauss_free(t, sx - sy) if same else np.zeros(max(sx.size, sy.size))
+    norm = np.sqrt(4.0 * math.pi * t)
+    d = sx - sy
+    total = np.exp(d * d / c) / norm if same else np.zeros(max(sx.size, sy.size))
     step = max(1, _BLOCK // max(1, total.size))
     for (d1, d2), (ls, ws) in fams.items():
         base = ax[d1] + by[d2]
@@ -301,23 +326,43 @@ def kernel_pathsum(
 
 
 def pathsum(
-    g: MetricGraph, t: float, edge_x: str, sx, edge_y: str, sy, tol: float = 1e-10
+    g: MetricGraph, t, edge_x: str, sx, edge_y: str, sy, tol: float = 1e-10
 ) -> tuple[np.ndarray, float]:
     """p_t between arclengths sx on edge_x and sy on edge_y, numpy-broadcast.
 
     A scalar against an array gives a profile, two equal arrays the diagonal,
     ``sx[:, None]`` against ``sy[None, :]`` a grid.  Returns (values, tail
     bound); the values agree with ``kernel_pathsum`` to rounding.
+
+    ``t`` may be an array too, broadcast with sx and sy.  Then one truncation
+    length lambda serves every time: the one certified at t_max, raised to
+    sqrt(2 t_max) if shorter.  At each admissible r the tail bound goes as
+    e^{-lambda^2/4s}/sqrt(s), nondecreasing in s while lambda^2 >= 2s, and
+    each r admissible at t_max (2 t_max r <= lambda) is admissible at every
+    s < t_max; so the bound at t_max, which is returned, holds at every time.
     """
-    lam, tail = _certified_lambda(g, t, tol)
-    sx, sy = np.broadcast_arrays(np.asarray(sx, dtype=float), np.asarray(sy, dtype=float))
+    scalar = np.ndim(t) == 0
+    if scalar:
+        t = float(t)
+        lam, tail = _certified_lambda(g, t, tol)
+    else:
+        t = np.asarray(t, dtype=float)
+        _check_time(t)
+        t_max = float(t.max())
+        lam, tail = _certified_lambda(g, t_max, tol)
+        if lam * lam < 2.0 * t_max:
+            lam = math.sqrt(2.0 * t_max)
+            tail = pathsum_tail_bound(g, t_max, lam)
+    ts, sx, sy = np.broadcast_arrays(t, np.asarray(sx, dtype=float),
+                                     np.asarray(sy, dtype=float))
     for edge, s in ((edge_x, sx), (edge_y, sy)):
         length = g.edge_obj(edge).length
         off = ~((s >= 0.0) & (s <= length))
         if off.any():
             raise GraphError(f"point s={s[off][0]} off edge {edge!r} of length {length}",
                              offending=edge)
-    values, _ = _eval_pathsum(g, t, edge_x, sx.ravel(), edge_y, sy.ravel(), lam)
+    values, _ = _eval_pathsum(g, t if scalar else ts.ravel(), edge_x, sx.ravel(),
+                              edge_y, sy.ravel(), lam)
     return values.reshape(sx.shape), tail
 
 

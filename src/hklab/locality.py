@@ -210,20 +210,27 @@ def _cut_inward(spec: SubdomainSpec, b: GraphPoint):
 
 
 def exit_density(
-    spec: SubdomainSpec, x: GraphPoint, b: GraphPoint, s: float, tol: float = 1e-12
-) -> float:
+    spec: SubdomainSpec, x: GraphPoint, b: GraphPoint, s, tol: float = 1e-12
+):
     """Density in s of the first exit through cut point b, started from x.
 
     Computed as the inward derivative of the killed kernel at b, by one-sided
-    differences with Richardson extrapolation (steps 1e-4 and 5e-5).
+    differences with Richardson extrapolation (steps 1e-4 and 5e-5); both
+    points come from one ``pathsum`` call.  ``s`` may be an array of times,
+    which returns an array of densities from that one call.
     """
+    s = np.asarray(s, dtype=float)
     _check_time(s, "s")
     _, _, _, sgn = _cut_inward(spec, b)
+    cg, to_cut, _ = spec.cut_graph()
+    xc = to_cut(x)  # SubdomainError unless x is in the closure of U
     h1, h2 = 1e-4, 5e-5
-    v1 = kernel_killed(spec, s, x, GraphPoint(b.edge, b.s + sgn * h1), tol=tol).value
-    v2 = kernel_killed(spec, s, x, GraphPoint(b.edge, b.s + sgn * h2), tol=tol).value
-    d1, d2 = v1 / h1, v2 / h2
-    return 2.0 * d2 - d1
+    near = [to_cut(GraphPoint(b.edge, b.s + sgn * h)) for h in (h1, h2)]
+    vals, _ = pathsum(cg, s[..., None] if s.ndim else float(s), xc.edge, xc.s,
+                      near[0].edge, [p.s for p in near], tol=tol)
+    d1, d2 = vals[..., 0] / h1, vals[..., 1] / h2
+    out = 2.0 * d2 - d1
+    return out if s.ndim else float(out)
 
 
 def decomposition_residual(
@@ -238,20 +245,21 @@ def decomposition_residual(
 
     |p_t(x,y) - p^U_t(x,y) - sum_b int_0^t q_b(s) p_{t-s}(b,y) ds| with q_b the
     exit density through cut point b; the time integral uses composite Simpson
-    with the given step.
+    with the given step.  Each cut point takes one ``exit_density`` call and
+    one ``pathsum`` call over all the interior Simpson nodes, so each walk
+    enumeration serves every node.
     """
     g = spec.parent
     full = kernel_pathsum(g, t, x, y, tol=tol).value
     killed = kernel_killed(spec, t, x, y, tol=tol).value
     s_nodes, w = simpson_nodes(t, time_step)
+    inner = (s_nodes > 0.0) & (s_nodes < t)  # both factors vanish in the limits
     flux = 0.0
     for b in spec.cut_points:
         integrand = np.zeros_like(s_nodes)
-        for i, s in enumerate(s_nodes):
-            if s <= 0.0 or s >= t:
-                continue  # both factors vanish in the limits
-            q = exit_density(spec, x, b, float(s), tol=tol)
-            integrand[i] = q * kernel_pathsum(g, t - float(s), b, y, tol=tol).value
+        q = exit_density(spec, x, b, s_nodes[inner], tol=tol)
+        p, _ = pathsum(g, t - s_nodes[inner], b.edge, b.s, y.edge, y.s, tol=tol)
+        integrand[inner] = q * p
         flux += float(np.dot(w, integrand))
     return abs(full - killed - flux)
 

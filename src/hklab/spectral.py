@@ -167,7 +167,11 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
     first eigenvalue is at least (pi/2L)^2, Nicaise 1987).  Every bracket of
     (k_lo, k_max] over which N jumps is bisected, all at once, until it is
     1e-13 relative wide; its midpoint is one distinct root and the jump is its
-    multiplicity.  The modes found must number N(k_max) plus the constant
+    multiplicity.  Adjacent jumping brackets are merged into one root, at the
+    midpoint of their span with their summed jump: rounding can pull the
+    eigenphases of a multiple root apart by less than a bracket, and the
+    brackets' separate null spaces would then give modes that are not
+    orthogonal.  The modes found must number N(k_max) plus the constant
     modes, and each must meet every vertex condition (``vertex_residuals``
     within 1e-10 for the value and 1e-8 for the flux), or ``GraphError`` is
     raised.
@@ -192,9 +196,12 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
         ns = np.insert(ns, wide + 1, np.rint(_phase_count(g, mid) - base).astype(int))
     rows = [_constant_modes(g)]
     freqs = [0.0] * len(rows[0])
-    for i in np.flatnonzero(jump):
-        k = 0.5 * (ks[i] + ks[i + 1])
-        rows.append(_null_modes(g, k, int(ns[i + 1] - ns[i])))
+    # a run of adjacent jumping brackets is one root that rounding split
+    starts = np.flatnonzero(jump & ~np.r_[False, jump[:-1]])
+    stops = np.flatnonzero(jump & ~np.r_[jump[1:], False]) + 1
+    for lo, hi in zip(starts, stops):
+        k = 0.5 * (ks[lo] + ks[hi])
+        rows.append(_null_modes(g, k, int(ns[hi] - ns[lo])))
         freqs += [k] * len(rows[-1])
     expected = ns[-1] + len(rows[0])
     if len(freqs) != expected:

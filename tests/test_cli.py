@@ -310,6 +310,32 @@ class TestMcCommand:
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (workdir / "ensemble.csv").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("T", None, "T must be a number, got None"),
+        ("h", [1], "h must be a number, got [1]"),
+        ("map", {"pieces": [dict(MAP["pieces"][0], lo_b=None)]},
+         "lo_b must be a number, got None"),
+    ], ids=["T_null", "h_list", "lo_b_null"])
+    def test_splice_non_number_exit_2(self, workdir, key, value, message, capsys):
+        # each used to end in a TypeError traceback
+        cfg = {
+            "graph_a": str(workdir / "interval_d.json"),
+            "graph_b": str(workdir / "interval.json"),
+            "u": [["e", 0.25, 0.75]],
+            "map": MAP,
+            "x0": "e:0.5",
+            "T": 0.01,
+            "h": 0.01,
+            "paths": 20,
+            key: value,
+        }
+        (workdir / "splice.json").write_text(json.dumps(cfg))
+        rc = main(["mc", "splice", "--config", str(workdir / "splice.json"),
+                   "--out", str(workdir)])
+        assert rc == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (workdir / "ensemble.csv").exists()
+
     def test_splice_config(self, workdir):
         cfg = {
             "graph_a": str(workdir / "interval_d.json"),

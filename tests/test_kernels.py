@@ -278,6 +278,58 @@ def test_pathsum_matches_enumerated_walks(request, name, t, tol):
 
 
 
+class TestTimeAxis:
+    """pathsum with an array of times: one truncation length, certified at the
+    largest time, serves every time of the array."""
+
+    TIMES = np.array([0.003, 0.012, 0.035, 0.06, 0.02])
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS + ["interval_dirichlet"])
+    def test_matches_scalar_calls(self, request, kind):
+        if kind == "interval_dirichlet":
+            g = request.getfixturevalue(kind)
+        else:
+            g = random_graph(kind, np.random.default_rng(5))
+        rng = np.random.default_rng(9)
+        tol = 1e-10
+        for ex, ey in ((g.edges[0], g.edges[0]), (g.edges[0], g.edges[-1])):
+            sx = rng.uniform(0.0, ex.length, 4)
+            sy = np.append(rng.uniform(0.0, ey.length, 3), 0.0)
+            vals, tail = pathsum(g, self.TIMES[:, None], ex.id, sx, ey.id, sy, tol=tol)
+            assert vals.shape == (self.TIMES.size, sx.size)
+            for t, row in zip(self.TIMES, vals):
+                ref, _ = pathsum(g, float(t), ex.id, sx, ey.id, sy, tol=tol)
+                assert np.all(np.abs(row - ref) <= 2.0 * tol)
+            # a time axis against scalar points
+            prof, _ = pathsum(g, self.TIMES, ex.id, sx[0], ey.id, sy[0], tol=tol)
+            assert np.array_equal(prof, vals[:, 0])
+
+    @pytest.mark.parametrize("case", ["star", "triangle", "lollipop", "long_dirichlet"])
+    def test_tail_covers_every_time(self, case):
+        if case == "long_dirichlet":
+            # a tolerance this loose certifies a lambda below sqrt(2 t_max),
+            # which the time axis raises to sqrt(2 t_max)
+            g = make_graph([("a", "dirichlet"), ("b", "dirichlet")], [("e", "a", "b", 30.0)])
+            ts, tol = np.array([0.2, 1.0, 3.0]), 0.5
+        else:
+            g = random_graph(case, np.random.default_rng(5))
+            ts, tol = self.TIMES, 1e-10
+        t_max = float(ts.max())
+        lam = max(_certified_lambda(g, t_max, tol)[0], math.sqrt(2.0 * t_max))
+        e = g.edges[0]
+        _, tail = pathsum(g, ts, e.id, 0.3 * e.length, e.id, 0.6 * e.length, tol=tol)
+        assert tail <= tol
+        for t in ts:
+            assert tail >= pathsum_tail_bound(g, float(t), lam)
+
+    def test_0d_time_is_a_scalar_time(self, star3):
+        # a 0-d array takes the scalar path, with the truncation length of t
+        sx = np.linspace(0.0, 1.0, 7)
+        a, tail_a = pathsum(star3, 0.02, "e1", sx, "e2", 0.4)
+        b, tail_b = pathsum(star3, np.array(0.02), "e1", sx, "e2", 0.4)
+        assert np.array_equal(a, b) and tail_a == tail_b
+
+
 def _at_floor(g, t, lam):
     # lambda sits at a validity floor 2tr of the tangent bound, not at a root
     r, _ = _resolvent_table(g)

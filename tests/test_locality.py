@@ -138,6 +138,27 @@ class TestExitDensity:
             oracle = a * math.exp(-a * a / (4 * s)) / math.sqrt(4 * math.pi * s**3)
             assert exit_density(u, x, b, s) == pytest.approx(oracle, rel=1e-3)
 
+    def test_time_array_matches_scalar_calls(self, line, star3):
+        # one call over an array of times certifies its truncation at the
+        # largest; each kernel value moves by at most 2 tol, so the density
+        # by at most (2/h2 + 1/h1) 2 tol
+        tol = 1e-12
+        allow = (2.0 / 5e-5 + 1.0 / 1e-4) * 2.0 * tol
+        s = np.array([0.002, 0.01, 0.03, 0.1, 0.05])
+        for u, x in ((interval_subdomain(line, "e", 3.0, 4.0), GraphPoint("e", 3.3)),
+                     (ball_subdomain(star3, "c", 0.4), GraphPoint("e1", 0.2))):
+            for b in u.cut_points:
+                q = exit_density(u, x, b, s, tol=tol)
+                assert q.shape == s.shape
+                ref = np.array([exit_density(u, x, b, float(si), tol=tol) for si in s])
+                assert np.all(np.abs(q - ref) <= allow)
+                assert np.array_equal(exit_density(u, x, b, s[:, None], tol=tol)[:, 0], q)
+
+    def test_start_outside_u(self, line):
+        u = interval_subdomain(line, "e", 3.0, 4.0)
+        with pytest.raises(SubdomainError):
+            exit_density(u, GraphPoint("e", 5.0), u.cut_points[0], 0.1)
+
     def test_not_a_cut_point(self, line):
         u = interval_subdomain(line, "e", 3.0, 4.0)
         with pytest.raises(SubdomainError):

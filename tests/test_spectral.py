@@ -337,6 +337,27 @@ class TestUnequalLengthsAndLoops:
                 ps = kernel_pathsum(g, t, x, y, tol=1e-10).value
                 assert abs(kernel_spectral(g, t, x, y, modes).value - ps) <= 1e-8
 
+    def test_split_double_root_is_one_root(self):
+        # on this star rounding pulls the two eigenphases of the double root
+        # k = 3.27249234748937 apart, and bisection used to leave it as two
+        # adjacent brackets of jump 1, 1.7e-13 apart, each given its own mode:
+        # the two had L2 inner product -0.119, and the eigenmode kernel missed
+        # the walk sum by 0.114 at t = 0.017
+        g = make_graph([("c", "kirchhoff")]
+                       + [(f"l{i}", "kirchhoff" if i < 3 else "dirichlet") for i in range(5)],
+                       [(f"e{i}", "c", f"l{i}", 0.48) for i in range(5)])
+        t = 0.017056118208448403
+        modes = eigen(g, math.sqrt(math.log(1e14) / t) + 5.0)
+        rows = [r for r in eigen_report(modes) if abs(r["k"] - 3.2724923474893) < 1e-9]
+        assert [r["multiplicity"] for r in rows] == [2]
+        gram = mode_gram(modes, per_wave=160)
+        assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-8
+        pts = [GraphPoint(e.id, s) for e in g.edges for s in (0.1, 0.35)]
+        for x in pts:
+            for y in pts:
+                ps = kernel_pathsum(g, t, x, y, tol=1e-10).value
+                assert abs(kernel_spectral(g, t, x, y, modes).value - ps) <= 1e-8
+
 
 def loop_reference(t, x, y, modes):
     """The spectral sum one mode at a time, and the sum of its |terms|."""

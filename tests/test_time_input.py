@@ -51,6 +51,8 @@ CALLS = {
     "pathsum_at_profile": lambda g, t: pathsum(g, t, X.edge, X.s, "e", S),
     "pathsum_at_diagonal": lambda g, t: pathsum(g, t, "e", S, "e", S),
     "pathsum_at_grid": lambda g, t: pathsum(g, t, "e", S[:, None], "e", S[None, :]),
+    # a bad time after a good one in a time array
+    "pathsum_time_array": lambda g, t: pathsum(g, np.array([0.05, t])[:, None], "e", S, "e", S),
     "semigroup_t": lambda g, t: kernel_semigroup_residual(g, t, 0.05, X, X),
     "semigroup_s": lambda g, t: kernel_semigroup_residual(g, 0.05, t, X, X),
     "pathsum_tail_bound": lambda g, t: pathsum_tail_bound(g, t, 2.0),
@@ -70,6 +72,8 @@ CALLS = {
         g, "B", {"eps": 0.1, "edge": "e"}, t),
     "exit_density": lambda g, t: exit_density(
         interval_subdomain(g, "e", 0.25, 0.75), X, GraphPoint("e", 0.25), t),
+    "exit_density_time_array": lambda g, t: exit_density(
+        interval_subdomain(g, "e", 0.25, 0.75), X, GraphPoint("e", 0.25), np.array([0.05, t])),
     "kernel_killed": lambda g, t: kernel_killed(
         interval_subdomain(g, "e", 0.25, 0.75), t, X, X),
     "decomposition_residual": lambda g, t: decomposition_residual(
