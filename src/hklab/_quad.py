@@ -6,16 +6,12 @@ import math
 
 import numpy as np
 
-
-def _check_step(step: float):
-    """Reject a quadrature step that is NaN, infinite or not positive."""
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be finite and positive, got {step!r}")
+from .graph import _check_time
 
 
 def simpson_nodes(length: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of composite Simpson on [0, length] with ~step spacing."""
-    _check_step(step)
+    _check_time(step, "step")
     n = max(2, int(math.ceil(length / step)))
     if n % 2:
         n += 1

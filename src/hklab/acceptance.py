@@ -45,13 +45,7 @@ from .twoparticle import (
     trace_two_particle,
     trace_two_particle_eigen,
 )
-from .wiener import (
-    SpliceConfig,
-    chi_square_two_sample,
-    histogram_counts,
-    simulate_ensemble,
-    splice,
-)
+from .wiener import SpliceConfig, compare_ensembles, simulate_ensemble, splice
 
 DEFAULT_SEED = 20260808
 
@@ -267,20 +261,15 @@ def _wiener_ensembles(seed: int):
 
 def _criterion_5_stats(seed: int):
     cfg, spliced, direct_n, direct_d = _wiener_ensembles(seed)
-    c1, _ = histogram_counts(spliced.endpoint_coords(), 0.0, 1.0, 20)
-    c2, _ = histogram_counts(direct_n.endpoint_coords(), 0.0, 1.0, 20)
-    _, p_same = chi_square_two_sample(c1, c2)
+    _, p_same = compare_ensembles(spliced, direct_n)
     # paths that never left U versus the killed-kernel mass
     stay = spliced.stay_fraction()
     cg, to_cut, _ = interval_subdomain(interval_graph(), "e", 0.25, 0.75).cut_graph()
-    x = to_cut(GraphPoint("e", 0.5))
-    nodes, w = simpson_nodes(0.5, 2e-4)
-    vals, _ = pathsum(cg, cfg.T, x.edge, x.s, x.edge, nodes)
-    stay_exact = float(np.dot(w, vals))
+    stay_exact = kernel_mass(cg, cfg.T, to_cut(GraphPoint("e", 0.5)), step_frac=4e-4,
+                             tol=1e-10)
     se = math.sqrt(stay_exact * (1.0 - stay_exact) / cfg.n_paths)
     z_stay = (stay - stay_exact) / se
-    c3, _ = histogram_counts(direct_d.endpoint_coords(), 0.0, 1.0, 20)
-    _, p_control = chi_square_two_sample(c2, c3)
+    _, p_control = compare_ensembles(direct_n, direct_d)
     return p_same, z_stay, p_control, stay, stay_exact
 
 
@@ -491,13 +480,12 @@ ALL_CRITERIA = {
 }
 
 
-def run_all(only=None, printer=print) -> list[CriterionResult]:
+def run_all(only=None) -> list[CriterionResult]:
     results = []
     for idx in sorted(ALL_CRITERIA):
         if only and idx not in only:
             continue
         res = ALL_CRITERIA[idx]()
         results.append(res)
-        if printer:
-            printer(res.line())
+        print(res.line())
     return results

@@ -71,6 +71,16 @@ def _write_json(path: Path, payload: dict, cfg: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
 
 
+def _write_histogram(out_dir: str, ens, bins: int, cfg: dict) -> Path:
+    """Write ensemble.csv: counts of the surviving endpoints in bins over the
+    global arclength of the ensemble's graph (graph B for a splice)."""
+    counts, edges = histogram_counts(ens.endpoint_coords(), 0.0, ens.graph.total_length, bins)
+    out = Path(out_dir) / "ensemble.csv"
+    rows = [[edges[i], edges[i + 1], counts[i]] for i in range(len(counts))]
+    _write_csv(out, ["bin_lo", "bin_hi", "count"], rows, cfg)
+    return out
+
+
 def _point(text: str) -> GraphPoint:
     edge, _, s = text.rpartition(":")
     if not edge:
@@ -84,6 +94,13 @@ def _real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _text(value, name: str) -> str:
+    """A string from a config document; null, a number or a list is refused."""
+    if not isinstance(value, str):
+        raise GraphError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _whole(value, name: str) -> int:
@@ -136,8 +153,9 @@ def _iso_from_doc(g_a, g_b, doc: dict) -> IsometryMap:
         _require(p, ("edge_a", "lo_a", "hi_a", "edge_b", "lo_b"), "map piece")
     pieces = tuple(
         MapPiece(
-            p["edge_a"], _real(p["lo_a"], "lo_a"), _real(p["hi_a"], "hi_a"),
-            p["edge_b"], _real(p["lo_b"], "lo_b"), _whole(p.get("sign", 1), "sign"),
+            _text(p["edge_a"], "edge_a"), _real(p["lo_a"], "lo_a"), _real(p["hi_a"], "hi_a"),
+            _text(p["edge_b"], "edge_b"), _real(p["lo_b"], "lo_b"),
+            _whole(p.get("sign", 1), "sign"),
         )
         for p in doc["pieces"]
     )
@@ -157,8 +175,6 @@ def _load_map(g_a, g_b, path: str) -> IsometryMap:
 
 
 def _cmd_graph(args):
-    if args.action != "validate":
-        raise GraphError(f"unknown graph action {args.action!r}")
     g = load_graph(args.path)
     print(
         f"ok: {len(g.vertices)} vertices, {len(g.edges)} edges, "
@@ -179,15 +195,13 @@ def _cmd_kernel(args):
         _check_time(args.t)  # k_max is derived from t before kernel_spectral sees it
         k_max = math.sqrt(math.log(max(4.0 / args.tol, 8.0)) / args.t) + 3.0
         ev = kernel_spectral(g, args.t, x, y, eigen(g, k_max))
-    elif args.method == "interval":
+    else:  # interval
         if len(g.edges) != 1:
             raise GraphError("interval method needs a single-edge graph")
         e = g.edges[0]
         ev = kernel_interval(
             e.length, g.condition(e.u), g.condition(e.v), args.t, x.s, y.s
         )
-    else:
-        raise GraphError(f"unknown method {args.method!r}")
     out = Path(args.out) / "kernel.csv"
     lam, walks = ("", "") if ev.lam is None else (ev.lam, ev.walks)
     _write_csv(
@@ -283,17 +297,7 @@ def _cmd_mc(args):
         u = _subdomain(g, args.u) if args.u else None
         seed = acceptance.base_seed(args.seed)
         ens = simulate_ensemble(g, _point(args.x0), args.T, args.h, seed, args.paths, U=u)
-        coords = ens.endpoint_coords()
-        counts, edges = histogram_counts(coords, 0.0, g.total_length, args.bins)
-        cfg = _options(args)
-        cfg["seed"] = seed
-        out = Path(args.out) / "ensemble.csv"
-        _write_csv(
-            out,
-            ["bin_lo", "bin_hi", "count"],
-            [[edges[i], edges[i + 1], counts[i]] for i in range(len(counts))],
-            cfg,
-        )
+        out = _write_histogram(args.out, ens, args.bins, {**_options(args), "seed": seed})
         print(
             f"{args.paths} paths, {int(ens.alive.sum())} surviving, "
             f"stay fraction {_fmt(ens.stay_fraction())} -> {out}"
@@ -305,33 +309,30 @@ def _cmd_mc(args):
         doc = json.loads(Path(args.config).read_text())
         _require(doc, ("graph_a", "graph_b", "map", "u", "x0", "T", "h", "paths"),
                  "splice config")
-        g_a = parse_graph(Path(doc["graph_a"]).read_text())
-        g_b = parse_graph(Path(doc["graph_b"]).read_text())
+        g_a = parse_graph(Path(_text(doc["graph_a"], "graph_a")).read_text())
+        g_b = parse_graph(Path(_text(doc["graph_b"], "graph_b")).read_text())
         iso = _iso_from_doc(g_a, g_b, doc["map"])
-        u = SubdomainSpec(g_a, tuple((e, _real(lo, "u lo"), _real(hi, "u hi"))
-                                     for e, lo, hi in doc["u"]))
+        pieces = doc["u"]
+        if not isinstance(pieces, list) or not all(
+            isinstance(p, list) and len(p) == 3 for p in pieces
+        ):
+            raise GraphError(f"u must be a list of [edge, lo, hi] triples, got {pieces!r}")
+        u = SubdomainSpec(g_a, tuple(
+            (_text(e, "u edge"), _real(lo, "u lo"), _real(hi, "u hi")) for e, lo, hi in pieces
+        ))
         seed = acceptance.base_seed(_whole(doc.get("seed", acceptance.DEFAULT_SEED), "seed"))
         cfg_obj = SpliceConfig(
-            g_a, g_b, u, iso, _point(doc["x0"]), _real(doc["T"], "T"), _real(doc["h"], "h"),
-            _whole(doc["paths"], "paths"), seed,
+            g_a, g_b, u, iso, _point(_text(doc["x0"], "x0")), _real(doc["T"], "T"),
+            _real(doc["h"], "h"), _whole(doc["paths"], "paths"), seed,
         )
         ens = splice(cfg_obj)
-        counts, edges = histogram_counts(
-            ens.endpoint_coords(), 0.0, g_b.total_length, _whole(doc.get("bins", 20), "bins")
-        )
-        out = Path(args.out) / "ensemble.csv"
-        _write_csv(
-            out,
-            ["bin_lo", "bin_hi", "count"],
-            [[edges[i], edges[i + 1], counts[i]] for i in range(len(counts))],
-            {**doc, "seed": seed},
-        )
+        out = _write_histogram(args.out, ens, _whole(doc.get("bins", 20), "bins"),
+                               {**doc, "seed": seed})
         print(
             f"spliced {cfg_obj.n_paths} paths, stay fraction "
             f"{_fmt(ens.stay_fraction())} -> {out}"
         )
         return 0
-    raise GraphError(f"unknown mc action {args.action!r}")
 
 
 def _cmd_twoparticle(args):
@@ -379,7 +380,6 @@ def _cmd_twoparticle(args):
             f"a_0={_fmt(pred.a_0)} -> {out}"
         )
         return 0
-    raise GraphError(f"unknown twoparticle action {args.action!r}")
 
 
 _ENERGY_FUNCTIONS = {
@@ -389,8 +389,6 @@ _ENERGY_FUNCTIONS = {
 
 
 def _cmd_energy(args):
-    if args.action != "study":
-        raise GraphError(f"unknown energy action {args.action!r}")
     g = load_graph(args.graph)
     try:
         fn = _ENERGY_FUNCTIONS[args.f]
@@ -410,6 +408,10 @@ def _cmd_energy(args):
 
 def _cmd_selftest(args):
     only = set(int(x) for x in args.only.split(",")) if args.only else None
+    unknown = sorted(only - acceptance.ALL_CRITERIA.keys()) if only else []
+    if unknown:
+        raise GraphError(f"--only names unknown criteria {unknown}; "
+                         f"the criteria are {sorted(acceptance.ALL_CRITERIA)}")
     results = acceptance.run_all(only=only)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")

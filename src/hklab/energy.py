@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _check_step
-from .graph import GraphError, MetricGraph
+from .graph import GraphError, MetricGraph, _check_time
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class SampledFunction:
 
     def __post_init__(self):
         g = self.graph
-        _check_step(self.step)
+        _check_time(self.step, "step")
         for e in g.edges:
             arr = self.values.get(e.id)
             if arr is None or len(arr) < 2:
@@ -70,7 +69,7 @@ class SampledFunction:
 
 def sample_function(g: MetricGraph, fn, step: float) -> SampledFunction:
     """Sample fn(edge_id, s_array) on uniform per-edge grids of ~step spacing."""
-    _check_step(step)
+    _check_time(step, "step")
     values = {}
     for e in g.edges:
         n = max(2, int(math.ceil(e.length / step)))

@@ -190,23 +190,11 @@ def ball_subdomain(g: MetricGraph, vertex_id: str, radius: float) -> SubdomainSp
 def kernel_killed(
     spec: SubdomainSpec, t: float, x: GraphPoint, y: GraphPoint, tol: float = 1e-10
 ) -> KernelEval:
-    """Heat kernel of U with absorption at the cut points."""
-    if not spec.contains(x, strict=False) or not spec.contains(y, strict=False):
-        raise SubdomainError("killed kernel arguments must lie in U")
+    """Heat kernel of U with absorption at the cut points; x and y must lie in
+    the closure of U, or the map into the cut graph raises SubdomainError."""
     cg, to_cut, _ = spec.cut_graph()
     ev = kernel_pathsum(cg, t, to_cut(x), to_cut(y), tol=tol)
     return KernelEval(t, x, y, ev.value, ev.tail_bound, ev.lam, ev.walks)
-
-
-def _cut_inward(spec: SubdomainSpec, b: GraphPoint):
-    """The U piece adjacent to a cut point and the inward direction sign."""
-    for eid, lo, hi in spec.pieces:
-        if eid == b.edge:
-            if b.s == lo and lo > 0.0:
-                return eid, lo, hi, +1.0
-            if b.s == hi and hi < spec.parent.edge_obj(eid).length:
-                return eid, lo, hi, -1.0
-    raise SubdomainError(f"{b} is not a cut point of U")
 
 
 def exit_density(
@@ -217,13 +205,17 @@ def exit_density(
     Computed as the inward derivative of the killed kernel at b, by one-sided
     differences with Richardson extrapolation (steps 1e-4 and 5e-5); both
     points come from one ``pathsum`` call.  ``s`` may be an array of times,
-    which returns an array of densities from that one call.
+    which returns an array of densities from that one call.  b must be a cut
+    point of U and x lie in the closure of U, else SubdomainError; the inward
+    side of b is read off the cut graph, where b starts or ends its edge.
     """
     s = np.asarray(s, dtype=float)
     _check_time(s, "s")
-    _, _, _, sgn = _cut_inward(spec, b)
+    if b not in spec.cut_points:
+        raise SubdomainError(f"{b} is not a cut point of U")
     cg, to_cut, _ = spec.cut_graph()
-    xc = to_cut(x)  # SubdomainError unless x is in the closure of U
+    xc = to_cut(x)
+    sgn = 1.0 if to_cut(b).s == 0.0 else -1.0
     h1, h2 = 1e-4, 5e-5
     near = [to_cut(GraphPoint(b.edge, b.s + sgn * h)) for h in (h1, h2)]
     vals, _ = pathsum(cg, s[..., None] if s.ndim else float(s), xc.edge, xc.s,
@@ -444,13 +436,12 @@ def locality_compare(
     V: SubdomainSpec,
     t_grid,
     points_per_piece: int = 9,
-    min_r2: float = 0.99,
 ) -> LocalityCertificate:
     """Measure sup |p^A - p^B ∘ psi| on a V x V grid and fit C exp(-eps/t).
 
     Differences below the float64 resolution of the kernel values are
     excluded from the fit and recorded; with fewer than four usable points,
-    or a fit with R^2 below min_r2 or eps <= 0, no certificate is issued.
+    or a fit with R^2 below 0.99 or eps <= 0, no certificate is issued.
     """
     if V.parent != g_a:
         raise SubdomainError("V must be a subdomain of the first graph")
@@ -498,7 +489,7 @@ def locality_compare(
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     C = math.exp(log_c)
-    certified = eps > 0 and r2 >= min_r2
+    certified = eps > 0 and r2 >= 0.99
     reason = "ok" if certified else "no exponential certificate"
     if certified:
         for i in usable:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._quad import _check_step, simpson_weights
+from ._quad import simpson_weights
 from .graph import GraphError, GraphPoint, MetricGraph, _check_time, sigma_entries
 from .kernels import kernel_pathsum, pathsum
 from .spectral import ModeTable, eigen, spectral_tail_bound
@@ -109,7 +109,7 @@ def trace_two_particle(
     when the half-grid error estimate exceeds 1% of the value.
     """
     _check_time(t)
-    _check_step(step)
+    _check_time(step, "step")
     z, err = _trace_parts(g, t, step, tol)
     if err > 0.01 * z:
         raise ValueError(
@@ -122,7 +122,7 @@ def trace_two_particle(
 def trace_series(
     g: MetricGraph, t_grid, step: float, tol: float = 1e-10
 ) -> TraceSeries:
-    _check_step(step)
+    _check_time(step, "step")
     zs, errs = [], []
     for t in t_grid:
         z, err = _trace_parts(g, float(t), step, tol)
@@ -144,15 +144,12 @@ def trace_two_particle_eigen(modes: ModeTable, t: float) -> float:
     return 0.5 * (z1 * z1 + single_trace_eigen(modes, 2.0 * t))
 
 
-def eigen_trace_series(
-    g: MetricGraph, t_grid, k_max: float | None = None
-) -> TraceSeries:
+def eigen_trace_series(g: MetricGraph, t_grid) -> TraceSeries:
     """TraceSeries from the eigenvalue-pair oracle, with truncation estimates."""
     for t in t_grid:
         _check_time(t)
     t_min = min(float(t) for t in t_grid)
-    if k_max is None:
-        k_max = math.sqrt(math.log(1e18) / t_min)
+    k_max = math.sqrt(math.log(1e18) / t_min)
     modes = eigen(g, k_max)
     zs, errs = [], []
     for t in t_grid:

@@ -195,14 +195,9 @@ class EnsembleResult:
 
     def endpoint_coords(self) -> np.ndarray:
         """Global arclength coordinates of surviving endpoints."""
-        offsets = {}
-        acc = 0.0
-        for i, e in enumerate(self.graph.edges):
-            offsets[i] = acc
-            acc += e.length
-        off = np.array([offsets[i] for i in range(len(self.graph.edges))])
-        coords = off[self.final_edge] + self.final_s
-        return coords[self.alive]
+        lengths = [e.length for e in self.graph.edges]
+        off = np.cumsum([0.0] + lengths[:-1])  # edge offsets, summed in edge order
+        return (off[self.final_edge] + self.final_s)[self.alive]
 
     def exit_times(self) -> np.ndarray:
         steps = self.exit_step[self.exit_step >= 0]
@@ -774,8 +769,8 @@ def histogram_counts(values: np.ndarray, lo: float, hi: float, bins: int):
     return counts.astype(float), edges
 
 
-def _merge_small(c1: np.ndarray, c2: np.ndarray, min_expected: float = 5.0):
-    """Merge adjacent bins until every pooled expected count is adequate."""
+def _merge_small(c1: np.ndarray, c2: np.ndarray):
+    """Merge adjacent bins until every pooled expected count is at least 5."""
     c1, c2 = list(c1), list(c2)
     n1, n2 = sum(c1), sum(c2)
     total = n1 + n2
@@ -784,7 +779,7 @@ def _merge_small(c1: np.ndarray, c2: np.ndarray, min_expected: float = 5.0):
         pool = c1[i] + c2[i]
         e1 = pool * n1 / total if total else 0.0
         e2 = pool * n2 / total if total else 0.0
-        if (e1 < min_expected or e2 < min_expected) and len(c1) > 1:
+        if (e1 < 5 or e2 < 5) and len(c1) > 1:
             j = i + 1 if i + 1 < len(c1) else i - 1
             c1[j] += c1[i]
             c2[j] += c2[i]

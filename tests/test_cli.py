@@ -169,9 +169,12 @@ class TestLocalityCommand:
          "map piece has no 'lo_b'"),
         ({}, "map document has no 'pieces'"),
         ({"pieces": [dict(MAP["pieces"][0], sign=0)]}, "sign must be +1 or -1"),
-    ], ids=["no_lo_b", "no_pieces", "sign_0"])
+        ({"pieces": [dict(MAP["pieces"][0], edge_a=["e"])]},
+         "edge_a must be a string, got ['e']"),
+    ], ids=["no_lo_b", "no_pieces", "sign_0", "edge_a_list"])
     def test_malformed_map_exit_2(self, workdir, doc, message, capsys):
-        # the first two used to end in a KeyError traceback, and sign 0 ran
+        # the first two used to end in a KeyError traceback, sign 0 ran, and
+        # a list edge ended in a TypeError traceback
         (workdir / "bad_map.json").write_text(json.dumps(doc))
         rc = main([
             "locality", "--graph-a", str(workdir / "interval.json"),
@@ -318,6 +321,35 @@ class TestMcCommand:
     ], ids=["T_null", "h_list", "lo_b_null"])
     def test_splice_non_number_exit_2(self, workdir, key, value, message, capsys):
         # each used to end in a TypeError traceback
+        cfg = {
+            "graph_a": str(workdir / "interval_d.json"),
+            "graph_b": str(workdir / "interval.json"),
+            "u": [["e", 0.25, 0.75]],
+            "map": MAP,
+            "x0": "e:0.5",
+            "T": 0.01,
+            "h": 0.01,
+            "paths": 20,
+            key: value,
+        }
+        (workdir / "splice.json").write_text(json.dumps(cfg))
+        rc = main(["mc", "splice", "--config", str(workdir / "splice.json"),
+                   "--out", str(workdir)])
+        assert rc == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (workdir / "ensemble.csv").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("x0", None, "x0 must be a string, got None"),
+        ("x0", 0.5, "x0 must be a string, got 0.5"),
+        ("graph_a", None, "graph_a must be a string, got None"),
+        ("u", None, "u must be a list of [edge, lo, hi] triples, got None"),
+        ("u", [["e", 0.25]], "u must be a list of [edge, lo, hi] triples"),
+        ("u", [[None, 0.25, 0.75]], "u edge must be a string, got None"),
+    ], ids=["x0_null", "x0_number", "graph_a_null", "u_null", "u_pair", "u_edge_null"])
+    def test_splice_non_string_or_bad_u_exit_2(self, workdir, key, value, message, capsys):
+        # the first four used to end in an AttributeError or TypeError
+        # traceback, and the last two in errors that did not name the key
         cfg = {
             "graph_a": str(workdir / "interval_d.json"),
             "graph_b": str(workdir / "interval.json"),
@@ -488,3 +520,13 @@ class TestSelftestHook:
         out = capsys.readouterr().out
         assert rc == 0
         assert "criterion 6" in out
+
+    @pytest.mark.parametrize("only", ["11", "0,-1", "6,12"])
+    def test_selftest_unknown_criterion_exit_2(self, only, capsys):
+        # unknown numbers used to be dropped, printing "0/0 criteria passed"
+        # with exit 0
+        rc = main(["selftest", "--only", only])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "unknown criteria" in json.loads(captured.err)["error"]
+        assert "criterion" not in captured.out

@@ -102,11 +102,11 @@ class TestExitDensity:
         u = interval_subdomain(line, "e", 3.0, 4.0)
         x = GraphPoint("e", 3.5)
         s, w = simpson_nodes(2.0, 5e-4)
-        total = sum(
-            float(np.dot(w, [exit_density(u, x, b, float(si)) if si > 0 else 0.0
-                             for si in s]))
-            for b in u.cut_points
-        )
+        total = 0.0
+        for b in u.cut_points:  # one array call per cut point; q(0) = 0
+            q = np.zeros_like(s)
+            q[1:] = exit_density(u, x, b, s[1:])
+            total += float(np.dot(w, q))
         cg, to_cut, _ = u.cut_graph()
         survivor = kernel_mass(cg, 2.0, to_cut(x))
         assert total + survivor == pytest.approx(1.0, abs=1e-4)

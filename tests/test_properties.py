@@ -1,0 +1,96 @@
+"""Kernel axioms and cross-route agreement on random small graphs.
+
+Hypothesis draws stars of degree 2-4, triangles, lollipops and three-edge
+multigraphs with mixed Kirchhoff and Dirichlet vertices and drawn edge
+lengths, points that include edge ends, and times in [0.005, 0.06].  The
+runs are derandomized, so Tier-1 sees the same examples on every run.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_graph
+from hklab.graph import GraphPoint
+from hklab.kernels import kernel_pathsum
+from hklab.locality import interval_subdomain, kernel_killed
+from hklab.spectral import eigen, kernel_spectral
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+conditions = st.sampled_from(["kirchhoff", "dirichlet"])
+lengths = st.floats(0.3, 1.5)
+times = st.floats(0.005, 0.06)
+fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def graphs(draw):
+    kind = draw(st.sampled_from(["star", "triangle", "lollipop", "multi"]))
+    if kind == "star":
+        degree = draw(st.integers(2, 4))
+        vertices = ["c"] + [f"l{i}" for i in range(degree)]
+        edges = [(f"e{i}", "c", f"l{i}") for i in range(degree)]
+    elif kind == "triangle":
+        vertices = ["a", "b", "c"]
+        edges = [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")]
+    elif kind == "lollipop":
+        vertices = ["o", "l"]
+        edges = [("loop", "o", "o"), ("stem", "o", "l")]
+    else:
+        vertices = ["a", "b"]
+        edges = [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "a", "b")]
+    return make_graph([(v, draw(conditions)) for v in vertices],
+                      [(e, u, v, draw(lengths)) for e, u, v in edges])
+
+
+@st.composite
+def cases(draw, n_points=2):
+    """A graph, a time, and points on it; the first point's edge comes first."""
+    g = draw(graphs())
+    points = []
+    for _ in range(n_points):
+        e = g.edges[draw(st.integers(0, len(g.edges) - 1))]
+        points.append(GraphPoint(e.id, draw(fractions) * e.length))
+    return g, draw(times), points
+
+
+@PROPERTY
+@given(cases())
+def test_symmetric(case):
+    g, t, (x, y) = case
+    a, b = kernel_pathsum(g, t, x, y), kernel_pathsum(g, t, y, x)
+    assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound + 1e-12 * max(1.0, abs(a.value))
+
+
+@PROPERTY
+@given(cases())
+def test_nonnegative(case):
+    g, t, (x, y) = case
+    p = kernel_pathsum(g, t, x, y)
+    assert p.value >= -p.tail_bound
+
+
+@PROPERTY
+@given(cases(), fractions, fractions)
+def test_killed_below_full(case, fx, fy):
+    # U is the middle half of the first point's edge, and x, y lie in its
+    # closure; U's midpoint m is checked too, since p^U(m, m) comes closest to p
+    g, t, (x, _) = case
+    e = g.edge_obj(x.edge)
+    lo, hi = 0.25 * e.length, 0.75 * e.length
+    u = interval_subdomain(g, e.id, lo, hi)
+    x, y, m = (GraphPoint(e.id, lo + f * (hi - lo)) for f in (fx, fy, 0.5))
+    for a, b in ((x, y), (m, m)):
+        pu, p = kernel_killed(u, t, a, b), kernel_pathsum(g, t, a, b)
+        assert -pu.tail_bound <= pu.value <= p.value + pu.tail_bound + p.tail_bound
+
+
+@PROPERTY
+@given(cases())
+def test_walk_sum_matches_modes(case):
+    g, t, (x, y) = case
+    modes = eigen(g, math.sqrt(math.log(1e14) / t) + 5.0)
+    a, b = kernel_pathsum(g, t, x, y), kernel_spectral(g, t, x, y, modes)
+    assert abs(a.value - b.value) <= max(1e-8, a.tail_bound + b.tail_bound)

@@ -261,15 +261,14 @@ class TestPathsAndExits:
         times = ens.exit_times()
         bins = np.linspace(0.0, 0.05, 11)
         counts, _ = np.histogram(times, bins=bins)
+        # Simpson nodes of every bin, with one array call per cut point
+        ss = np.array([np.linspace(bins[i], bins[i + 1], 9) for i in range(10)])
+        qs = np.zeros_like(ss)
+        inner = ss > 0
+        for b in u.cut_points:
+            qs[inner] += exit_density(u, GraphPoint("e", 0.5), b, ss[inner])
         for i in range(10):
-            ss = np.linspace(bins[i], bins[i + 1], 9)
-            q = np.zeros(9)
-            for j, sv in enumerate(ss):
-                if sv > 0:
-                    q[j] = sum(
-                        exit_density(u, GraphPoint("e", 0.5), b, float(sv))
-                        for b in u.cut_points
-                    )
+            q = qs[i]
             w = np.ones(9)
             w[1:-1:2], w[2:-1:2] = 4.0, 2.0
             prob = float(np.dot(w, q)) * (bins[i + 1] - bins[i]) / (3 * 8)
