@@ -27,7 +27,7 @@ from .locality import (
     interval_subdomain,
     locality_compare,
 )
-from .spectral import eigen, eigen_report, kernel_spectral
+from .spectral import _certified_k_max, eigen, eigen_report, kernel_spectral
 from .twoparticle import (
     asymptotic_fit,
     eigen_trace_series,
@@ -192,9 +192,8 @@ def _cmd_kernel(args):
     if args.method == "pathsum":
         ev = kernel_pathsum(g, args.t, x, y, tol=args.tol)
     elif args.method == "spectral":
-        _check_time(args.t)  # k_max is derived from t before kernel_spectral sees it
-        k_max = math.sqrt(math.log(max(4.0 / args.tol, 8.0)) / args.t) + 3.0
-        ev = kernel_spectral(g, args.t, x, y, eigen(g, k_max))
+        k_max = _certified_k_max(g, args.t, args.tol)
+        ev = kernel_spectral(g, args.t, x, y, eigen(g, k_max), tol=args.tol)
     else:  # interval
         if len(g.edges) != 1:
             raise GraphError("interval method needs a single-edge graph")

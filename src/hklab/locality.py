@@ -99,19 +99,13 @@ class SubdomainSpec:
     def cut_points(self) -> tuple[GraphPoint, ...]:
         return self._aux["cuts"]
 
-    def contains(self, p: GraphPoint, strict: bool = True) -> bool:
-        """Whether p lies in U (strict=False includes the closure)."""
+    def contains(self, p: GraphPoint) -> bool:
+        """Whether p lies in the open set U."""
         self.parent.check_point(p)
-        slack = 0.0 if strict else 1e-12
         vid = self.parent.point_at_vertex(p)
         if vid is not None and self._aux["inside"].get(vid, False):
             return True
-        for lo, hi in self._aux["by_edge"].get(p.edge, ()):
-            if lo - slack < p.s < hi + slack or (
-                not strict and (abs(p.s - lo) <= slack or abs(p.s - hi) <= slack)
-            ):
-                return True
-        return False
+        return any(lo < p.s < hi for lo, hi in self._aux["by_edge"].get(p.edge, ()))
 
     def volume(self) -> float:
         return sum(hi - lo for _, lo, hi in self.pieces)

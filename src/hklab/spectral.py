@@ -1,8 +1,13 @@
 """Eigenvalues and eigenfunctions of the graph Laplacian; spectral heat kernel.
 
 Roots k of the secular equation are counted exactly, with multiplicity, by
-the eigenphases of the bond-scattering matrix U(k) = sigma e^{ikL}; bisection
-on that count brackets every root, its jump gives the multiplicity, and the
+the eigenphases of the bond-scattering matrix U(k) = sigma e^{ikL}.  The root
+search isolates, steps by Newton, and certifies: bisection on that count
+brackets the roots until no eigenphase turns by more than pi across a
+bracket; safeguarded Newton on the eigenphases that cross 0 in a bracket,
+whose derivative is v^H Lambda v (Hellmann-Feynman), finds its root, and
+splits the bracket where the count shows separate roots; and one more count
+just below and just above every root confirms it and its multiplicity.  The
 modes come from the null space of I - U(k)^T at the root.
 
 ``eigen`` returns a ``ModeTable``: the frequencies and per-edge coefficients
@@ -83,20 +88,20 @@ def _norm_matrix(g: MetricGraph, k: float) -> np.ndarray:
     return gram
 
 
-def _null_modes(g: MetricGraph, k: float, m: int) -> np.ndarray:
-    """Coefficient rows of the m modes of a root k of multiplicity m,
-    orthonormal in L2(G), shape (m, 2E) with (A, B) per edge.
+def _null_modes(g: MetricGraph, k: float, a: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the modes of a root k, orthonormal in L2(G), shape
+    (m, 2E) with (A, B) per edge, from the m rows of a.
 
-    The incoming bond amplitudes of a mode satisfy a = U(k)^T a, so the m
-    smallest right-singular vectors of I - U(k)^T, conjugated, span them.  On
-    edge i the mode is alpha e^{iks} + beta e^{-iks} with beta = a[2i], coming
-    in at s = 0, and alpha = a[2i+1] e^{-ik l_i}, coming in at s = l_i; so
-    A = alpha + beta and B = i(alpha - beta).  The real and imaginary parts of
-    these rows span the real modes; the Gram matrix of _norm_matrix
-    orthonormalizes them, keeping its m largest eigenvalues.
+    The incoming bond amplitudes of a mode satisfy a = U(k)^T a, so the rows
+    of a span them when they are the conjugated m smallest right-singular
+    vectors of I - U(k)^T (``_null_vectors``).  On edge i the mode is
+    alpha e^{iks} + beta e^{-iks} with beta = a[2i], coming in at s = 0, and
+    alpha = a[2i+1] e^{-ik l_i}, coming in at s = l_i; so A = alpha + beta and
+    B = i(alpha - beta).  The real and imaginary parts of these rows span the
+    real modes; the Gram matrix of _norm_matrix orthonormalizes them, keeping
+    its m largest eigenvalues.
     """
-    n = 2 * len(g.edges)
-    a = np.linalg.svd(np.eye(n) - _bond_unitary(g, np.array([k]))[0].T)[2][-m:].conj()
+    m, n = a.shape
     beta = a[:, 0::2]
     alpha = a[:, 1::2] * np.exp(-1j * k * np.array([e.length for e in g.edges]))
     coef = np.stack([alpha + beta, 1j * (alpha - beta)], axis=2).reshape(m, n)
@@ -131,6 +136,9 @@ def _constant_modes(g: MetricGraph) -> np.ndarray:
 _MAX_MODES = 100_000
 # matrix entries per stack of bond-scattering matrices (32 MiB of complex)
 _STACK = 2**21
+# relative width of the window k(1 +- _CERTIFY) over which the count certifies
+# each root; brackets this narrow are not narrowed further
+_CERTIFY = 1e-13
 
 
 def _bond_unitary(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
@@ -143,38 +151,164 @@ def _bond_unitary(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
     return u
 
 
-def _phase_count(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
-    """(k sum_b L_b - sum_j theta_j(k)) / 2pi for each k of a stack.
-
-    theta_j in [0, 2pi) are the eigenphases of the bond-scattering matrix U(k)
-    (``_bond_unitary``).  U is unitary and det U turns as e^{ik sum_b L_b} with
-    sum_b L_b twice the total length, while each eigenphase turns forward; so
-    this is an integer plus a constant, and it steps up by m where m
-    eigenphases pass through 0: at a root k of multiplicity m (Kottos &
-    Smilansky, Ann. Phys. 274, 1999).
-    """
+def _stacks(g: MetricGraph, ks: np.ndarray):
+    """Yield ``_bond_unitary`` over ks, at most _STACK matrix entries at a time."""
     n = 2 * len(g.edges)
-    chunks = np.array_split(ks, -(-ks.size * n * n // _STACK))
-    phases = [np.angle(np.linalg.eigvals(_bond_unitary(g, c))) % (2.0 * math.pi) for c in chunks]
-    return (2.0 * g.total_length * ks - np.concatenate(phases).sum(axis=1)) / (2.0 * math.pi)
+    for chunk in np.array_split(ks, max(1, -(-ks.size * n * n // _STACK))):
+        yield _bond_unitary(g, chunk)
+
+
+def _count(g: MetricGraph, ks: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """(k sum_b L_b - sum_j theta_j(k)) / 2pi from the eigenphases theta_j in
+    [0, 2pi) of U(k), one row of ``phases`` per k.
+
+    U is unitary and det U turns as e^{ik sum_b L_b} with sum_b L_b twice the
+    total length, while each eigenphase turns forward; so this is an integer
+    plus a constant, and it steps up by m where m eigenphases pass through 0:
+    at a root k of multiplicity m (Kottos & Smilansky, Ann. Phys. 274, 1999).
+    """
+    return (2.0 * g.total_length * ks - phases.sum(axis=1)) / (2.0 * math.pi)
+
+
+def _phase_count(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
+    """``_count`` at each k of a stack, from the eigenvalues of U(k) alone."""
+    phases = [np.angle(np.linalg.eigvals(u)) for u in _stacks(g, ks)]
+    return _count(g, ks, np.concatenate(phases) % (2.0 * math.pi))
+
+
+def _roots(g: MetricGraph, k_lo: float, k_max: float, base: float, top: int):
+    """(k, m): the distinct roots in (k_lo, k_max] and their multiplicities,
+    each certified by the exact count; see ``eigen``."""
+    ell = np.repeat([e.length for e in g.edges], 2)  # Lambda: bond 2i + end lies on edge i
+    n = ell.size
+    # isolate: bisect on the count until no eigenphase turns by more than pi
+    # across a jumping bracket (lo, hi], which holds m = n_hi - n_lo crossings
+    lo, hi = np.array([k_lo]), np.array([k_max])
+    n_lo, n_hi = np.array([0]), np.array([top])
+    while True:
+        jump = n_hi > n_lo
+        lo, hi, n_lo, n_hi = lo[jump], hi[jump], n_lo[jump], n_hi[jump]
+        wide = (hi - lo) * ell.max() > math.pi
+        if not wide.any():
+            break
+        mid = 0.5 * (lo[wide] + hi[wide])
+        n_mid = np.clip(np.rint(_phase_count(g, mid) - base).astype(int),
+                        n_lo[wide], n_hi[wide])
+        lo = np.concatenate([lo[~wide], lo[wide], mid])
+        hi = np.concatenate([hi[~wide], mid, hi[wide]])
+        n_lo = np.concatenate([n_lo[~wide], n_lo[wide], n_mid])
+        n_hi = np.concatenate([n_hi[~wide], n_mid, n_hi[wide]])
+    # Newton on the sum of each bracket's m crossing eigenphases, from its
+    # midpoint; dk is the last step, which the next must halve
+    m = n_hi - n_lo
+    k = 0.5 * (lo + hi)
+    dk = hi - lo
+    found_k, found_m = [np.empty(0)], [np.empty(0, dtype=int)]
+    while k.size:
+        w, v = (np.concatenate(x) for x in zip(*(np.linalg.eig(u) for u in _stacks(g, k))))
+        phase = np.angle(w) % (2.0 * math.pi)
+        c = np.clip(np.rint(_count(g, k, phase) - base).astype(int) - n_lo, 0, m)
+        # the bracket's crossings are the c smallest phases, which passed 0 in
+        # (lo, k], and the m - c largest, less 2pi, which pass it in (k, hi]:
+        # eigenphases turn forward and keep their order
+        slot = np.arange(m.max())
+        ahead = slot < (m - c)[:, None]
+        pick = np.take_along_axis(np.argsort(phase, axis=1),
+                                  (slot - (m - c)[:, None]) % n, axis=1)
+        theta = np.take_along_axis(phase, pick, axis=1) - 2.0 * math.pi * ahead
+        # d theta / dk = v^H Lambda v for a unit eigenvector v (Hellmann-Feynman)
+        speed = np.take_along_axis(np.einsum("i,bij->bj", ell, np.abs(v) ** 2), pick, axis=1)
+        used = slot < m[:, None]
+        theta, speed = np.where(used, theta, 0.0), np.where(used, speed, 0.0)
+        # all m phases at 0 together: one root of multiplicity m, placed by
+        # one more Newton step
+        done = np.abs(theta).max(axis=1) <= 1e-13 * ell.min() * k
+        f, fp = theta[done].sum(axis=1), speed[done].sum(axis=1)
+        found_k.append(np.clip(k[done] - f / fp, lo[done], hi[done]))
+        found_m.append(m[done])
+        # otherwise the bracket splits at k into (lo, k], holding the c
+        # crossed phases, and (k, hi], holding the m - c others; one part is
+        # empty unless the bracket holds separate roots
+        go = ~done
+        part = np.concatenate([~ahead[go], ahead[go]])
+        f = np.where(part, np.tile(theta[go], (2, 1)), 0.0).sum(axis=1)
+        fp = np.where(part, np.tile(speed[go], (2, 1)), 0.0).sum(axis=1)
+        lo, hi = np.r_[lo[go], k[go]], np.r_[k[go], hi[go]]
+        n_lo, m = np.r_[n_lo[go], n_lo[go] + c[go]], np.r_[c[go], m[go] - c[go]]
+        k, dk = np.tile(k[go], 2), np.tile(dk[go], 2)
+        keep = m > 0
+        lo, hi, n_lo, m, k, dk, f, fp = (x[keep] for x in (lo, hi, n_lo, m, k, dk, f, fp))
+        # safeguard: a Newton point outside the part, or a step not half the
+        # last one, gives way to bisection
+        nxt = k - f / fp
+        newton = (lo < nxt) & (nxt < hi) & (2.0 * np.abs(nxt - k) < dk)
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        k, dk = nxt, np.abs(nxt - k)
+        narrow = hi - lo <= _CERTIFY * hi
+        found_k.append(0.5 * (lo[narrow] + hi[narrow]))
+        found_m.append(m[narrow])
+        lo, hi, n_lo, m, k, dk = (x[~narrow] for x in (lo, hi, n_lo, m, k, dk))
+    roots, mult = np.concatenate(found_k), np.concatenate(found_m)
+    if not roots.size:
+        return roots, mult
+    order = np.argsort(roots)
+    roots, mult = roots[order], mult[order]
+    # roots whose certifying windows overlap are one root that rounding split
+    starts = np.flatnonzero(np.r_[True, roots[1:] * (1.0 - _CERTIFY)
+                                  > roots[:-1] * (1.0 + _CERTIFY)])
+    roots = np.add.reduceat(roots, starts) / np.diff(np.r_[starts, roots.size])
+    mult = np.add.reduceat(mult, starts)
+    counts = np.rint(_phase_count(g, np.concatenate(
+        [roots * (1.0 - _CERTIFY), roots * (1.0 + _CERTIFY)])) - base).astype(int)
+    below, above = counts.reshape(2, -1)
+    bad = np.flatnonzero((below != np.cumsum(mult) - mult) | (above != np.cumsum(mult)))
+    if bad.size:
+        i = bad[0]
+        raise GraphError(f"root k={roots[i]} of multiplicity {mult[i]} is not certified: "
+                         f"the exact count steps by {above[i] - below[i]} across it")
+    return roots, mult
+
+
+def _null_vectors(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
+    """Right-singular vectors of I - U(k)^T, smallest singular value last, for
+    each k of a stack: one batched SVD, shape (len(ks), 2E, 2E)."""
+    n = 2 * len(g.edges)
+    return np.concatenate([np.linalg.svd(np.eye(n) - u.transpose(0, 2, 1))[2]
+                           for u in _stacks(g, ks)])
 
 
 def eigen(g: MetricGraph, k_max: float) -> ModeTable:
     """All modes with frequency k <= k_max, orthonormal in L2(G).
 
     N(k), the number of roots in (0, k] with multiplicity, is counted exactly
-    by ``_phase_count`` from k_lo = pi/4L, below every positive root (the
-    first eigenvalue is at least (pi/2L)^2, Nicaise 1987).  Every bracket of
-    (k_lo, k_max] over which N jumps is bisected, all at once, until it is
-    1e-13 relative wide; its midpoint is one distinct root and the jump is its
-    multiplicity.  Adjacent jumping brackets are merged into one root, at the
-    midpoint of their span with their summed jump: rounding can pull the
-    eigenphases of a multiple root apart by less than a bracket, and the
-    brackets' separate null spaces would then give modes that are not
-    orthogonal.  The modes found must number N(k_max) plus the constant
-    modes, and each must meet every vertex condition (``vertex_residuals``
-    within 1e-10 for the value and 1e-8 for the flux), or ``GraphError`` is
-    raised.
+    by ``_count`` from k_lo = pi/4L, below every positive root (the first
+    eigenvalue is at least (pi/2L)^2, Nicaise 1987).  The roots are found in
+    three steps, each batched over all brackets:
+
+    * isolate: bisect (k_lo, k_max] on the count until no eigenphase of U(k)
+      turns by more than pi across a bracket over which N jumps, by m;
+    * Newton: from the bracket's midpoint, step on the sum of the m
+      eigenphases that cross 0 in it, less 2pi for each not yet across,
+      with derivative tr(V^H Lambda V) over their unit eigenvectors
+      V and Lambda the diagonal of bond lengths (Hellmann-Feynman: d theta/dk
+      = v^H Lambda v > 0).  Every round makes one ``np.linalg.eig`` stack, and
+      the count at the iterate, read off the same eigenvalues, splits the
+      bracket there; a split into two nonempty parts means that the m phases
+      do not reach 0 together, so the bracket held separate roots.  A Newton
+      point outside the bracket, or a step not half the last, gives way to
+      bisection.  The bracket converges when its m phases are all within
+      1e-13 k l_min of 0, or when it is 1e-13 relative wide;
+    * certify: one batched count at k(1 -+ 1e-13) around every root confirms
+      it and its multiplicity, or ``GraphError`` is raised.  Roots whose
+      windows overlap are first merged into one, at their mean with their
+      summed multiplicity: rounding can pull the eigenphases of a multiple
+      root apart, and separate null spaces would give modes that are not
+      orthogonal.
+
+    The modes of every root come from one batched SVD (``_null_vectors``).
+    They must number N(k_max) plus the constant modes, and each must meet
+    every vertex condition (``vertex_residuals`` within 1e-10 for the value
+    and 1e-8 for the flux), or ``GraphError`` is raised.
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be finite and positive")
@@ -185,25 +319,14 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
         )
     k_lo = min(k_max, math.pi / (4.0 * g.total_length))
     base, top = _phase_count(g, np.array([k_lo, k_max]))
-    ks, ns = np.array([k_lo, k_max]), np.array([0, round(top - base)])
-    while True:
-        jump = np.diff(ns) > 0
-        wide = np.flatnonzero(jump & (np.diff(ks) > 1e-13 * ks[1:]))
-        if not wide.size:
-            break
-        mid = 0.5 * (ks[wide] + ks[wide + 1])
-        ks = np.insert(ks, wide + 1, mid)
-        ns = np.insert(ns, wide + 1, np.rint(_phase_count(g, mid) - base).astype(int))
+    count = round(top - base)
+    roots, mult = _roots(g, k_lo, k_max, base, count)
     rows = [_constant_modes(g)]
     freqs = [0.0] * len(rows[0])
-    # a run of adjacent jumping brackets is one root that rounding split
-    starts = np.flatnonzero(jump & ~np.r_[False, jump[:-1]])
-    stops = np.flatnonzero(jump & ~np.r_[jump[1:], False]) + 1
-    for lo, hi in zip(starts, stops):
-        k = 0.5 * (ks[lo] + ks[hi])
-        rows.append(_null_modes(g, k, int(ns[hi] - ns[lo])))
+    for k, m, vh in zip(roots.tolist(), mult.tolist(), _null_vectors(g, roots)):
+        rows.append(_null_modes(g, k, vh[-m:].conj()))
         freqs += [k] * len(rows[-1])
-    expected = ns[-1] + len(rows[0])
+    expected = count + len(rows[0])
     if len(freqs) != expected:
         raise GraphError(
             f"found {len(freqs)} modes up to k={k_max:g}, exact count {expected}"
@@ -284,6 +407,31 @@ def spectral_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
     density = g.total_length / math.pi + len(g.vertices) + 2
     sup_sq = 8.0 / g.min_edge_length
     return density * sup_sq * math.exp(-(k_max**2) * t) / (2.0 * k_max * t)
+
+
+def _certified_k_max(g: MetricGraph, t: float, tol: float) -> float:
+    """A k_max whose mode table certifies tol at time t.
+
+    K, bisected to 1e-12 relative, is the least k with
+    ``spectral_tail_bound(g, t, k) <= tol``; the bound falls as k grows.
+    k_max adds 2 pi E / L to it: the count gains at least one root over any
+    such stretch (N(k + d) - N(k) > L d / pi - 2E, ``_count``), so the
+    table's largest frequency, at which ``kernel_spectral`` takes its bound,
+    is at least K.
+    """
+    _check_time(t)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    lo = hi = 2.0 / g.min_edge_length
+    while not spectral_tail_bound(g, t, hi) <= tol:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if spectral_tail_bound(g, t, mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi + 2.0 * math.pi * len(g.edges) / g.total_length
 
 
 def eigen_report(modes: ModeTable) -> list[dict]:

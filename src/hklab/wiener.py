@@ -119,11 +119,12 @@ def _block_bytes(key: np.ndarray, n_paths: int) -> np.ndarray:
     from the Philox stream with the block's key (stream 2, block index).
 
     Step k of a path is bit 7 - k % 8 of its byte k // 8, the MSB-first order
-    of ``np.unpackbits``; a set bit is a step up.
+    of ``np.unpackbits``; a set bit is a step up.  These are the bytes of
+    ``Generator(Philox(key=key)).bytes``, which fills uint32 words from the
+    64-bit Philox outputs, low half first: the raw outputs, little-endian.
     """
-    gen = np.random.Generator(np.random.Philox(key=key))
-    raw = gen.bytes(_BLOCK_BYTES * n_paths)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(n_paths, _BLOCK_BYTES)
+    raw = np.random.Philox(key=key).random_raw(_BLOCK_BYTES // 8 * n_paths)
+    return raw.astype("<u8", copy=False).view(np.uint8).reshape(n_paths, _BLOCK_BYTES)
 
 
 def _byte_tables():

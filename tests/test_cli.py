@@ -124,6 +124,28 @@ class TestKernelCommand:
         err = json.loads(capsys.readouterr().err)
         assert "finite and positive" in err["error"]
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
+    def test_spectral_bad_tol_exit_2(self, workdir, tol, capsys):
+        args = ["kernel", "--graph", str(workdir / "interval.json"), "--method",
+                "spectral", "--t", "0.05", "--x", "e:0.3", "--y", "e:0.6",
+                "--tol", tol, "--out", str(workdir)]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "tol must be finite and positive" in err["error"]
+        assert not (workdir / "kernel.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-6"])
+    @pytest.mark.parametrize("graph,x,y", [("interval.json", "e:0.5", "e:0.5"),
+                                           ("star_d.json", "e0:0.5", "e1:0.2")])
+    def test_spectral_bound_within_tol(self, workdir, graph, x, y, tol, capsys):
+        # the unit interval at t = 0.05 and tol 1e-10 used to report 4.95e-10
+        assert main(["kernel", "--graph", str(workdir / graph), "--method", "spectral",
+                     "--t", "0.05", "--x", x, "--y", y, "--tol", tol,
+                     "--out", str(workdir)]) == 0
+        row = (workdir / "kernel.csv").read_text().splitlines()[2].split(",")
+        assert 0.0 < float(row[6]) <= float(tol)
+        assert f"tail_bound {row[6]}" in capsys.readouterr().out
+
     @pytest.mark.parametrize("method", ["pathsum", "spectral", "interval"])
     @pytest.mark.parametrize("x", ["e:5.0", "e:-0.5"])
     def test_off_edge_point_exit_2(self, workdir, method, x, capsys):

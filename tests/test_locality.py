@@ -42,7 +42,6 @@ class TestSubdomain:
         u = interval_subdomain(interval, "e", 0.25, 0.75)
         assert u.contains(GraphPoint("e", 0.5))
         assert not u.contains(GraphPoint("e", 0.25))
-        assert u.contains(GraphPoint("e", 0.25), strict=False)
         assert not u.contains(GraphPoint("e", 0.1))
 
     def test_ball_includes_vertex(self, star3):

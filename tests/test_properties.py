@@ -3,19 +3,23 @@
 Hypothesis draws stars of degree 2-4, triangles, lollipops and three-edge
 multigraphs with mixed Kirchhoff and Dirichlet vertices and drawn edge
 lengths, points that include edge ends, and times in [0.005, 0.06].  The
-runs are derandomized, so Tier-1 sees the same examples on every run.
+root search of ``eigen`` is checked on the same graphs against bisection
+alone (``spectral_reference``).  The runs are derandomized, so Tier-1 sees
+the same examples on every run.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph
-from hklab.graph import GraphPoint
+from hklab.graph import DIRICHLET, GraphPoint
 from hklab.kernels import kernel_pathsum
 from hklab.locality import interval_subdomain, kernel_killed
-from hklab.spectral import eigen, kernel_spectral
+from hklab.spectral import _phase_count, eigen, kernel_spectral
+from spectral_reference import bisect_roots
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -94,3 +98,20 @@ def test_walk_sum_matches_modes(case):
     modes = eigen(g, math.sqrt(math.log(1e14) / t) + 5.0)
     a, b = kernel_pathsum(g, t, x, y), kernel_spectral(g, t, x, y, modes)
     assert abs(a.value - b.value) <= max(1e-8, a.tail_bound + b.tail_bound)
+
+
+@PROPERTY
+@given(graphs(), st.floats(2.0, 60.0))
+def test_roots_match_bisection(g, k_max):
+    # the Newton root search against bisection alone: the same distinct roots
+    # with the same multiplicities, and as many modes as the exact count
+    # N(k_max) plus one constant mode on a graph without a Dirichlet vertex
+    modes = eigen(g, k_max)
+    roots, mult = np.unique(modes.k[modes.k > 0.0], return_counts=True)
+    want_roots, want_mult = bisect_roots(g, k_max)
+    assert mult.tolist() == want_mult.tolist()
+    assert np.all(np.abs(roots - want_roots) <= 1e-12 * want_roots)
+    k_lo = min(k_max, math.pi / (4.0 * g.total_length))
+    count = round(float(np.diff(_phase_count(g, np.array([k_lo, k_max])))[0]))
+    constant = not any(v.condition == DIRICHLET for v in g.vertices)
+    assert len(modes) == count + constant

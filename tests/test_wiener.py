@@ -681,3 +681,16 @@ class TestStreamKeys:
         for m in (0, 1, 1023, 1024, 1029):
             gen = np.random.Generator(np.random.Philox(key=_reference_key(seed, 3, m)))
             assert np.array_equal(got[m], gen.random(17))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+    @pytest.mark.parametrize("n_paths", [1, 3, 1000])
+    def test_block_bytes_match_generator(self, seed, n_paths):
+        # _reference_first_passage takes its bytes from _block_bytes too, so
+        # this is what ties both to Generator.bytes
+        for block in (0, 7):
+            key = _reference_key(seed, 2, block)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            want = np.frombuffer(gen.bytes(128 * n_paths), dtype=np.uint8)
+            got = _block_bytes(key, n_paths)
+            assert got.shape == (n_paths, 128) and got.dtype == np.uint8
+            assert np.array_equal(got.ravel(), want)
