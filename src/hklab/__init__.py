@@ -44,21 +44,15 @@ from .locality import (  # noqa: F401
 from .spectral import ModeTable, eigen, kernel_spectral, vertex_residuals  # noqa: F401
 from .twoparticle import (  # noqa: F401
     AsymptoticFit,
-    SymPoint,
     TraceSeries,
     asymptotic_fit,
-    kernel_two_particle,
     predicted_coefficients,
-    region_contributions,
     trace_two_particle,
 )
 from .wiener import (  # noqa: F401
     EnsembleResult,
-    PathSample,
     SpliceConfig,
     compare_ensembles,
-    first_exit,
-    simulate,
     simulate_ensemble,
     splice,
 )

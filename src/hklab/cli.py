@@ -27,7 +27,13 @@ from .locality import (
     interval_subdomain,
     locality_compare,
 )
-from .spectral import _certified_k_max, eigen, eigen_report, kernel_spectral
+from .spectral import (
+    _certified_k_max,
+    eigen,
+    eigen_report,
+    kernel_spectral,
+    spectral_tail_bound,
+)
 from .twoparticle import (
     asymptotic_fit,
     eigen_trace_series,
@@ -234,9 +240,10 @@ def _cmd_trace(args):
     ts = _grid(args.tgrid, "t-grid")
     k_max = math.sqrt(math.log(1e16) / float(ts.min())) + 3.0
     modes = eigen(g, k_max)
-    rows = [[t, single_trace_eigen(modes, t), 0.0] for t in ts]
+    # no quadrature runs: the error column bounds the modes beyond k_max
+    rows = [[t, single_trace_eigen(modes, t), spectral_tail_bound(g, t, k_max)] for t in ts]
     out = Path(args.out) / "trace.csv"
-    _write_csv(out, ["t", "Z", "quad_error"], rows, _options(args))
+    _write_csv(out, ["t", "Z", "tail_bound"], rows, _options(args))
     print(f"heat trace on {len(ts)} times -> {out}")
     return 0
 

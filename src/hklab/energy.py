@@ -61,11 +61,6 @@ class SampledFunction:
         clipped = {eid: np.clip(arr, 0.0, 1.0) for eid, arr in self.values.items()}
         return SampledFunction(self.graph, clipped, self.step)
 
-    def scaled(self, c: float) -> "SampledFunction":
-        return SampledFunction(
-            self.graph, {eid: c * arr for eid, arr in self.values.items()}, self.step
-        )
-
 
 def sample_function(g: MetricGraph, fn, step: float) -> SampledFunction:
     """Sample fn(edge_id, s_array) on uniform per-edge grids of ~step spacing."""
@@ -214,10 +209,3 @@ def convergence_study(g: MetricGraph, f: SampledFunction, r_grid) -> Convergence
         er = energy_Er(g, f, r)
         rows.append((r, er, er / classical))
     return ConvergenceStudy(tuple(rows), rows[-1][2], classical)
-
-
-def subpartition_check(
-    g: MetricGraph, f: SampledFunction, r: float, tol: float = 1e-6
-) -> bool:
-    """Monotonicity E_r <= E_{r/2} within the quadrature tolerance."""
-    return energy_Er(g, f, r) <= energy_Er(g, f, r / 2.0) * (1.0 + tol) + tol

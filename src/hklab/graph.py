@@ -179,13 +179,6 @@ class MetricGraph:
             return e.v
         return None
 
-    def same_point(self, x: GraphPoint, y: GraphPoint) -> bool:
-        """Equality up to the identification of edge ends at shared vertices."""
-        if x.edge == y.edge and x.s == y.s:
-            return True
-        vx, vy = self.point_at_vertex(x), self.point_at_vertex(y)
-        return vx is not None and vx == vy
-
 
 def _build_tables(vertices, edges):
     inc = {v.id: [] for v in vertices}

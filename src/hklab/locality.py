@@ -107,9 +107,6 @@ class SubdomainSpec:
             return True
         return any(lo < p.s < hi for lo, hi in self._aux["by_edge"].get(p.edge, ()))
 
-    def volume(self) -> float:
-        return sum(hi - lo for _, lo, hi in self.pieces)
-
     # -- cut graph -------------------------------------------------------
 
     def cut_graph(self):

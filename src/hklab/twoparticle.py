@@ -18,40 +18,11 @@ from itertools import combinations
 import numpy as np
 
 from ._quad import simpson_weights
-from .graph import GraphError, GraphPoint, MetricGraph, _check_time, sigma_entries
-from .kernels import kernel_pathsum, pathsum
+from .graph import GraphError, MetricGraph, _check_time, sigma_entries
+from .kernels import pathsum
 from .spectral import ModeTable, eigen, spectral_tail_bound
 
 SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class SymPoint:
-    """Unordered pair of graph points, stored in canonical (edge, s) order."""
-
-    x1: GraphPoint
-    x2: GraphPoint
-
-    def canonical(self) -> "SymPoint":
-        a, b = sorted((self.x1, self.x2), key=lambda p: (p.edge, p.s))
-        return SymPoint(a, b)
-
-    def __iter__(self):
-        yield self.x1
-        yield self.x2
-
-
-def kernel_two_particle(
-    g: MetricGraph, t: float, p: SymPoint, q: SymPoint, tol: float = 1e-10
-) -> float:
-    """Symmetrized product kernel between two unordered pairs."""
-
-    def k(a, b):
-        return kernel_pathsum(g, t, a, b, tol=tol).value
-
-    x1, x2 = p
-    y1, y2 = q
-    return k(x1, y1) * k(x2, y2) + k(x2, y1) * k(x1, y2)
 
 
 # -- traces ---------------------------------------------------------------------
@@ -277,17 +248,6 @@ def region_coefficients(g: MetricGraph, region: str, params: dict):
         )
         return vol, half, const
     raise GraphError(f"unknown region type {region!r}")
-
-
-def region_contributions(g: MetricGraph, region: str, params: dict, t: float) -> float:
-    """Value at time t of a region's closed-form trace contribution."""
-    _check_time(t)
-    vol, half, const = region_coefficients(g, region, params)
-    return (
-        float(vol) / (4.0 * math.pi * t)
-        + float(half) / (8.0 * math.sqrt(math.pi * t))
-        + float(const)
-    )
 
 
 def decomposition_coefficients(g: MetricGraph, eps):

@@ -23,9 +23,8 @@ every path in lockstep, one step at a time, on any graph.  It serves direct
 runs, runs that record first exits from U, and splices, which walk on the
 disjoint union of the two graphs: a path whose edge index lies past the
 first graph's edges has crossed over.  Each step moves all paths on an edge
-under one mask and gathers only the paths at vertices; a single stored
-trajectory is its ensemble of one path.  The fast path is the
-single-interval lattice engine.  One check, ``_lattice_refusal``, decides
+under one mask and gathers only the paths at vertices.  The fast path is
+the single-interval lattice engine.  One check, ``_lattice_refusal``, decides
 whether a run fits it, and an ensemble the general engine ran records the
 check's reason in ``EnsembleResult.lattice_refusal``.
 
@@ -482,19 +481,20 @@ def _general_walk(
     n_paths: int,
     U: SubdomainSpec | None = None,
     splice_to=None,
-):
+    *,
+    refusal: str,
+) -> EnsembleResult:
     """Lockstep per-step walk on any graph.
 
-    A generator: it yields the path state (edge, s, alive) after every step
-    and returns the EnsembleResult.  Step m of every path draws the m-th
-    uniform of the same stream, so path 0 of an ensemble is the single path
-    of its seed.  With U, each path's first exit from U is recorded: the
-    step, the crossed cut and its edge.  With splice_to=(graph_b, iso,
-    images of U's cut points), the paths walk on the disjoint union of g and
-    graph B: an exit also snaps the path to the cut and moves it to the
-    cut's image on graph B, where it walks from then on; a same-step
-    absorption beyond the cut is void, since the spliced path never went
-    past the boundary.  A splice reports every path in graph-B coordinates.
+    Step m of every path draws the m-th uniform of the same stream.  With U,
+    each path's first exit from U is recorded: the step, the crossed cut and
+    its edge.  With splice_to=(graph_b, iso, images of U's cut points), the
+    paths walk on the disjoint union of g and graph B: an exit also snaps the
+    path to the cut and moves it to the cut's image on graph B, where it
+    walks from then on; a same-step absorption beyond the cut is void, since
+    the spliced path never went past the boundary.  A splice reports every
+    path in graph-B coordinates.  The result records ``refusal``, the reason
+    ``_lattice_refusal`` gave for not running the lattice engine.
     """
     graphs = (g,) if splice_to is None else (g, splice_to[0])
     index_maps, tables = _incidence_tables(h, *graphs)
@@ -559,7 +559,6 @@ def _general_walk(
                     s[ii] = img_s[k, side]
                     at_vertex[ii] = -1
                     alive[ii] = True
-        yield edge, s, alive
 
     if splice_to is not None:
         on_b = edge >= len(g.edges)
@@ -572,20 +571,9 @@ def _general_walk(
             s[i] = img.s
         g = splice_to[0]  # the run ends on graph B
     return EnsembleResult(
-        g, T, h, seed, n_paths, edge, s.copy(), alive,
-        exit_step, exit_coord, exit_edge, "general",
+        g, T, h, seed, n_paths, edge, s, alive,
+        exit_step, exit_coord, exit_edge, "general", refusal,
     )
-
-
-def _run(walk, refusal: str) -> EnsembleResult:
-    """Drive a general walk to its horizon and record why the lattice engine
-    did not run it."""
-    while True:
-        try:
-            next(walk)
-        except StopIteration as end:
-            end.value.lattice_refusal = refusal
-            return end.value
 
 
 def _advance(u, edge, s, at_vertex, alive, tables, h):
@@ -641,77 +629,7 @@ def simulate_ensemble(
     refusal = _lattice_refusal(g, x0, h, U)
     if refusal is None:
         return _lattice_ensemble(g, x0, T, h, seed, n_paths, U)
-    return _run(_general_walk(g, x0, T, h, seed, n_paths, U), refusal)
-
-
-# -- single-path simulation -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One stored trajectory (possibly decimated) with its exact kill record."""
-
-    graph: MetricGraph
-    h: float
-    positions: tuple[GraphPoint, ...]
-    seed: int
-    every: int
-    killed: bool
-    killed_time: float | None
-
-    @property
-    def dt(self) -> float:
-        return time_step(self.h)
-
-    def time_of(self, index: int) -> float:
-        return index * self.every * self.dt
-
-
-def simulate(
-    g: MetricGraph,
-    x0: GraphPoint,
-    T: float,
-    h: float,
-    seed: int,
-    every: int = 16,
-) -> PathSample:
-    """Single trajectory; positions stored every ``every`` steps.
-
-    The path is the general engine's ensemble of one path, recorded until
-    the horizon or until it is absorbed.
-    """
-    _check_h(g, h)
-    g.check_point(x0)
-    ids = [e.id for e in g.edges]
-    steps = n_steps(T, h)
-    positions = [GraphPoint(x0.edge, float(x0.s))]
-    killed, killed_time = False, None
-    for step, (edge, s, alive) in enumerate(_general_walk(g, x0, T, h, seed, 1)):
-        killed = not alive[0]
-        if (step + 1) % every == 0 or step == steps - 1 or killed:
-            positions.append(GraphPoint(ids[edge[0]], float(s[0])))
-        if killed:
-            killed_time = (step + 1) * time_step(h)
-            break
-    return PathSample(g, h, tuple(positions), seed, every, killed, killed_time)
-
-
-def first_exit(path: PathSample, U: SubdomainSpec):
-    """First stored sample outside U: (time, cut point), or None if it stays.
-
-    The crossing position is snapped to the nearest cut point in the graph
-    metric (within one step of the true crossing when the path is stored
-    undecimated).
-    """
-    from .graph import distance
-
-    if not U.contains(path.positions[0]):
-        raise GraphError("path must start inside U")
-    for i, p in enumerate(path.positions):
-        if not U.contains(p):
-            best = min(U.cut_points, key=lambda b: distance(path.graph, b, p))
-            return path.time_of(i), best
-    return None
+    return _general_walk(g, x0, T, h, seed, n_paths, U, refusal=refusal)
 
 
 # -- splicing ------------------------------------------------------------------
@@ -759,7 +677,7 @@ def splice(cfg: SpliceConfig) -> EnsembleResult:
     refusal = _lattice_refusal(cfg.graph_a, cfg.x0, cfg.h, cfg.U, splice_to)
     if refusal is None:
         return _lattice_ensemble(*run)
-    return _run(_general_walk(*run), refusal)
+    return _general_walk(*run, refusal=refusal)
 
 
 # -- ensemble comparison -----------------------------------------------------------

@@ -444,6 +444,20 @@ class TestOtherCommands:
         lines = (workdir / "trace.csv").read_text().splitlines()
         assert len(lines) == 2 + 5
 
+    def test_trace_tail_bound_column(self, workdir):
+        # the column used to hold a hard-coded 0.0 headed quad_error
+        assert main(["trace", "--graph", str(workdir / "interval.json"),
+                     "--tgrid", "0.01:0.1:5", "--out", str(workdir)]) == 0
+        lines = (workdir / "trace.csv").read_text().splitlines()
+        assert lines[1] == "t,Z,tail_bound"
+        for row in lines[2:]:
+            t, z, bound = map(float, row.split(","))
+            # the unit Kirchhoff interval: k = n pi for n = 0, 1, 2, ...
+            exact = math.fsum(math.exp(-((n * math.pi) ** 2) * t) for n in range(200))
+            assert bound > 0.0
+            # Z is written to 12 significant digits
+            assert abs(z - exact) <= bound + 5e-12 * exact
+
     @pytest.mark.parametrize("command", ["trace", "locality"])
     @pytest.mark.parametrize("tgrid", ["0.01:inf:3", "nan:0.05:3", "0:0.05:3",
                                        "0.01:-0.05:3", "0.01:0.05:0"])

@@ -10,7 +10,6 @@ from hklab.energy import (
     energy_Er,
     energy_classical,
     sample_function,
-    subpartition_check,
 )
 from hklab.graph import GraphError
 
@@ -70,7 +69,8 @@ class TestEnergyEr:
     def test_quadratic_scaling_exact(self, circle):
         f = sin_on_circle(circle, step=1e-4)
         a = energy_Er(circle, f, 4e-3)
-        b = energy_Er(circle, f.scaled(3.0), 4e-3)
+        tripled = SampledFunction(circle, {"loop": 3.0 * f.values["loop"]}, f.step)
+        b = energy_Er(circle, tripled, 4e-3)
         assert b == pytest.approx(9.0 * a, rel=1e-12)
 
     def test_r_too_large(self, interval):
@@ -147,14 +147,6 @@ class TestConvergence:
 
 
 class TestProperties:
-    def test_subpartition(self, circle):
-        f = sin_on_circle(circle, step=2e-4)
-        assert subpartition_check(circle, f, 8e-3)
-
-    def test_subpartition_constant(self, interval):
-        f = sample_function(interval, lambda eid, s: np.zeros_like(s), 2e-4)
-        assert subpartition_check(interval, f, 8e-3)
-
     def test_contraction_random_lipschitz(self, interval):
         rng = np.random.default_rng(11)
         grid = np.linspace(0.0, 1.0, 5001)

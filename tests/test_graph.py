@@ -148,7 +148,6 @@ class TestDistance:
 
     def test_identified_endpoints_distance_zero(self, star3):
         assert distance(star3, GraphPoint("e1", 0.0), GraphPoint("e2", 0.0)) == 0.0
-        assert star3.same_point(GraphPoint("e1", 0.0), GraphPoint("e2", 0.0))
 
     def test_point_off_edge(self, interval):
         with pytest.raises(GraphError):

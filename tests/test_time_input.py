@@ -29,16 +29,13 @@ from hklab.locality import (
 )
 from hklab.spectral import ModeTable, kernel_spectral, spectral_tail_bound
 from hklab.twoparticle import (
-    SymPoint,
     eigen_trace_series,
-    kernel_two_particle,
-    region_contributions,
     single_trace_eigen,
     trace_series,
     trace_two_particle,
     trace_two_particle_eigen,
 )
-from hklab.wiener import n_steps, simulate, simulate_ensemble
+from hklab.wiener import n_steps, simulate_ensemble
 
 X = GraphPoint("e", 0.5)
 S = np.linspace(0.0, 1.0, 5)
@@ -62,14 +59,10 @@ CALLS = {
     "single_trace_eigen": lambda g, t: single_trace_eigen(ModeTable(g, [], []), t),
     "trace_two_particle_eigen": lambda g, t: trace_two_particle_eigen(
         ModeTable(g, [], []), t),
-    "kernel_two_particle": lambda g, t: kernel_two_particle(
-        g, t, SymPoint(X, X), SymPoint(X, X)),
     "trace_two_particle": lambda g, t: trace_two_particle(g, t, 1e-2),
     "trace_series": lambda g, t: trace_series(g, [0.05, t], 1e-2),
     # a bad time after a good one: every time is checked, not only the least
     "eigen_trace_series": lambda g, t: eigen_trace_series(g, [0.05, t]),
-    "region_contributions": lambda g, t: region_contributions(
-        g, "B", {"eps": 0.1, "edge": "e"}, t),
     "exit_density": lambda g, t: exit_density(
         interval_subdomain(g, "e", 0.25, 0.75), X, GraphPoint("e", 0.25), t),
     "exit_density_time_array": lambda g, t: exit_density(
@@ -80,7 +73,6 @@ CALLS = {
         interval_subdomain(g, "e", 0.25, 0.75), t, X, X),
     "fit_decay_params": lambda g, t: fit_decay_params(g, t),
     "n_steps": lambda g, t: n_steps(t, 1e-3),
-    "simulate": lambda g, t: simulate(g, X, t, 2e-3, 1),
     "simulate_ensemble": lambda g, t: simulate_ensemble(g, X, t, 2e-3, 1, 10),
 }
 

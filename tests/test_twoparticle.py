@@ -4,21 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hklab.graph import GraphError, GraphPoint
-from hklab.kernels import kernel_interval
+from hklab.graph import GraphError
 from hklab.spectral import eigen
 from hklab.twoparticle import (
     SymCoeff,
-    SymPoint,
     TraceSeries,
     asymptotic_fit,
     decomposition_coefficients,
     eigen_trace_series,
-    kernel_two_particle,
     predicted_coefficients,
     predicted_coefficients_exact,
     region_coefficients,
-    region_contributions,
     single_trace_eigen,
     trace_series,
     trace_two_particle,
@@ -37,37 +33,6 @@ TRIANGLE_DDK = make_graph([("a", D), ("b", D), ("c", K)],
                           [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.0), ("e3", "c", "a", 1.0)])
 MULTI_D = make_graph([("a", K), ("b", D)],
                      [("e1", "a", "b", 0.6), ("e2", "a", "b", 0.8), ("e3", "a", "b", 1.2)])
-
-
-class TestKernelTwoParticle:
-    def test_swap_invariance(self, star3):
-        p = SymPoint(GraphPoint("e1", 0.3), GraphPoint("e2", 0.6))
-        p_swapped = SymPoint(GraphPoint("e2", 0.6), GraphPoint("e1", 0.3))
-        q = SymPoint(GraphPoint("e1", 0.5), GraphPoint("e3", 0.2))
-        a = kernel_two_particle(star3, 0.05, p, q)
-        b = kernel_two_particle(star3, 0.05, p_swapped, q)
-        assert a == pytest.approx(b, rel=1e-14)
-
-    def test_far_apart_factorizes(self, interval):
-        t = 0.005
-        p = SymPoint(GraphPoint("e", 0.2), GraphPoint("e", 0.8))
-        v = kernel_two_particle(interval, t, p, p)
-        k1 = kernel_interval(1.0, "neumann", "neumann", t, 0.2, 0.2).value
-        k2 = kernel_interval(1.0, "neumann", "neumann", t, 0.8, 0.8).value
-        assert v == pytest.approx(k1 * k2, rel=1e-6)
-
-    def test_interval_composition(self, interval):
-        t = 0.05
-        p = SymPoint(GraphPoint("e", 0.3), GraphPoint("e", 0.7))
-        v = kernel_two_particle(interval, t, p, p)
-        k33 = kernel_interval(1.0, "neumann", "neumann", t, 0.3, 0.3).value
-        k77 = kernel_interval(1.0, "neumann", "neumann", t, 0.7, 0.7).value
-        k37 = kernel_interval(1.0, "neumann", "neumann", t, 0.7, 0.3).value
-        assert v == pytest.approx(k33 * k77 + k37 * k37, rel=1e-10)
-
-    def test_canonical_ordering(self):
-        p = SymPoint(GraphPoint("e2", 0.6), GraphPoint("e1", 0.3)).canonical()
-        assert p.x1.edge == "e1"
 
 
 class TestTraces:
@@ -125,19 +90,6 @@ class TestRegions:
         assert vol == SymCoeff(-eps * eps, 2 * eps * eps)
         assert half == SymCoeff(2 * eps)
         assert const == SymCoeff()
-
-    def test_region_value_combines_coefficients(self, interval):
-        eps = Fraction(1, 16)
-        t = 0.01
-        val = region_contributions(interval, "E", {"eps": eps, "vertex": "a"}, t)
-        vol, half, const = region_coefficients(interval, "E",
-                                               {"eps": eps, "vertex": "a"})
-        expect = (
-            float(vol) / (4 * math.pi * t)
-            + float(half) / (8 * math.sqrt(math.pi * t))
-            + float(const)
-        )
-        assert val == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("eps", [0.3, math.nan, math.inf, -math.inf])
     def test_eps_too_large_rejected(self, interval, eps):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hklab._quad import simpson_nodes
-from hklab.graph import GraphError, GraphPoint
+from hklab.graph import GraphError, GraphPoint, distance
 from hklab.kernels import kernel_interval, kernel_mass, pathsum
 from hklab.locality import (
     IsometryMap,
@@ -30,9 +30,7 @@ from hklab.wiener import (
     _stream_keys,
     chi_square_two_sample,
     compare_ensembles,
-    first_exit,
     n_steps,
-    simulate,
     simulate_ensemble,
     splice,
     time_step,
@@ -223,28 +221,23 @@ class TestGeneralEngine:
 
 
 class TestPathsAndExits:
-    def test_single_path_lattice_consistency(self, star3):
-        p = simulate(star3, GraphPoint("e1", 0.2), 0.01, 5e-3, 3, every=1)
-        assert not p.killed
-        assert len(p.positions) == n_steps(0.01, 5e-3) + 1
-        for a, b in zip(p.positions, p.positions[1:]):
-            from hklab.graph import distance
-
-            assert distance(star3, a, b) <= 5e-3 + 1e-12
-
-    def test_first_exit_never(self, interval):
-        u = interval_subdomain(interval, "e", 0.05, 0.95)
-        path = simulate(interval, GraphPoint("e", 0.5), 1e-4, 2e-3, 1, every=1)
-        assert first_exit(path, u) is None
-
-    def test_first_exit_snaps_to_cut(self, interval):
-        u = interval_subdomain(interval, "e", 0.4, 0.6)
-        path = simulate(interval, GraphPoint("e", 0.5), 0.05, 2e-3, 21, every=1)
-        out = first_exit(path, u)
-        assert out is not None
-        t_exit, b = out
-        assert (b.edge, b.s) in {("e", 0.4), ("e", 0.6)}
-        assert 0 < t_exit <= 0.05
+    @pytest.mark.parametrize("x0", [GraphPoint("e1", 0.02), GraphPoint("e1", 0.0)],
+                             ids=["edge", "centre"])
+    def test_steps_move_h(self, star3, x0):
+        # the general engine: one step moves every path exactly h, and n
+        # steps at most n h, through the centre vertex as well
+        h = 5e-3
+        for n in (1, 16):
+            ens = simulate_ensemble(star3, x0, n * time_step(h), h, 3, 400)
+            assert ens.engine == "general" and ens.alive.all()
+            ends = [GraphPoint(star3.edges[i].id, float(s))
+                    for i, s in zip(ens.final_edge, ens.final_s)]
+            dist = np.array([distance(star3, x0, p) for p in ends])
+            if n == 1:
+                assert np.abs(dist - h).max() <= 1e-12
+            else:
+                assert dist.max() <= n * h + 1e-12
+                assert len(set(ens.final_edge.tolist())) == 3  # all legs reached
 
     def test_exit_positions_are_cuts(self, interval):
         u = interval_subdomain(interval, "e", 0.25, 0.75)
@@ -550,17 +543,6 @@ class TestGeneralGoldenHashes:
                   ens.exit_coord, ens.exit_edge):
             digest.update(np.ascontiguousarray(a).tobytes())
         assert digest.hexdigest()[:16] == GENERAL_GOLDEN[kind]
-
-    # path 0 leaves its edge under seed 1 and is absorbed under seed 3
-    @pytest.mark.parametrize("s,seed", [(0.1, 1), (0.5, 3), (0.1, 6)])
-    def test_simulate_ends_at_path_zero(self, star3_dirichlet_leaves, s, seed):
-        g = star3_dirichlet_leaves
-        x0 = GraphPoint("e1", s)
-        path = simulate(g, x0, 0.05, 5e-3, seed, every=1)
-        ens = simulate_ensemble(g, x0, 0.05, 5e-3, seed, 50)
-        end = path.positions[-1]
-        assert (end.edge, end.s) == (g.edges[ens.final_edge[0]].id, ens.final_s[0])
-        assert path.killed == (not ens.alive[0])
 
 
 def _unpacked_walk(raw, nb):
