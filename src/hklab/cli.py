@@ -32,7 +32,7 @@ from .spectral import (
     eigen,
     eigen_report,
     kernel_spectral,
-    spectral_tail_bound,
+    trace_tail_bound,
 )
 from .twoparticle import (
     asymptotic_fit,
@@ -241,7 +241,7 @@ def _cmd_trace(args):
     k_max = math.sqrt(math.log(1e16) / float(ts.min())) + 3.0
     modes = eigen(g, k_max)
     # no quadrature runs: the error column bounds the modes beyond k_max
-    rows = [[t, single_trace_eigen(modes, t), spectral_tail_bound(g, t, k_max)] for t in ts]
+    rows = [[t, single_trace_eigen(modes, t), trace_tail_bound(g, t, k_max)] for t in ts]
     out = Path(args.out) / "trace.csv"
     _write_csv(out, ["t", "Z", "tail_bound"], rows, _options(args))
     print(f"heat trace on {len(ts)} times -> {out}")

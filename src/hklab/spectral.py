@@ -32,15 +32,18 @@ class ModeTable:
     On edge e mode m is A cos(k s) + B sin(k s), s the arclength from the
     u-endpoint; for k = 0 it is affine, A + B s.  ``k`` holds the
     frequencies, shape (M,), and ``k_max`` the largest (0 without modes);
+    ``searched_to`` is the k up to which the table holds every mode, the
+    k_max ``eigen`` was given, or ``k_max`` for a table built by hand;
     ``coef[m, i]`` is the (A, B) of mode m on edge i of ``g.edges``, shape
     (M, E, 2); ``col`` maps an edge id to i; ``graph`` is g.
     """
 
-    def __init__(self, g: MetricGraph, k, coef):
+    def __init__(self, g: MetricGraph, k, coef, searched_to: float | None = None):
         self.graph = g
         self.col = {e.id: i for i, e in enumerate(g.edges)}
         self.k = np.array(k, dtype=float)
         self.k_max = float(self.k.max(initial=0.0))
+        self.searched_to = self.k_max if searched_to is None else float(searched_to)
         self.coef = np.array(coef, dtype=float).reshape(len(self.k), len(g.edges), 2)
         # per edge and mode: the cos and sin coefficients, and the slope of
         # the affine k = 0 modes, shape (E, 3, M)
@@ -55,7 +58,7 @@ class ModeTable:
         return len(self.k)
 
     def __reduce__(self):
-        return ModeTable, (self.graph, self.k, self.coef)
+        return ModeTable, (self.graph, self.k, self.coef, self.searched_to)
 
     def at(self, edges, s: np.ndarray) -> np.ndarray:
         """Every mode at the points (edges[j], s[j]), shape (len(s), M)."""
@@ -331,7 +334,7 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
         raise GraphError(
             f"found {len(freqs)} modes up to k={k_max:g}, exact count {expected}"
         )
-    modes = ModeTable(g, freqs, np.concatenate(rows))
+    modes = ModeTable(g, freqs, np.concatenate(rows), k_max)
     value, flux = vertex_residuals(modes)
     bad = (value > 1e-10) | (flux > 1e-8)
     if bad.any():
@@ -383,14 +386,15 @@ def kernel_spectral(
 ) -> KernelEval:
     """Spectral heat kernel sum over a mode table, with a tail estimate.
 
-    Every mode is evaluated at x and y at once from the table's arrays.
+    Every mode is evaluated at x and y at once from the table's arrays.  The
+    tail estimate covers the modes beyond the k the table was searched to.
     """
     _check_time(t)
     g.check_point(x)
     g.check_point(y)
     phi_x, phi_y = modes.at((x.edge, y.edge), np.array([x.s, y.s], dtype=float))
     val = np.dot(np.exp(-modes.k**2 * t), phi_x * phi_y)
-    k_max = modes.k_max
+    k_max = modes.searched_to
     bound = spectral_tail_bound(g, t, k_max)
     if tol is not None and bound > tol:
         raise TruncationError(
@@ -409,15 +413,29 @@ def spectral_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
     return density * sup_sq * math.exp(-(k_max**2) * t) / (2.0 * k_max * t)
 
 
+def trace_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
+    """Bound on the heat trace's terms beyond k_max: sum over roots k > K of
+    e^{-k^2 t} <= e^{-K^2 t} (L / (2 pi K t) + 2E), for K = k_max > 0.
+
+    The count of roots in (k1, k2] is at most L (k2 - k1) / pi + 2E
+    (``_count``), L the total length and E the edge count.  Summing by parts
+    against that count gives 2E e^{-K^2 t} plus L / pi times the Gaussian
+    integral from K, which is at most e^{-K^2 t} / (2 K t).
+    """
+    _check_time(t)
+    if not k_max > 0.0:
+        return math.inf
+    return math.exp(-(k_max**2) * t) * (
+        g.total_length / (2.0 * math.pi * k_max * t) + 2.0 * len(g.edges))
+
+
 def _certified_k_max(g: MetricGraph, t: float, tol: float) -> float:
     """A k_max whose mode table certifies tol at time t.
 
-    K, bisected to 1e-12 relative, is the least k with
+    It is K, bisected to 1e-12 relative, the least k with
     ``spectral_tail_bound(g, t, k) <= tol``; the bound falls as k grows.
-    k_max adds 2 pi E / L to it: the count gains at least one root over any
-    such stretch (N(k + d) - N(k) > L d / pi - 2E, ``_count``), so the
-    table's largest frequency, at which ``kernel_spectral`` takes its bound,
-    is at least K.
+    ``eigen`` finds every mode up to K and records K in the table, and
+    ``kernel_spectral`` takes its bound there.
     """
     _check_time(t)
     if not 0.0 < tol < math.inf:
@@ -431,7 +449,7 @@ def _certified_k_max(g: MetricGraph, t: float, tol: float) -> float:
             hi = mid
         else:
             lo = mid
-    return hi + 2.0 * math.pi * len(g.edges) / g.total_length
+    return hi
 
 
 def eigen_report(modes: ModeTable) -> list[dict]:

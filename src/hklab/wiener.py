@@ -16,17 +16,26 @@ engine -- and ``_keys`` computes it on uint32 arrays for 1024 counters at a
 time, ahead of the steps or blocks that use them.  The general engine resets
 one Philox bit generator to each step's key, so the stream is the one
 ``SeedSequence`` and a fresh ``Generator`` would give, without building
-either per step.
+either per step.  It reads the raw 64-bit words: a word's top bit is the
+step's sign, and only a path that leaves a vertex turns its word into the
+double ``Generator.random`` would give.
 
 There is one general engine and one fast path.  The general engine walks
 every path in lockstep, one step at a time, on any graph.  It serves direct
 runs, runs that record first exits from U, and splices, which walk on the
 disjoint union of the two graphs: a path whose edge index lies past the
-first graph's edges has crossed over.  Each step moves all paths on an edge
-under one mask and gathers only the paths at vertices.  The fast path is
-the single-interval lattice engine.  One check, ``_lattice_refusal``, decides
-whether a run fits it, and an ensemble the general engine ran records the
-check's reason in ``EnsembleResult.lattice_refusal``.
+first graph's edges has crossed over.  Each path carries two event levels,
+the arclengths on its edge at or beyond which a step can change more than
+its position: 0 and the edge length, or, while it is tracked in U, the
+nearer of those and of U's cut points; -inf and inf while it stands at a
+vertex or is dead.  A step is one add over all paths and one two-sided
+compare with the levels.  Only the paths that compare returns, and those
+leaving a vertex, go through the exact arrival and exit tests.
+
+The fast path is the single-interval lattice engine.  One check,
+``_lattice_refusal``, decides whether a run fits it, and an ensemble the
+general engine ran records the check's reason in
+``EnsembleResult.lattice_refusal``.
 
 The lattice engine never unpacks the random bits.  A block of
 1024 steps arrives as 128 packed bytes per path, step k in bit 7 - k % 8 of
@@ -137,21 +146,24 @@ def _byte_tables():
 _BYTE_POS, _BYTE_MAX, _BYTE_MIN = _byte_tables()
 
 
-def _step_uniforms(seed: int, steps: int, n_paths: int):
-    """Yield the uniforms of steps 0 .. steps - 1, n_paths doubles per step.
+_UP = np.uint64(1 << 63)  # a step word at or above this moves the path up
+_FRAC_SHIFT = np.uint64(11)  # Generator.random keeps a word's top 53 bits
 
-    Step m reads the Philox stream keyed by (seed, 3, m) from counter zero,
-    and each double is the one ``Generator.random`` makes there.  One bit
-    generator is reset to each key.
+
+def _step_words(seed: int, steps: int, n_paths: int):
+    """Yield the raw Philox words of steps 0 .. steps - 1, n_paths per step.
+
+    Step m reads the Philox stream keyed by (seed, 3, m) from counter zero.
+    ``Generator.random`` would make the double (w >> 11) * 2**-53 of word w,
+    which is below 0.5 exactly when w < 2**63.  One bit generator is reset
+    to each key.
     """
     bitgen = np.random.Philox(0)  # any seed: every step sets its own key
     state = bitgen.state  # counter zero and an empty buffer
     for key in _keys(seed, 3, steps):
         state["state"]["key"] = key
         bitgen.state = state
-        raw = bitgen.random_raw(n_paths)
-        raw >>= np.uint64(11)
-        yield raw * 2.0**-53  # the 53-bit double of Generator.random
+        yield bitgen.random_raw(n_paths)
 
 
 def time_step(h: float) -> float:
@@ -170,6 +182,16 @@ def n_steps(T: float, h: float) -> int:
 def _check_h(g: MetricGraph, h: float):
     if not 0 < h < g.min_edge_length / 4.0:
         raise GraphError("step h must be positive and below a quarter edge length")
+
+
+def _check_count_and_seed(n_paths, seed):
+    """Refuse a path count or seed that is not an integer (a float or a bool
+    is not), and a count below 1."""
+    for name, value in (("n_paths", n_paths), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise GraphError(f"{name} must be an integer, got {value!r}")
+    if n_paths < 1:
+        raise GraphError("n_paths must be at least 1")
 
 
 # -- results ------------------------------------------------------------------
@@ -438,7 +460,8 @@ def _lattice_ensemble(
 
 
 def _incidence_tables(h: float, *graphs: MetricGraph):
-    """Tables ``_advance`` walks with, for the disjoint union of the graphs.
+    """Tables the general engine walks with, for the disjoint union of the
+    graphs.
 
     Each graph's edges and vertices follow those of the graphs before it, so
     its indices are offset by their counts.  Also returns, per graph, the
@@ -486,7 +509,11 @@ def _general_walk(
 ) -> EnsembleResult:
     """Lockstep per-step walk on any graph.
 
-    Step m of every path draws the m-th uniform of the same stream.  With U,
+    Step m of every path draws the m-th word of the same stream.  Levels
+    change only when a path changes edge, leaves U or reaches a vertex.
+    s <= max(0, u_lo) holds exactly when s <= 0 or s <= u_lo, and likewise
+    for the upper level, so the level compare misses no event, and every
+    path's arclength still takes the same sequence of float adds.  With U,
     each path's first exit from U is recorded: the step, the crossed cut and
     its edge.  With splice_to=(graph_b, iso, images of U's cut points), the
     paths walk on the disjoint union of g and graph B: an exit also snaps the
@@ -498,32 +525,39 @@ def _general_walk(
     """
     graphs = (g,) if splice_to is None else (g, splice_to[0])
     index_maps, tables = _incidence_tables(h, *graphs)
+    deg, inc_edge, start_s, lengths, end_vertex, dirichlet = tables
     vids, eids = index_maps[0]
     steps = n_steps(T, h)
-    edge = np.full(n_paths, eids[x0.edge], dtype=np.int64)
+    e0 = eids[x0.edge]
+    edge = np.full(n_paths, e0, dtype=np.int64)
     s = np.full(n_paths, float(x0.s))
-    at_vertex = np.full(n_paths, -1, dtype=np.int64)
-    v0 = g.point_at_vertex(x0)
-    if v0 is not None:
-        at_vertex[:] = vids[v0]
     alive = np.ones(n_paths, dtype=bool)
     exit_step = np.full(n_paths, -1, dtype=np.int64)
     exit_coord = np.zeros(n_paths)
     exit_edge = np.zeros(n_paths, dtype=np.int64)
 
+    n_e = lengths.size
+    # event levels by edge, a path's first row while it is tracked inside U
+    # and its second once it is not: a step can take a path to a vertex or
+    # across a cut only if it ends at or beyond one of them
+    lev_lo = np.zeros(2 * n_e)
+    lev_hi = np.concatenate([lengths, lengths])
     if U is not None:
         # an edge without a U piece keeps hi = -1: every point on it is out;
         # graph-B entries do not matter, since only paths on g are tracked
-        u_lo = np.zeros(sum(len(x.edges) for x in graphs))
-        u_hi = np.full(u_lo.size, -1.0)
+        u_lo = np.zeros(n_e)
+        u_hi = np.full(n_e, -1.0)
         for eid, lo, hi in U.pieces:
             if u_hi[eids[eid]] >= 0:
                 raise GraphError("general engine supports one U piece per edge")
             u_lo[eids[eid]] = lo
             u_hi[eids[eid]] = hi
-        v_inside = np.zeros(sum(len(x.vertices) for x in graphs), dtype=bool)
+        lev_lo[:n_e] = np.maximum(0.0, u_lo)
+        lev_hi[:n_e] = np.minimum(lengths, u_hi)
+        # graph-B vertices are left unmarked: no tracked path reaches them
+        v_outside = np.zeros(deg.size, dtype=bool)
         for v in g.vertices:
-            v_inside[vids[v.id]] = U._aux["inside"][v.id]
+            v_outside[vids[v.id]] = not U._aux["inside"][v.id]
     if splice_to is not None:
         _, iso, images = splice_to
         eids_b = index_maps[1][1]
@@ -536,18 +570,71 @@ def _general_walk(
             side = int(cut.s == u_hi[k])
             img_edge[k, side] = eids_b[img.edge]
             img_s[k, side] = img.s
+    # flat tables: half-edge j of vertex v is entry first_half[v] + j, and the
+    # end of edge k at arclength 0 (L) is entry 2 k (2 k + 1)
+    first_half = np.arange(deg.size) * inc_edge.shape[1]
+    inc_edge, start_s = inc_edge.ravel(), start_s.ravel()
+    end_vertex = end_vertex.ravel()
+    end_s = np.stack([np.zeros(n_e), lengths], axis=1).ravel()
 
-    for step, u in enumerate(_step_uniforms(seed, steps, n_paths)):
-        arrived, at = _advance(u, edge, s, at_vertex, alive, tables, h)
-        if U is not None:
-            out = (s <= u_lo[edge]) | (s >= u_hi[edge])
-            out &= alive
-            # a path that reached a vertex this step, absorbed or not, is out
-            # exactly when the vertex is
-            out[arrived] = ~v_inside[at]
-            out &= exit_step < 0
-            ii = np.nonzero(out)[0]
-            if ii.size:
+    lo = np.full(n_paths, lev_lo[e0])
+    hi = np.full(n_paths, lev_hi[e0])
+    # paths that stand at a vertex, which they leave on the next step
+    depart = depart_v = np.zeros(0, dtype=np.int64)
+    v0 = g.point_at_vertex(x0)
+    if v0 is not None:
+        depart = np.arange(n_paths)
+        depart_v = np.full(n_paths, vids[v0], dtype=np.int64)
+        lo[:], hi[:] = -np.inf, np.inf
+    s_end = np.zeros(n_paths)  # where each path last reached a vertex
+    # a word's top bit flips the sign bit of -h: the step is -h for a word
+    # below 2**63 (u < 0.5) and +h for one at or above
+    minus_h = np.float64(-h).view(np.uint64)
+
+    for step, raw in enumerate(_step_words(seed, steps, n_paths)):
+        # every path takes the step: one at a vertex gets its arclength from
+        # its departure below, and a dead one its final arclength from s_end
+        s += ((raw & _UP) ^ minus_h).view(np.float64)
+        hit = ((s <= lo) | (s >= hi)).nonzero()[0]
+        if depart.size:
+            # the double Generator.random makes of the word picks the half-edge
+            u = (raw[depart] >> _FRAC_SHIFT) * 2.0**-53
+            d = deg[depart_v]
+            half = first_half[depart_v] + np.minimum((u * d).astype(np.int64), d - 1)
+            k = inc_edge[half]
+            edge[depart] = k
+            s[depart] = start_s[half]
+            k += n_e * (exit_step[depart] >= 0)
+            lo[depart] = lev_lo[k]
+            hi[depart] = lev_hi[k]
+            if U is not None:
+                # a departure cannot reach a vertex, but it can cross a cut
+                hit = np.concatenate(
+                    [hit, depart[(s[depart] <= lo[depart]) | (s[depart] >= hi[depart])]])
+        if not hit.size:
+            depart = depart_v = depart[:0]
+            continue
+        k = edge[hit]
+        at_end = (s[hit] <= 0.0) | (s[hit] >= lengths[k])
+        arrived, k = hit[at_end], k[at_end]
+        end = 2 * k + (s[arrived] > 0.0)
+        vid = end_vertex[end]
+        s[arrived] = s_end[arrived] = end_s[end]
+        stay = ~dirichlet[vid]
+        alive[arrived] = stay
+        lo[arrived], hi[arrived] = -np.inf, np.inf
+        cross = hit[~at_end]
+        if U is not None and (cross.size or v_outside[vid].any()):
+            # a path that reached a vertex, absorbed or not, is out exactly
+            # when the vertex is; one that hit a level elsewhere is out when
+            # it is at or beyond a cut
+            ii = np.concatenate([arrived, cross])
+            kc = edge[cross]
+            out = np.concatenate(
+                [v_outside[vid], (s[cross] <= u_lo[kc]) | (s[cross] >= u_hi[kc])])
+            out &= exit_step[ii] < 0
+            if out.any():
+                ii = ii[out]
                 k = edge[ii]
                 # the nearer of the edge's two cut points: 0 for lo, 1 for hi
                 side = (np.abs(s[ii] - u_lo[k]) > np.abs(s[ii] - u_hi[k])).astype(int)
@@ -557,9 +644,18 @@ def _general_walk(
                 if splice_to is not None:
                     edge[ii] = img_edge[k, side]
                     s[ii] = img_s[k, side]
-                    at_vertex[ii] = -1
                     alive[ii] = True
+                    # an exit at a vertex goes on from B's edge, not from there
+                    stay &= ~out[:arrived.size]
+                    cross = np.concatenate([cross, ii])
+            # crossings, and exits that moved to B, take the levels of the
+            # edge they are on now
+            k = edge[cross] + n_e * (exit_step[cross] >= 0)
+            lo[cross] = lev_lo[k]
+            hi[cross] = lev_hi[k]
+        depart, depart_v = arrived[stay], vid[stay]
 
+    s = np.where(alive, s, s_end)
     if splice_to is not None:
         on_b = edge >= len(g.edges)
         edge[on_b] -= len(g.edges)
@@ -576,37 +672,6 @@ def _general_walk(
     )
 
 
-def _advance(u, edge, s, at_vertex, alive, tables, h):
-    """One walk step for every live path (arrays updated in place).
-
-    Paths on an edge move by +-h under a full-array mask; only the rare
-    vertex events, departures and arrivals, are gathered by index.  A path
-    stands at a vertex only on the step it arrives there, and only live
-    paths do.  Returns the paths that reached a vertex this step and that
-    vertex; those at a Dirichlet vertex are absorbed.
-    """
-    deg, inc_edge, start_s, lengths, end_vertex, dirichlet = tables
-    atv = np.nonzero(at_vertex >= 0)[0]
-    moving = alive.copy()
-    moving[atv] = False
-    np.add(s, np.where(u < 0.5, -h, h), out=s, where=moving)
-    if atv.size:
-        vidx = at_vertex[atv]
-        choice = np.minimum((u[atv] * deg[vidx]).astype(np.int64), deg[vidx] - 1)
-        edge[atv] = inc_edge[vidx, choice]
-        s[atv] = start_s[vidx, choice]
-        at_vertex[atv] = -1
-    arrived = np.nonzero(moving & ((s <= 0.0) | (s >= lengths[edge])))[0]
-    k = edge[arrived]
-    high = s[arrived] > 0.0
-    vid = end_vertex[k, high.astype(np.int64)]
-    s[arrived] = np.where(high, lengths[k], 0.0)
-    dead = dirichlet[vid]
-    alive[arrived] = ~dead
-    at_vertex[arrived] = np.where(dead, -1, vid)
-    return arrived, vid
-
-
 def simulate_ensemble(
     g: MetricGraph,
     x0: GraphPoint,
@@ -618,8 +683,7 @@ def simulate_ensemble(
 ) -> EnsembleResult:
     """Lockstep ensemble of n_paths walkers started at x0; with U, the first
     exit of each path from U is recorded."""
-    if n_paths < 1:
-        raise GraphError("n_paths must be at least 1")
+    _check_count_and_seed(n_paths, seed)
     _check_h(g, h)
     g.check_point(x0)
     if U is not None and U.parent != g:
@@ -651,8 +715,7 @@ class SpliceConfig:
 
     def __post_init__(self):
         _check_time(self.T, "horizon T")
-        if self.n_paths < 1:
-            raise GraphError("n_paths must be at least 1")
+        _check_count_and_seed(self.n_paths, self.seed)
         if self.U.parent != self.graph_a:
             raise GraphError("U must be a subdomain of graph A")
         if not self.U.contains(self.x0):

@@ -11,10 +11,13 @@ from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import TruncationError, kernel_interval, kernel_pathsum
 from hklab.spectral import (
     ModeTable,
+    _certified_k_max,
     _phase_count,
     eigen,
     eigen_report,
     kernel_spectral,
+    spectral_tail_bound,
+    trace_tail_bound,
     vertex_residuals,
 )
 
@@ -445,3 +448,38 @@ class TestModeTable:
         modes = eigen(star3, 12.0)
         with pytest.raises(GraphError, match="unknown edge 'zz'"):
             kernel_spectral(star3, 0.1, GraphPoint("zz", 0.1), GraphPoint("e1", 0.2), modes)
+
+
+class TestTailBounds:
+    def test_table_bound_taken_where_the_search_stopped(self, interval):
+        # K is the least k whose bound meets tol; the table's largest root
+        # below it is 7 pi, where the bound would be 4.95e-10
+        K = _certified_k_max(interval, 0.05, 1e-10)
+        assert K == pytest.approx(22.693, abs=1e-3)
+        modes = eigen(interval, K)
+        assert modes.searched_to == K and modes.k_max == pytest.approx(7 * math.pi)
+        assert spectral_tail_bound(interval, 0.05, modes.k_max) > 1e-10
+        x = GraphPoint("e", 0.5)
+        ev = kernel_spectral(interval, 0.05, x, x, modes, tol=1e-10)
+        assert ev.tail_bound <= 1e-10
+        copy = pickle.loads(pickle.dumps(modes))
+        assert copy.searched_to == K
+        # a table built by hand holds every mode only up to its largest one
+        assert ModeTable(interval, modes.k, modes.coef).searched_to == modes.k_max
+
+    @pytest.mark.parametrize("length", [1.0, 8.0, 20.0])
+    @pytest.mark.parametrize("t", [0.01, 0.05, 0.1])
+    def test_trace_tail_bounds_omitted_roots(self, length, t):
+        # the Kirchhoff interval's roots are n pi / L; sum those beyond K
+        g = make_graph([("a", "kirchhoff"), ("b", "kirchhoff")], [("e", "a", "b", length)])
+        K = math.sqrt(math.log(1e16) / t) + 3.0  # what `hklab trace` searches to
+        first = math.floor(K * length / math.pi) + 1
+        omitted = math.fsum(math.exp(-((n * math.pi / length) ** 2) * t)
+                            for n in range(first, first + 10000))
+        bound = trace_tail_bound(g, t, K)
+        assert omitted <= bound
+        if length == 20.0 and t == 0.01:
+            # the mode-sum bound once printed here understates this tail
+            assert spectral_tail_bound(g, t, K) < omitted
+            assert bound == pytest.approx(1.68e-17, rel=1e-2)
+

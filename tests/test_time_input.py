@@ -27,7 +27,7 @@ from hklab.locality import (
     interval_subdomain,
     kernel_killed,
 )
-from hklab.spectral import ModeTable, kernel_spectral, spectral_tail_bound
+from hklab.spectral import ModeTable, kernel_spectral, spectral_tail_bound, trace_tail_bound
 from hklab.twoparticle import (
     eigen_trace_series,
     single_trace_eigen,
@@ -56,6 +56,7 @@ CALLS = {
     "kernel_mass": lambda g, t: kernel_mass(g, t, X, step_frac=0.05),
     "kernel_spectral": lambda g, t: kernel_spectral(g, t, X, X, ModeTable(g, [], [])),
     "spectral_tail_bound": lambda g, t: spectral_tail_bound(g, t, 40.0),
+    "trace_tail_bound": lambda g, t: trace_tail_bound(g, t, 40.0),
     "single_trace_eigen": lambda g, t: single_trace_eigen(ModeTable(g, [], []), t),
     "trace_two_particle_eigen": lambda g, t: trace_two_particle_eigen(
         ModeTable(g, [], []), t),

@@ -12,6 +12,7 @@ from hklab.kernels import kernel_interval, kernel_mass, pathsum
 from hklab.locality import (
     IsometryMap,
     MapPiece,
+    SubdomainSpec,
     ball_subdomain,
     exit_density,
     identity_map,
@@ -26,7 +27,7 @@ from hklab.wiener import (
     _chi2_sf,
     _crossings,
     _first_passage,
-    _step_uniforms,
+    _step_words,
     _stream_keys,
     chi_square_two_sample,
     compare_ensembles,
@@ -36,7 +37,8 @@ from hklab.wiener import (
     time_step,
 )
 
-from conftest import make_graph
+from conftest import make_graph, make_star
+from walk_engine_reference import reference_walk
 
 
 def lattice_fair_edges(length, h, bins):
@@ -74,17 +76,35 @@ class TestScaling:
             SpliceConfig(interval, interval, u, identity_map(u),
                          GraphPoint("e", 0.5), T, 2e-3, 10, 1)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, True])
     def test_bad_path_count_rejected(self, n, interval, star3):
         # 0 gave a nan stay fraction after numpy warnings, -1 numpy's
-        # "negative dimensions" error
+        # "negative dimensions" error, 2.5 numpy's TypeError
+        match = "at least 1" if type(n) is int else "n_paths must be an integer"
         for g in (interval, star3):
-            with pytest.raises(GraphError, match="n_paths must be at least 1"):
+            with pytest.raises(GraphError, match=match):
                 simulate_ensemble(g, GraphPoint(g.edges[0].id, 0.5), 0.01, 2e-3, 1, n)
         u = interval_subdomain(interval, "e", 0.25, 0.75)
-        with pytest.raises(GraphError, match="n_paths must be at least 1"):
+        with pytest.raises(GraphError, match=match):
             SpliceConfig(interval, interval, u, identity_map(u),
                          GraphPoint("e", 0.5), 0.01, 2e-3, n, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, False, None, "7"])
+    def test_bad_seed_rejected(self, seed, interval, star3):
+        # 1.5 used to be truncated to 1 without a word
+        for g in (interval, star3):
+            with pytest.raises(GraphError, match="seed must be an integer"):
+                simulate_ensemble(g, GraphPoint(g.edges[0].id, 0.5), 0.01, 2e-3, seed, 10)
+        u = interval_subdomain(interval, "e", 0.25, 0.75)
+        with pytest.raises(GraphError, match="seed must be an integer"):
+            SpliceConfig(interval, interval, u, identity_map(u),
+                         GraphPoint("e", 0.5), 0.01, 2e-3, 10, seed)
+
+    def test_numpy_integers_accepted(self, star3):
+        a = simulate_ensemble(star3, GraphPoint("e1", 0.5), 0.01, 5e-3, np.int64(3),
+                              np.int32(20))
+        b = simulate_ensemble(star3, GraphPoint("e1", 0.5), 0.01, 5e-3, 3, 20)
+        assert np.array_equal(a.final_s, b.final_s)
 
     def test_mean_and_msd_on_line(self, long_interval):
         ens = simulate_ensemble(long_interval, GraphPoint("e", 4.0), 0.05, 2e-3,
@@ -545,6 +565,92 @@ class TestGeneralGoldenHashes:
         assert digest.hexdigest()[:16] == GENERAL_GOLDEN[kind]
 
 
+def _engine_case(kind, star, star_d, circle, interval_d):
+    """A run that the golden hashes miss: (graph, x0, U, splice_to, n_paths)."""
+    h = 5e-3
+    centre = GraphPoint("e1", 0.0)
+    if kind == "star_centre":
+        return star, centre, None, None, 300
+    if kind == "loop_vertex":
+        return circle, GraphPoint("loop", 0.0), None, None, 300
+    if kind == "tracked_from_centre":
+        return star, centre, ball_subdomain(star, "c", 0.3), None, 300
+    if kind == "absorbed_inside_u":
+        # U covers leaf l1, so paths are absorbed there before any exit
+        u = SubdomainSpec(star_d, (("e1", 0.0, 1.0), ("e2", 0.0, 0.3), ("e3", 0.0, 0.3)))
+        return star_d, GraphPoint("e1", 0.7), u, None, 300
+    if kind == "short_dirichlet_leg":
+        # an absorbed path must stay put, though its leg is a few steps long
+        g = make_star([1.0, 1.0, 0.1], "dirichlet")
+        return g, GraphPoint("e2", 0.05), None, None, 300
+    if kind == "absorbed_outside_u":
+        # paths cross the cut at 0.9, then some are absorbed at a leaf
+        return star_d, GraphPoint("e1", 0.85), ball_subdomain(star_d, "c", 0.9), None, 300
+    if kind == "interval_end_in_u":
+        u = interval_subdomain(interval_d, "e", 0.0, 0.6)
+        return interval_d, GraphPoint("e", 0.1), u, None, 300
+    # cuts less than a step from a vertex: a departure from the centre is
+    # out at once, and a step can cross the cut and reach the leaf together
+    if kind == "cut_near_centre":
+        return star, centre, ball_subdomain(star, "c", 0.5 * h), None, 300
+    if kind == "cut_near_leaf":
+        return star_d, GraphPoint("e1", 0.9), ball_subdomain(star_d, "c", 1 - 0.5 * h), None, 300
+    if kind == "off_lattice_cut":
+        return star, GraphPoint("e1", 0.2), ball_subdomain(star, "c", 0.3 + 0.3 * h), None, 300
+    if kind == "single_path":
+        return star, GraphPoint("e1", 0.2), ball_subdomain(star, "c", 0.3), None, 1
+    # splices from the Dirichlet-leaf star onto the Kirchhoff one, or from the
+    # Kirchhoff star onto itself, where an exit at a leaf goes on from B
+    radius = {"splice_from_centre": 0.3, "splice_cut_near_leaf": 1 - 0.5 * h,
+              "splice_single_path": 0.3, "splice_kirchhoff_leaf": 1 - 0.5 * h}[kind]
+    g_a = star if kind == "splice_kirchhoff_leaf" else star_d
+    ball_d, ball = ball_subdomain(g_a, "c", radius), ball_subdomain(star, "c", radius)
+    iso = IsometryMap(ball_d, ball, tuple(
+        MapPiece(f"e{i}", 0.0, radius, f"e{i}", 0.0, +1) for i in (1, 2, 3)))
+    x0 = {"splice_from_centre": centre, "splice_cut_near_leaf": GraphPoint("e1", 0.9),
+          "splice_single_path": GraphPoint("e1", 0.2),
+          "splice_kirchhoff_leaf": GraphPoint("e1", 0.9)}[kind]
+    images = tuple(iso.apply(b) for b in ball_d.cut_points)
+    return g_a, x0, ball_d, (star, iso, images), 1 if "single" in kind else 300
+
+
+ENGINE_CASES = [
+    "star_centre", "loop_vertex", "tracked_from_centre", "short_dirichlet_leg",
+    "absorbed_inside_u", "absorbed_outside_u", "interval_end_in_u", "cut_near_centre",
+    "cut_near_leaf", "off_lattice_cut", "single_path", "splice_from_centre",
+    "splice_cut_near_leaf", "splice_kirchhoff_leaf", "splice_single_path",
+]
+
+
+class TestEngineReference:
+    @pytest.mark.parametrize("kind", ENGINE_CASES)
+    def test_matches_reference_walk(self, kind, star3, star3_dirichlet_leaves, circle,
+                                    interval_dirichlet):
+        # 1500 steps: the horizon is not a whole number of 1024-step key blocks
+        g, x0, u, splice_to, n = _engine_case(kind, star3, star3_dirichlet_leaves,
+                                              circle, interval_dirichlet)
+        h = 5e-3
+        T = 1500 * time_step(h)
+        if splice_to is None:
+            got = simulate_ensemble(g, x0, T, h, 31, n, U=u)
+        else:
+            got = splice(SpliceConfig(g, splice_to[0], u, splice_to[1], x0, T, h, n, 31))
+        want = reference_walk(g, x0, T, h, 31, n, u, splice_to)
+        assert got.engine == "general"
+        for name in ("final_edge", "final_s", "alive", "exit_step", "exit_coord",
+                     "exit_edge"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        # the case exercises what it is named for
+        exited = got.exit_step >= 0
+        if u is not None and n > 1 and kind != "absorbed_inside_u":
+            assert exited.any()
+        if kind in ("absorbed_inside_u", "interval_end_in_u", "short_dirichlet_leg"):
+            assert (~got.alive & ~exited).any()
+        if kind == "absorbed_outside_u":
+            assert (~got.alive & exited).any()
+
+
 def _unpacked_walk(raw, nb):
     """Walk positions after steps 1..nb of each row, by unpacking every bit."""
     bits = np.unpackbits(raw, axis=1)[:, :nb].astype(np.int64)
@@ -656,13 +762,18 @@ class TestStreamKeys:
             _stream_keys(1, 3, np.array([0, m]))
 
     @pytest.mark.parametrize("seed", [4, 2**40 + 3])
-    def test_step_uniforms_match_generator(self, seed):
-        # the steps run past the first key block
-        got = list(_step_uniforms(seed, 1030, 17))
+    def test_step_words_match_generator(self, seed):
+        # the steps run past the first key block; each word is the raw
+        # Philox output, and the engine's step sign and departure double are
+        # the ones Generator.random gives
+        got = list(_step_words(seed, 1030, 17))
         assert len(got) == 1030
         for m in (0, 1, 1023, 1024, 1029):
-            gen = np.random.Generator(np.random.Philox(key=_reference_key(seed, 3, m)))
-            assert np.array_equal(got[m], gen.random(17))
+            key = _reference_key(seed, 3, m)
+            assert np.array_equal(got[m], np.random.Philox(key=key).random_raw(17))
+            u = np.random.Generator(np.random.Philox(key=key)).random(17)
+            assert np.array_equal((got[m] >> np.uint64(11)) * 2.0**-53, u)
+            assert np.array_equal(got[m] < np.uint64(2**63), u < 0.5)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
     @pytest.mark.parametrize("n_paths", [1, 3, 1000])
