@@ -20,7 +20,7 @@ import numpy as np
 from ._quad import simpson_weights
 from .graph import GraphError, MetricGraph, _check_time, sigma_entries
 from .kernels import pathsum
-from .spectral import ModeTable, eigen, spectral_tail_bound
+from .spectral import ModeTable, eigen, trace_tail_bound
 
 SQRT2 = math.sqrt(2.0)
 
@@ -125,7 +125,7 @@ def eigen_trace_series(g: MetricGraph, t_grid) -> TraceSeries:
     zs, errs = [], []
     for t in t_grid:
         t = float(t)
-        z1_tail = spectral_tail_bound(g, t, k_max)
+        z1_tail = trace_tail_bound(g, t, k_max)
         z = trace_two_particle_eigen(modes, t)
         zs.append(z)
         errs.append(z1_tail * (2.0 * single_trace_eigen(modes, t) + 1.0))

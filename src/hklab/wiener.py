@@ -40,15 +40,19 @@ general engine ran records the check's reason in
 The lattice engine never unpacks the random bits.  A block of
 1024 steps arrives as 128 packed bytes per path, step k in bit 7 - k % 8 of
 byte k // 8 (most significant bit first, the order of ``np.unpackbits``).
-The walk total over a block is 2 * popcount - nb.  First passages come from
-256-entry byte tables of the walk's position, running max and running min
-inside a byte: each byte starts at the sum of the bytes before it, so a
-block's extremes and its exact first crossing take a pass over bytes, not
-steps.  The outputs are bit-identical to unpacking every step.
+The walk total over a block is 2 * popcount - nb.  The popcounts of a
+block's sixteen 64-step words also bound how high and how low each path can
+go in the block, and only paths not yet hit whose bound reaches a level are
+scanned for a first passage.  The scan uses 256-entry byte tables of the
+walk's position, running max and running min inside a byte: each byte starts
+at the sum of the bytes before it, so a block's extremes and its exact first
+crossing take a pass over bytes, not steps.  The bound is exact arithmetic
+on counts, so the outputs are bit-identical to unpacking every step.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -60,6 +64,8 @@ from .locality import IsometryMap, SubdomainSpec
 _BLOCK = 1024  # steps per RNG block; fixed forever for reproducibility
 _BLOCK_BYTES = _BLOCK // 8
 _SCAN_ROWS = 4096  # paths per group in the first-passage scan
+
+_log = logging.getLogger(__name__)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which numpy keeps
@@ -184,6 +190,14 @@ def _check_h(g: MetricGraph, h: float):
         raise GraphError("step h must be positive and below a quarter edge length")
 
 
+def _check_start(g: MetricGraph, x0: GraphPoint):
+    """Refuse a start point off the graph or on a Dirichlet vertex, which
+    absorbs every path at time 0."""
+    v = g.point_at_vertex(x0)
+    if v is not None and g.condition(v) == DIRICHLET:
+        raise GraphError(f"start point lies on Dirichlet vertex {v!r}", offending=v)
+
+
 def _check_count_and_seed(n_paths, seed):
     """Refuse a path count or seed that is not an integer (a float or a bool
     is not), and a count below 1."""
@@ -285,34 +299,46 @@ def _first_passage(seed: int, n_paths: int, steps: int, levels=None):
     ``levels = (lo, hi)`` with lo < 0 < hi is given, the first step at which
     S <= lo or S >= hi and the level reached there (-1 and 0 for paths that
     never reach one).  Every block is read as bytes and never unpacked: a
-    block moves S by 2 * popcount - nb, and only paths that have not hit yet
-    and start the block within nb steps of a level are scanned byte by byte
-    (see ``_crossings``).
+    block moves S by 2 * popcount - nb.  The up-counts of its 64-step words
+    bound how far each path can move inside it (``_word_bounds``), and only
+    paths that have not hit yet and whose bound reaches a level are scanned
+    byte by byte (see ``_crossings``).  One DEBUG record on this module's
+    logger counts the blocks, the unhit rows tested, the rows scanned and
+    the hits.
     """
     carry = np.zeros(n_paths, dtype=np.int64)
     hit_step = np.full(n_paths, -1, dtype=np.int64)
     hit_level = np.zeros(n_paths, dtype=np.int64)
-    done = 0
-    for key in _keys(seed, 2, -(-steps // _BLOCK)):
+    n_blocks = -(-steps // _BLOCK)
+    done = tested = scanned = hits = 0
+    for key in _keys(seed, 2, n_blocks):
         nb = min(_BLOCK, steps - done)
         raw = _block_bytes(key, n_paths)
+        # up-steps of each 64-step word, word-major: (BLOCK // 64, n_paths)
+        word_ups = np.ascontiguousarray(np.bitwise_count(raw.view(np.uint64)).T)
         if levels is not None:
             lo, hi = levels
-            fresh = np.nonzero(
-                (hit_step < 0) & ((hi - carry <= nb) | (carry - lo <= nb))
+            # the bound covers all BLOCK steps, and so a partial block too;
+            # hi - carry and lo - carry can lie past int16, so compare in int64
+            top, bottom = _word_bounds(word_ups)
+            rows = np.nonzero(
+                (hit_step < 0) & ((top >= hi - carry) | (bottom <= lo - carry))
             )[0]
+            tested += n_paths - hits
+            scanned += rows.size
             # groups of rows small enough for the byte-major copies to stay
             # in cache
-            for rows in np.split(fresh, range(_SCAN_ROWS, fresh.size, _SCAN_ROWS)):
+            for group in np.split(rows, range(_SCAN_ROWS, rows.size, _SCAN_ROWS)):
                 # thresholds beyond nb steps are unreachable; clip to int16
-                lo_rel = np.maximum(lo - carry[rows], -nb - 1).astype(np.int16)
-                hi_rel = np.minimum(hi - carry[rows], nb + 1).astype(np.int16)
-                first, up = _crossings(raw[rows], nb, lo_rel, hi_rel)
+                lo_rel = np.maximum(lo - carry[group], -nb - 1).astype(np.int16)
+                hi_rel = np.minimum(hi - carry[group], nb + 1).astype(np.int16)
+                first, up = _crossings(raw[group], nb, lo_rel, hi_rel)
                 got = first >= 0
-                hit_step[rows[got]] = done + 1 + first[got]
-                hit_level[rows[got]] = np.where(up[got], hi, lo)
+                hit_step[group[got]] = done + 1 + first[got]
+                hit_level[group[got]] = np.where(up[got], hi, lo)
+                hits += int(np.count_nonzero(got))
         if nb == _BLOCK:
-            ups = np.bitwise_count(raw.view(np.uint64)).sum(axis=1, dtype=np.int64)
+            ups = word_ups.sum(axis=0, dtype=np.int16)
         else:
             whole, rest = divmod(nb, 8)
             ups = np.bitwise_count(raw[:, :whole]).sum(axis=1, dtype=np.int64)
@@ -321,7 +347,31 @@ def _first_passage(seed: int, n_paths: int, steps: int, levels=None):
                 ups += np.bitwise_count(raw[:, whole] >> (8 - rest))
         carry += 2 * ups - nb
         done += nb
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("first passage: %d blocks, %d unhit rows tested, %d byte-scanned, "
+                   "%d hits", n_blocks, tested, scanned, hits)
     return carry, hit_step, hit_level
+
+
+def _word_bounds(word_ups: np.ndarray):
+    """Highest and lowest point a block's walk from 0 can reach, bounded
+    from the up-counts u_j of its 64-step words, word-major shape
+    (BLOCK // 64, rows).
+
+    Word j starts at s_j = sum over i < j of (2 u_i - 64) and stays within
+    [s_j + u_j - 64, s_j + u_j], so every prefix of the block stays within
+    [min_j (s_j + u_j) - 64, max_j (s_j + u_j)].
+    """
+    reach = word_ups[0].astype(np.int16)  # s_j + u_j, from j = 0
+    top, bottom = reach.copy(), reach.copy()
+    # s_j + u_j = (s_{j-1} + u_{j-1}) + u_{j-1} + u_j - 64, added in place
+    for j in range(1, len(word_ups)):
+        reach += word_ups[j - 1]
+        reach += word_ups[j]
+        reach -= 64
+        np.maximum(top, reach, out=top)
+        np.minimum(bottom, reach, out=bottom)
+    return top, bottom - 64
 
 
 def _crossings(raw: np.ndarray, nb: int, lo_rel: np.ndarray, hi_rel: np.ndarray):
@@ -685,7 +735,7 @@ def simulate_ensemble(
     exit of each path from U is recorded."""
     _check_count_and_seed(n_paths, seed)
     _check_h(g, h)
-    g.check_point(x0)
+    _check_start(g, x0)
     if U is not None and U.parent != g:
         raise GraphError("U must be a subdomain of the graph")
     if U is not None and not U.contains(x0):
@@ -720,6 +770,7 @@ class SpliceConfig:
             raise GraphError("U must be a subdomain of graph A")
         if not self.U.contains(self.x0):
             raise GraphError("start point must lie inside U")
+        _check_start(self.graph_a, self.x0)
 
 
 def splice(cfg: SpliceConfig) -> EnsembleResult:

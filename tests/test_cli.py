@@ -256,6 +256,17 @@ class TestMcCommand:
         assert "n_paths must be at least 1" in json.loads(captured.err)["error"]
         assert "stay fraction" not in captured.out
 
+    def test_start_on_dirichlet_vertex_exit_2(self, workdir, capsys):
+        args = [
+            "mc", "simulate", "--graph", str(workdir / "interval_d.json"),
+            "--x0", "e:0", "--T", "0.01", "--h", "0.01", "--paths", "1000",
+            "--out", str(workdir),
+        ]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "Dirichlet vertex 'a'" in err["error"] and err["offending"] == "a"
+        assert not (workdir / "ensemble.csv").exists()
+
     @pytest.mark.parametrize("option", ["--graph", "--x0", "--T", "--h"])
     def test_simulate_missing_option_exit_2(self, workdir, option, capsys):
         # each used to end in a TypeError or AttributeError traceback

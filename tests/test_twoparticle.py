@@ -206,6 +206,20 @@ class TestFit:
         assert errs[1] <= errs[0] + 1e-9
         assert errs[1] < 0.02
 
+    @pytest.mark.parametrize("length", [1.0, 20.0])
+    def test_eigen_series_error_covers_omitted_roots(self, length):
+        # the error bounds each Z_1 tail by the omitted roots n pi / L summed
+        # directly; on a length-20 interval the pointwise kernel bound used
+        # to give 3.22e-18 for a tail of 5.24e-18
+        g = make_graph([("a", K), ("b", K)], [("e", "a", "b", length)])
+        t = 0.01
+        series = eigen_trace_series(g, [t])
+        k_max = math.sqrt(math.log(1e18) / t)
+        n = np.arange(math.floor(k_max * length / math.pi) + 1, 10**5)
+        omitted = float(np.exp(-(n * math.pi / length) ** 2 * t).sum())
+        z1 = single_trace_eigen(eigen(g, k_max), t)
+        assert series.quad_error[0] >= omitted * (2.0 * z1 + 1.0)
+
     def test_star_a0_within_two_percent(self, star3):
         fit = asymptotic_fit(eigen_trace_series(star3, np.geomspace(0.002, 0.02, 8)))
         pred = predicted_coefficients(star3)

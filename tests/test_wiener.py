@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from hklab.wiener import (
     _first_passage,
     _step_words,
     _stream_keys,
+    _word_bounds,
     chi_square_two_sample,
     compare_ensembles,
     n_steps,
@@ -192,6 +194,24 @@ class TestGeneralEngine:
         ball = ball_subdomain(star3, "c", 0.5)
         with pytest.raises(GraphError, match="inside U"):
             simulate_ensemble(star3, GraphPoint("e1", 0.9), 0.01, 5e-3, 1, 10, U=ball)
+
+    @pytest.mark.parametrize("case", ["dk_interval", "kd_interval", "star_leaf"])
+    def test_start_on_dirichlet_vertex_rejected(self, case, star3_dirichlet_leaves):
+        # both engines used to run from the vertex and report survivors where
+        # the kernel mass is 0 (D-K interval from s = 0: 3.8% of 1000 paths
+        # alive at T = h = 0.01; the leaf of the star: 5.2%)
+        dk = _segment(1.0, "dirichlet", "kirchhoff")
+        g, x0, vertex, kirchhoff_end = {
+            "dk_interval": (dk, GraphPoint("e", 0.0), "a", GraphPoint("e", 1.0)),
+            "kd_interval": (_segment(1.0, "kirchhoff", "dirichlet"), GraphPoint("e", 1.0),
+                            "b", GraphPoint("e", 0.0)),
+            "star_leaf": (star3_dirichlet_leaves, GraphPoint("e1", 1.0), "l1",
+                          GraphPoint("e1", 0.0)),
+        }[case]
+        with pytest.raises(GraphError, match=f"Dirichlet vertex '{vertex}'"):
+            simulate_ensemble(g, x0, 0.01, 0.01, 1, 1000)
+        # the graph's Kirchhoff vertex is still a start
+        assert simulate_ensemble(g, kirchhoff_end, 0.01, 0.01, 1, 1000).alive.any()
 
     def test_u_on_another_graph_rejected(self, star3):
         star4 = make_graph(
@@ -398,6 +418,19 @@ class TestSplice:
             lattice = (sp.final_s - 0.0005) / 2e-3
             assert np.abs(lattice - np.round(lattice)).max() < 1e-6
             assert np.isclose(sp.final_s, 0.4965).any()
+
+    def test_start_on_dirichlet_vertex_rejected(self, star3_dirichlet_leaves):
+        # U covers the Dirichlet vertex the start sits on; both splices used
+        # to run, on the general engine
+        dk = _segment(1.0, "dirichlet", "kirchhoff")
+        star = star3_dirichlet_leaves
+        for g, u, x0 in (
+            (dk, interval_subdomain(dk, "e", 0.0, 0.5), GraphPoint("e", 0.0)),
+            (star, interval_subdomain(star, "e1", 0.5, 1.0), GraphPoint("e1", 1.0)),
+        ):
+            assert u.contains(x0)
+            with pytest.raises(GraphError, match="Dirichlet vertex"):
+                SpliceConfig(g, g, u, identity_map(u), x0, 0.01, 0.01, 1000, 1)
 
     def test_exit_point_must_have_image(self, interval, interval_dirichlet):
         u_d = interval_subdomain(interval_dirichlet, "e", 0.25, 0.75)
@@ -676,13 +709,42 @@ def _reference_key(seed, stream, m):
 def _reference_first_passage(seed, n_paths, steps, levels):
     blocks = [_block_bytes(_reference_key(seed, 2, b), n_paths)
               for b in range(-(-steps // 1024))]
+    return _reference_on_blocks(blocks, steps, levels)
+
+
+def _reference_on_blocks(blocks, steps, levels):
     walk = _unpacked_walk(np.concatenate(blocks, axis=1), steps)
+    n_paths = len(walk)
     if levels is None:
         return walk[:, -1], np.full(n_paths, -1), np.zeros(n_paths, dtype=np.int64)
     lo, hi = levels
     first, up = _reference_crossings(walk, np.full(n_paths, lo), np.full(n_paths, hi))
     return (walk[:, -1], np.where(first >= 0, first + 1, -1),
             np.where(first >= 0, np.where(up, hi, lo), 0))
+
+
+def _first_passage_on_blocks(monkeypatch, blocks, steps, levels):
+    """``_first_passage`` reading the given blocks in place of Philox bytes."""
+    queue = iter(blocks)
+    monkeypatch.setattr("hklab.wiener._block_bytes", lambda key, n_paths: next(queue))
+    return _first_passage(0, len(blocks[0]), steps, levels)
+
+
+# bytes whose walk, MSB first, goes up, down, up, ... and stays in [0, 1],
+# or down, up, ... in [-1, 0]; either ends every byte where it began
+_UP_DOWN, _DOWN_UP = 0xAA, 0x55
+
+
+def _rows_with_word(prefix, word, fill, follow=None):
+    """One block row per entry of `word`: `prefix` bytes except 64-step word
+    word[i], all `fill` (0xFF up, 0x00 down), and the word after it all
+    `follow` when given."""
+    rows = np.full((len(word), 128), prefix, dtype=np.uint8)
+    for row, j in zip(rows, word):
+        row[8 * j:8 * j + 8] = fill
+        if follow is not None and j < 15:
+            row[8 * j + 8:8 * j + 16] = follow
+    return rows
 
 
 class TestByteTableScan:
@@ -698,9 +760,10 @@ class TestByteTableScan:
             assert np.array_equal(2 * ups - length, walk[:, length - 1])
 
     @pytest.mark.parametrize("seed", [3, 17, 2024])
-    @pytest.mark.parametrize("steps", [1, 7, 8, 9, 1023, 1024, 1025, 2061])
+    @pytest.mark.parametrize("steps", [1, 7, 8, 9, 1023, 1024, 1025, 2061, 5000])
     @pytest.mark.parametrize("levels", [
         None, (-1, 1), (-1, 40), (-40, 1), (-2, 2), (-3, 5), (-30, 30), (-90, 60),
+        (-300, 200), (-1100, 1500),
     ])
     def test_first_passage_matches_unpacked_cumsum(self, seed, steps, levels):
         got = _first_passage(seed, 300, steps, levels)
@@ -744,6 +807,90 @@ class TestByteTableScan:
         seg = [walk[i, 8 * j:8 * j + 8] for i, j in zip(rows, b)]
         both = [(s.max() >= hi[i]) and (s.min() <= lo[i]) for s, i in zip(seg, rows)]
         assert any(both) or nb < 3
+
+    def test_word_bounds_exact_on_whole_words(self):
+        # on rows made of all-up and all-down words the walk turns only at
+        # word ends, so the bounds are its exact extremes, its start
+        # included; on other rows they contain the walk
+        rng = np.random.default_rng(5)
+        whole = np.repeat(rng.choice([0x00, 0xFF], size=(3000, 16)), 8, axis=1)
+        mixed = rng.integers(0, 256, size=(3000, 128))
+        biased = np.where(rng.random((3000, 128)) < 0.8, 0xFF, mixed)
+        for raw, exact in ((whole, True), (mixed, False), (biased, False)):
+            raw = raw.astype(np.uint8)
+            walk = np.concatenate([np.zeros((3000, 1), dtype=np.int64),
+                                   _unpacked_walk(raw, 1024)], axis=1)
+            word_ups = np.ascontiguousarray(np.bitwise_count(raw.view(np.uint64)).T)
+            top, bottom = _word_bounds(word_ups)
+            if exact:
+                assert np.array_equal(top, walk.max(axis=1))
+                assert np.array_equal(bottom, walk.min(axis=1))
+            else:
+                assert np.all(top >= walk.max(axis=1))
+                assert np.all(bottom <= walk.min(axis=1))
+
+    @pytest.mark.parametrize("pre_bytes", [0, 5])
+    def test_levels_reached_on_a_words_last_step(self, monkeypatch, pre_bytes):
+        # the first block leaves the walk at 8 * pre_bytes; in the second, an
+        # all-up (all-down) word j takes it exactly to the level on the
+        # word's last step and the next word brings it back, so the word
+        # bound meets the level with equality
+        carry = 8 * pre_bytes
+        levels = (carry - 64, carry + 64)
+        word = np.arange(16)
+        first = np.full((32, 128), _UP_DOWN, dtype=np.uint8)
+        first[:, :pre_bytes] = 0xFF
+        second = np.concatenate([_rows_with_word(_UP_DOWN, word, 0xFF, follow=0x00),
+                                 _rows_with_word(_UP_DOWN, word, 0x00, follow=0xFF)])
+        got = _first_passage_on_blocks(monkeypatch, [first, second], 2048, levels)
+        want = _reference_on_blocks([first, second], 2048, levels)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.array_equal(got[1], np.tile(1024 + 64 * word + 64, 2))
+        assert np.array_equal(got[2], np.repeat(levels[::-1], 16))
+
+    @pytest.mark.parametrize("nb", [1, 63, 64, 65, 1000])
+    def test_word_bound_on_partial_blocks(self, monkeypatch, nb):
+        # the bound spans the whole block; only the first nb steps of the last
+        # block count.  Crafted rows reach the level on the block's last step,
+        # or would reach it only past it; random rows start at random carries
+        rng = np.random.default_rng(nb)
+        last = (nb - 1) // 64  # the word that holds the last step
+        reach = nb - 64 * last  # what an all-up last word adds by step nb
+        word = [last, min(last + 1, 15)]
+        first = np.concatenate([np.full((2, 128), _DOWN_UP, dtype=np.uint8),
+                                np.full((2, 128), _UP_DOWN, dtype=np.uint8),
+                                rng.integers(0, 256, size=(400, 128), dtype=np.uint8)])
+        second = np.concatenate([_rows_with_word(_DOWN_UP, word, 0xFF),
+                                 _rows_with_word(_UP_DOWN, word, 0x00),
+                                 rng.integers(0, 256, size=(400, 128), dtype=np.uint8)])
+        steps = 1024 + nb
+        # row 0 (up) and row 2 (down) reach `level` on the block's last step
+        for levels, row, level in (((-2, reach), 0, reach), ((-reach, 2), 2, -reach),
+                                   ((-30, 30), None, None)):
+            got = _first_passage_on_blocks(monkeypatch, [first, second], steps, levels)
+            want = _reference_on_blocks([first, second], steps, levels)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            if row is not None:
+                assert got[1][row] == steps and got[2][row] == level
+
+    def test_scan_counts_logged_at_debug(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="hklab.wiener")
+        _, hit_step, _ = _first_passage(17, 300, 2061, (-30, 30))
+        records = [r for r in caplog.records if r.name == "hklab.wiener"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        blocks, tested, scanned, hits = records[0].args
+        assert blocks == 3 and hits == np.count_nonzero(hit_step >= 0) > 0
+        # a path is tested in every block it starts unhit
+        assert tested == sum(np.count_nonzero((hit_step < 0) | (hit_step > 1024 * b))
+                             for b in range(3))
+        assert hits <= scanned <= tested
+
+    def test_scan_counts_not_logged_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="hklab.wiener")
+        _first_passage(17, 300, 2061, (-30, 30))
+        assert not [r for r in caplog.records if r.name == "hklab.wiener"]
 
 
 class TestStreamKeys:
