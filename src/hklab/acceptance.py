@@ -35,7 +35,7 @@ from .locality import (
     interval_subdomain,
     locality_compare,
 )
-from .spectral import eigen, kernel_spectral
+from .spectral import _certified_k_max, eigen, kernel_spectral
 from .twoparticle import (
     SymCoeff,
     asymptotic_fit,
@@ -110,8 +110,7 @@ def criterion_1() -> CriterionResult:
     t0 = time.time()
     worst = 0.0
     for g in (interval_graph(), star_graph(), triangle_graph()):
-        k_need = math.sqrt(math.log(1e14) / 0.01)
-        modes = eigen(g, k_need + 5.0)
+        modes = eigen(g, _certified_k_max(g, 0.01, 1e-14))
         pts = _spread_points(g, 5)
         for t in (0.01, 0.05, 0.2):
             for x in pts:
@@ -325,8 +324,9 @@ def criterion_6() -> CriterionResult:
     )
     ts = np.geomspace(0.004, 0.02, 4)
     trace_dev = 0.0
-    m_split = eigen(split, math.sqrt(math.log(1e15) / 0.004) + 3)
-    m_plain = eigen(plain, math.sqrt(math.log(1e15) / 0.004) + 3)
+    # one cutoff, solved on the shorter edges, so both tables hold one spectrum
+    k_max = _certified_k_max(split, 0.004, 1e-15)
+    m_split, m_plain = eigen(split, k_max), eigen(plain, k_max)
     for t in ts:
         trace_dev = max(
             trace_dev,
@@ -382,7 +382,7 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     t0 = time.time()
     g = interval_graph()
-    modes = eigen(g, math.sqrt(math.log(1e17) / 0.01) + 3)
+    modes = eigen(g, _certified_k_max(g, 0.01, 1e-17))
     worst = 0.0
     for t in (0.01, 0.05):
         zq = trace_two_particle(g, t, 2e-3)

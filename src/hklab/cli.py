@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -238,7 +237,7 @@ def _cmd_eigen(args):
 def _cmd_trace(args):
     g = load_graph(args.graph)
     ts = _grid(args.tgrid, "t-grid")
-    k_max = math.sqrt(math.log(1e16) / float(ts.min())) + 3.0
+    k_max = _certified_k_max(g, float(ts.min()), 1e-16)
     modes = eigen(g, k_max)
     # no quadrature runs: the error column bounds the modes beyond k_max
     rows = [[t, single_trace_eigen(modes, t), trace_tail_bound(g, t, k_max)] for t in ts]

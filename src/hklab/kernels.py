@@ -102,9 +102,9 @@ def kernel_interval(L, cond_left, cond_right, t, x, y) -> KernelEval:
         raise ValueError("point outside the interval")
     e0 = _condition_sign(cond_left)
     eL = _condition_sign(cond_right)
-    n_img = int(math.ceil((2 * L + math.sqrt(4 * t * math.log(1e16))) / (2 * L))) + 1
+    n_img = max(1, math.ceil(math.sqrt(t * math.log(1.0 / _IMAGE_TOL)) / L))
     while _image_tail(L, t, n_img) > _IMAGE_TOL:
-        n_img += 2
+        n_img += 1
         if n_img > 100000:
             raise TruncationError("image sum will not certify 1e-14 at this t")
     n = np.arange(-n_img, n_img + 1)

@@ -13,6 +13,9 @@ modes come from the null space of I - U(k)^T at the root.
 ``eigen`` returns a ``ModeTable``: the frequencies and per-edge coefficients
 of every mode as read-only arrays.  The vertex check, the eigen report, the
 traces and ``kernel_spectral`` all read those arrays.
+
+The same count gives proven bounds on what a table leaves out, and
+``_certified_k_max`` is the one rule for the k_max a tolerance needs.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ class ModeTable:
 
     On edge e mode m is A cos(k s) + B sin(k s), s the arclength from the
     u-endpoint; for k = 0 it is affine, A + B s.  ``k`` holds the
-    frequencies, shape (M,), and ``k_max`` the largest (0 without modes);
-    ``searched_to`` is the k up to which the table holds every mode, the
-    k_max ``eigen`` was given, or ``k_max`` for a table built by hand;
+    frequencies, shape (M,); ``searched_to`` is the k up to which the table
+    holds every mode, the k_max ``eigen`` was given, or the largest
+    frequency (0 without modes) for a table built by hand;
     ``coef[m, i]`` is the (A, B) of mode m on edge i of ``g.edges``, shape
     (M, E, 2); ``col`` maps an edge id to i; ``graph`` is g.
     """
@@ -42,8 +45,7 @@ class ModeTable:
         self.graph = g
         self.col = {e.id: i for i, e in enumerate(g.edges)}
         self.k = np.array(k, dtype=float)
-        self.k_max = float(self.k.max(initial=0.0))
-        self.searched_to = self.k_max if searched_to is None else float(searched_to)
+        self.searched_to = float(self.k.max(initial=0.0) if searched_to is None else searched_to)
         self.coef = np.array(coef, dtype=float).reshape(len(self.k), len(g.edges), 2)
         # per edge and mode: the cos and sin coefficients, and the slope of
         # the affine k = 0 modes, shape (E, 3, M)
@@ -70,30 +72,25 @@ class ModeTable:
         return rows[:, 0] * np.cos(ks) + rows[:, 1] * np.sin(ks) + rows[:, 2] * s[:, None]
 
 
-# -- the modes of one root ------------------------------------------------------
+# -- the modes of every root ----------------------------------------------------
 
 
-def _norm_matrix(g: MetricGraph, k: float) -> np.ndarray:
-    """Gram matrix of the per-edge (cos, sin) basis in L2(G) (block diagonal)."""
-    m = 2 * len(g.edges)
-    gram = np.zeros((m, m))
-    for i, e in enumerate(g.edges):
-        ell = e.length
-        if k == 0.0:
-            icc, iss, ics = ell, ell**3 / 3.0, ell**2 / 2.0  # basis (1, s)
-        else:
-            icc = ell / 2.0 + math.sin(2 * k * ell) / (4 * k)
-            iss = ell / 2.0 - math.sin(2 * k * ell) / (4 * k)
-            ics = math.sin(k * ell) ** 2 / (2 * k)
-        gram[2 * i, 2 * i] = icc
-        gram[2 * i + 1, 2 * i + 1] = iss
-        gram[2 * i, 2 * i + 1] = gram[2 * i + 1, 2 * i] = ics
+def _norm_matrix(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
+    """Gram matrices of the per-edge (cos, sin) basis in L2(G) at positive k,
+    block diagonal, one per k of a stack, shape (len(ks), 2E, 2E)."""
+    ell, k = np.array([e.length for e in g.edges]), ks[:, None]
+    wave = np.sin(2 * k * ell) / (4 * k)
+    i = np.arange(0, 2 * ell.size, 2)
+    gram = np.zeros((ks.size, 2 * ell.size, 2 * ell.size))
+    gram[:, i, i], gram[:, i + 1, i + 1] = ell / 2.0 + wave, ell / 2.0 - wave
+    gram[:, i, i + 1] = gram[:, i + 1, i] = np.sin(k * ell) ** 2 / (2 * k)
     return gram
 
 
-def _null_modes(g: MetricGraph, k: float, a: np.ndarray) -> np.ndarray:
-    """Coefficient rows of the modes of a root k, orthonormal in L2(G), shape
-    (m, 2E) with (A, B) per edge, from the m rows of a.
+def _null_modes(g: MetricGraph, ks: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the modes of roots ks that share one multiplicity
+    m, orthonormal in L2(G), shape (len(ks), m, 2E) with (A, B) per edge,
+    from the m rows a[r] of each root.
 
     The incoming bond amplitudes of a mode satisfy a = U(k)^T a, so the rows
     of a span them when they are the conjugated m smallest right-singular
@@ -104,13 +101,14 @@ def _null_modes(g: MetricGraph, k: float, a: np.ndarray) -> np.ndarray:
     real modes; the Gram matrix of _norm_matrix orthonormalizes them, keeping
     its m largest eigenvalues.
     """
-    m, n = a.shape
-    beta = a[:, 0::2]
-    alpha = a[:, 1::2] * np.exp(-1j * k * np.array([e.length for e in g.edges]))
-    coef = np.stack([alpha + beta, 1j * (alpha - beta)], axis=2).reshape(m, n)
-    rows = np.concatenate([coef.real, coef.imag])
-    evals, evecs = np.linalg.eigh(rows @ _norm_matrix(g, k) @ rows.T)
-    return (evecs[:, -m:] / np.sqrt(evals[-m:])).T @ rows
+    r, m, n = a.shape
+    beta = a[:, :, 0::2]
+    alpha = a[:, :, 1::2] * np.exp(-1j * ks[:, None, None]
+                                   * np.array([e.length for e in g.edges]))
+    coef = np.stack([alpha + beta, 1j * (alpha - beta)], axis=3).reshape(r, m, n)
+    rows = np.concatenate([coef.real, coef.imag], axis=1)
+    evals, evecs = np.linalg.eigh(rows @ _norm_matrix(g, ks) @ rows.transpose(0, 2, 1))
+    return (evecs[:, :, -m:] / np.sqrt(evals[:, None, -m:])).transpose(0, 2, 1) @ rows
 
 
 def _constant_modes(g: MetricGraph) -> np.ndarray:
@@ -308,10 +306,10 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
       root apart, and separate null spaces would give modes that are not
       orthogonal.
 
-    The modes of every root come from one batched SVD (``_null_vectors``).
-    They must number N(k_max) plus the constant modes, and each must meet
-    every vertex condition (``vertex_residuals`` within 1e-10 for the value
-    and 1e-8 for the flux), or ``GraphError`` is raised.
+    The roots must number N(k_max), their modes come from one batched SVD and
+    one ``_null_modes`` batch per multiplicity, and each mode must meet every
+    vertex condition (``vertex_residuals`` within 1e-10 for the value and
+    1e-8 for the flux), or ``GraphError`` is raised.
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be finite and positive")
@@ -324,17 +322,20 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
     base, top = _phase_count(g, np.array([k_lo, k_max]))
     count = round(top - base)
     roots, mult = _roots(g, k_lo, k_max, base, count)
-    rows = [_constant_modes(g)]
-    freqs = [0.0] * len(rows[0])
-    for k, m, vh in zip(roots.tolist(), mult.tolist(), _null_vectors(g, roots)):
-        rows.append(_null_modes(g, k, vh[-m:].conj()))
-        freqs += [k] * len(rows[-1])
-    expected = count + len(rows[0])
-    if len(freqs) != expected:
-        raise GraphError(
-            f"found {len(freqs)} modes up to k={k_max:g}, exact count {expected}"
-        )
-    modes = ModeTable(g, freqs, np.concatenate(rows), k_max)
+    constant = _constant_modes(g)
+    if mult.sum() != count:
+        raise GraphError(f"found {len(constant) + mult.sum()} modes up to k={k_max:g}, "
+                         f"exact count {len(constant) + count}")
+    vh = _null_vectors(g, roots)
+    rows = np.empty((count, constant.shape[1]))
+    # one batch per multiplicity; each root's m rows go back to its place
+    first = np.cumsum(mult) - mult
+    for m in np.unique(mult).tolist():
+        at = mult == m
+        rows[(first[at][:, None] + np.arange(m)).ravel()] = _null_modes(
+            g, roots[at], vh[at, -m:].conj()).reshape(-1, rows.shape[1])
+    freqs = np.concatenate([np.zeros(len(constant)), np.repeat(roots, mult)])
+    modes = ModeTable(g, freqs, np.concatenate([constant, rows]), k_max)
     value, flux = vertex_residuals(modes)
     bad = (value > 1e-10) | (flux > 1e-8)
     if bad.any():
@@ -384,10 +385,10 @@ def kernel_spectral(
     modes: ModeTable,
     tol: float | None = None,
 ) -> KernelEval:
-    """Spectral heat kernel sum over a mode table, with a tail estimate.
+    """Spectral heat kernel sum over a mode table, with a tail bound.
 
     Every mode is evaluated at x and y at once from the table's arrays.  The
-    tail estimate covers the modes beyond the k the table was searched to.
+    tail bound covers the modes beyond the k the table was searched to.
     """
     _check_time(t)
     g.check_point(x)
@@ -404,13 +405,24 @@ def kernel_spectral(
 
 
 def spectral_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
-    """Gaussian-in-k estimate for the spectral sum beyond k_max."""
+    """Bound on the kernel's terms beyond k_max, at any pair of points:
+    max(1, 4 / l_min) ``trace_tail_bound(g, t, k_max)`` for k_max >= 2 / l_min,
+    and inf below that.
+
+    On an edge of length l a mode is A cos(ks) + B sin(ks), so |phi|^2 <=
+    A^2 + B^2 there.  The Gram matrix of (cos, sin) on the edge
+    (``_norm_matrix``) has eigenvalues l/2 +- |sin kl| / 2k, so for
+    k >= 2 / l_min its least eigenvalue is at least l/4 >= l_min/4, and a mode
+    of unit norm has A^2 + B^2 <= 4 / l_min on every edge.  Each omitted term
+    e^{-k^2 t} phi(x) phi(y) is then at most 4 / l_min times e^{-k^2 t}, and
+    ``trace_tail_bound`` bounds the sum of those over the roots k > k_max,
+    counted with multiplicity.  The factor is at least 1, so the bound also
+    covers the heat trace's omitted terms.
+    """
     _check_time(t)
-    if k_max <= 2.0 / g.min_edge_length:
+    if k_max < 2.0 / g.min_edge_length:
         return math.inf
-    density = g.total_length / math.pi + len(g.vertices) + 2
-    sup_sq = 8.0 / g.min_edge_length
-    return density * sup_sq * math.exp(-(k_max**2) * t) / (2.0 * k_max * t)
+    return max(1.0, 4.0 / g.min_edge_length) * trace_tail_bound(g, t, k_max)
 
 
 def trace_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
@@ -430,7 +442,7 @@ def trace_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
 
 
 def _certified_k_max(g: MetricGraph, t: float, tol: float) -> float:
-    """A k_max whose mode table certifies tol at time t.
+    """The k_max of every mode table that must certify tol at time t.
 
     It is K, bisected to 1e-12 relative, the least k with
     ``spectral_tail_bound(g, t, k) <= tol``; the bound falls as k grows.

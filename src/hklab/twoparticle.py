@@ -20,7 +20,7 @@ import numpy as np
 from ._quad import simpson_weights
 from .graph import GraphError, MetricGraph, _check_time, sigma_entries
 from .kernels import pathsum
-from .spectral import ModeTable, eigen, trace_tail_bound
+from .spectral import ModeTable, _certified_k_max, eigen, trace_tail_bound
 
 SQRT2 = math.sqrt(2.0)
 
@@ -116,11 +116,11 @@ def trace_two_particle_eigen(modes: ModeTable, t: float) -> float:
 
 
 def eigen_trace_series(g: MetricGraph, t_grid) -> TraceSeries:
-    """TraceSeries from the eigenvalue-pair oracle, with truncation estimates."""
+    """TraceSeries from the eigenvalue-pair oracle, with truncation bounds."""
     for t in t_grid:
         _check_time(t)
     t_min = min(float(t) for t in t_grid)
-    k_max = math.sqrt(math.log(1e18) / t_min)
+    k_max = _certified_k_max(g, t_min, 1e-18)
     modes = eigen(g, k_max)
     zs, errs = [], []
     for t in t_grid:

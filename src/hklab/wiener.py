@@ -178,7 +178,10 @@ def time_step(h: float) -> float:
 
 
 def n_steps(T: float, h: float) -> int:
+    """Steps in the horizon T, 1 to 2**32: a step key's counter fits 32 bits."""
     _check_time(T, "horizon T")
+    if not T <= 2.0**32 * time_step(h):
+        raise GraphError(f"horizon T={T:g} takes more than 2**32 steps of h={h:g}")
     steps = int(round(T / time_step(h)))
     if steps < 1:
         raise GraphError("horizon shorter than a single step")

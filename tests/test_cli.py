@@ -244,6 +244,19 @@ class TestMcCommand:
         err = json.loads(capsys.readouterr().err)
         assert "finite and positive" in err["error"]
 
+    @pytest.mark.parametrize("h", ["1e-200", "1e-160", "1e-5"])
+    def test_too_many_steps_exit_2(self, workdir, h, capsys):
+        # 1e-200 and 1e-160 once ended in ZeroDivisionError and OverflowError
+        # tracebacks; 1e-5 at T = 1e3 asks for 2e13 steps, above the 2**32 limit
+        args = [
+            "mc", "simulate", "--graph", str(workdir / "interval.json"),
+            "--x0", "e:0.5", "--T", "0.01" if h != "1e-5" else "1e3", "--h", h,
+            "--paths", "10", "--out", str(workdir),
+        ]
+        assert main(args) == 2
+        assert "more than 2**32 steps" in json.loads(capsys.readouterr().err)["error"]
+        assert not (workdir / "ensemble.csv").exists()
+
     @pytest.mark.parametrize("paths", ["0", "-5"])
     def test_bad_path_count_exit_2(self, workdir, paths, capsys):
         args = [

@@ -4,8 +4,9 @@ Hypothesis draws stars of degree 2-4, triangles, lollipops and three-edge
 multigraphs with mixed Kirchhoff and Dirichlet vertices and drawn edge
 lengths, points that include edge ends, and times in [0.005, 0.06].  The
 root search of ``eigen`` is checked on the same graphs against bisection
-alone (``spectral_reference``).  The runs are derandomized, so Tier-1 sees
-the same examples on every run.
+alone (``spectral_reference``), and the spectral tail bound against the
+terms it bounds.  The runs are derandomized, so Tier-1 sees the same
+examples on every run.
 """
 
 import math
@@ -18,7 +19,14 @@ from conftest import make_graph
 from hklab.graph import DIRICHLET, GraphPoint
 from hklab.kernels import kernel_pathsum
 from hklab.locality import interval_subdomain, kernel_killed
-from hklab.spectral import _phase_count, eigen, kernel_spectral
+from hklab.spectral import (
+    _certified_k_max,
+    _phase_count,
+    eigen,
+    kernel_spectral,
+    spectral_tail_bound,
+    trace_tail_bound,
+)
 from spectral_reference import bisect_roots
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -95,9 +103,24 @@ def test_killed_below_full(case, fx, fy):
 @given(cases())
 def test_walk_sum_matches_modes(case):
     g, t, (x, y) = case
-    modes = eigen(g, math.sqrt(math.log(1e14) / t) + 5.0)
+    modes = eigen(g, _certified_k_max(g, t, 1e-14))
     a, b = kernel_pathsum(g, t, x, y), kernel_spectral(g, t, x, y, modes)
     assert abs(a.value - b.value) <= max(1e-8, a.tail_bound + b.tail_bound)
+
+
+@PROPERTY
+@given(cases())
+def test_mode_tail_within_bound(case):
+    # the terms a table searched to K + 30 holds beyond the cutoff K are part
+    # of the tail that the bounds at K cover, at the points and on the trace
+    g, t, (x, y) = case
+    K = _certified_k_max(g, t, 1e-10)
+    modes = eigen(g, K + 30.0)
+    terms = np.where(modes.k > K, np.exp(-modes.k**2 * t), 0.0)
+    phi = modes.at((x.edge, y.edge), np.array([x.s, y.s]))
+    bound = spectral_tail_bound(g, t, K)
+    assert np.abs(phi @ (terms[:, None] * phi.T)).max() <= bound <= 1e-10
+    assert terms.sum() <= trace_tail_bound(g, t, K)
 
 
 @PROPERTY

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hklab.graph import GraphError
-from hklab.spectral import eigen
+from hklab.spectral import _certified_k_max, eigen
 from hklab.twoparticle import (
     SymCoeff,
     TraceSeries,
@@ -214,7 +214,7 @@ class TestFit:
         g = make_graph([("a", K), ("b", K)], [("e", "a", "b", length)])
         t = 0.01
         series = eigen_trace_series(g, [t])
-        k_max = math.sqrt(math.log(1e18) / t)
+        k_max = _certified_k_max(g, t, 1e-18)  # where the series' modes stop
         n = np.arange(math.floor(k_max * length / math.pi) + 1, 10**5)
         omitted = float(np.exp(-(n * math.pi / length) ** 2 * t).sum())
         z1 = single_trace_eigen(eigen(g, k_max), t)

@@ -78,6 +78,26 @@ class TestScaling:
             SpliceConfig(interval, interval, u, identity_map(u),
                          GraphPoint("e", 0.5), T, 2e-3, 10, 1)
 
+    def test_step_count_limit(self):
+        # each step's key counter must fit one 32-bit word
+        assert n_steps(2.0**31, 1.0) == 2**32
+        with pytest.raises(GraphError, match="more than 2\\*\\*32 steps"):
+            n_steps(2.0**31 + 1.0, 1.0)
+
+    # h^2 / 2 underflows to 0 at 1e-200 and to a subnormal at 1e-160, where
+    # T / dt overflows; 1e-4 asks for 2e10 steps
+    @pytest.mark.parametrize("T, h", [(0.01, 1e-200), (0.01, 1e-160), (100.0, 1e-4)])
+    def test_too_many_steps_rejected(self, T, h, interval, star3):
+        with pytest.raises(GraphError, match="more than 2\\*\\*32 steps"):
+            simulate_ensemble(interval, GraphPoint("e", 0.5), T, h, 1, 10)
+        with pytest.raises(GraphError, match="more than 2\\*\\*32 steps"):
+            simulate_ensemble(star3, GraphPoint("e1", 0.5), T, h, 1, 10)
+        for g, edge in ((interval, "e"), (star3, "e1")):
+            u = interval_subdomain(g, edge, 0.25, 0.75)
+            cfg = SpliceConfig(g, g, u, identity_map(u), GraphPoint(edge, 0.5), T, h, 10, 1)
+            with pytest.raises(GraphError, match="more than 2\\*\\*32 steps"):
+                splice(cfg)
+
     @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, True])
     def test_bad_path_count_rejected(self, n, interval, star3):
         # 0 gave a nan stay fraction after numpy warnings, -1 numpy's
