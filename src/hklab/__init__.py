@@ -41,7 +41,7 @@ from .locality import (  # noqa: F401
     locality_compare,
     nonlocal_bound,
 )
-from .spectral import ModeTable, eigen, kernel_spectral, vertex_residuals  # noqa: F401
+from .spectral import ModeTable, eigen, kernel_spectral, modesum, vertex_residuals  # noqa: F401
 from .twoparticle import (  # noqa: F401
     AsymptoticFit,
     TraceSeries,

@@ -35,7 +35,7 @@ from .locality import (
     interval_subdomain,
     locality_compare,
 )
-from .spectral import _certified_k_max, eigen, kernel_spectral
+from .spectral import _certified_k_max, eigen, modesum
 from .twoparticle import (
     SymCoeff,
     asymptotic_fit,
@@ -112,13 +112,16 @@ def criterion_1() -> CriterionResult:
     for g in (interval_graph(), star_graph(), triangle_graph()):
         modes = eigen(g, _certified_k_max(g, 0.01, 1e-14))
         pts = _spread_points(g, 5)
+        on_edge = {e: np.array([p.s for p in pts if p.edge == e])
+                   for e in dict.fromkeys(p.edge for p in pts)}
         for t in (0.01, 0.05, 0.2):
-            for x in pts:
-                for y in pts:
-                    a = kernel_pathsum(g, t, x, y, tol=1e-10)
-                    b = kernel_spectral(g, t, x, y, modes)
-                    allow = max(1e-8, a.tail_bound + b.tail_bound)
-                    worst = max(worst, abs(a.value - b.value) - allow)
+            for ex, sx in on_edge.items():
+                for ey, sy in on_edge.items():
+                    grid = (ex, sx[:, None], ey, sy[None, :])
+                    a, tail_a = pathsum(g, t, *grid, tol=1e-10)
+                    b, tail_b = modesum(modes, t, *grid)
+                    allow = max(1e-8, tail_a + tail_b)
+                    worst = max(worst, float((np.abs(a - b) - allow).max()))
     passed = worst <= 0.0
     return CriterionResult(
         1, "walk-sum vs spectral oracle equivalence", passed,
@@ -323,16 +326,11 @@ def criterion_6() -> CriterionResult:
         abs(pred_split.a_0 - pred_plain.a_0),
     )
     ts = np.geomspace(0.004, 0.02, 4)
-    trace_dev = 0.0
     # one cutoff, solved on the shorter edges, so both tables hold one spectrum
     k_max = _certified_k_max(split, 0.004, 1e-15)
     m_split, m_plain = eigen(split, k_max), eigen(plain, k_max)
-    for t in ts:
-        trace_dev = max(
-            trace_dev,
-            abs(trace_two_particle_eigen(m_split, float(t))
-                - trace_two_particle_eigen(m_plain, float(t))),
-        )
+    trace_dev = float(np.abs(trace_two_particle_eigen(m_split, ts)
+                             - trace_two_particle_eigen(m_plain, ts)).max())
     if coeff_dev > 0 or trace_dev > 1e-8:
         ok = False
         details.append(f"trace invisibility dev {coeff_dev:.1e}/{trace_dev:.1e}")
@@ -382,12 +380,10 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     t0 = time.time()
     g = interval_graph()
-    modes = eigen(g, _certified_k_max(g, 0.01, 1e-17))
-    worst = 0.0
-    for t in (0.01, 0.05):
-        zq = trace_two_particle(g, t, 2e-3)
-        ze = trace_two_particle_eigen(modes, t)
-        worst = max(worst, abs(zq - ze))
+    ts = (0.01, 0.05)
+    modes = eigen(g, _certified_k_max(g, min(ts), 1e-17))
+    zq = np.array([trace_two_particle(g, t, 2e-3) for t in ts])
+    worst = float(np.abs(zq - trace_two_particle_eigen(modes, ts)).max())
     passed = worst <= 1e-8
     return CriterionResult(
         8, "symmetrization identity for the trace", passed,

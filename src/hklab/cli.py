@@ -240,7 +240,7 @@ def _cmd_trace(args):
     k_max = _certified_k_max(g, float(ts.min()), 1e-16)
     modes = eigen(g, k_max)
     # no quadrature runs: the error column bounds the modes beyond k_max
-    rows = [[t, single_trace_eigen(modes, t), trace_tail_bound(g, t, k_max)] for t in ts]
+    rows = zip(ts, single_trace_eigen(modes, ts), trace_tail_bound(g, ts, k_max))
     out = Path(args.out) / "trace.csv"
     _write_csv(out, ["t", "Z", "tail_bound"], rows, _options(args))
     print(f"heat trace on {len(ts)} times -> {out}")

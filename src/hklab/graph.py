@@ -161,14 +161,18 @@ class MetricGraph:
 
     # -- points ----------------------------------------------------------
 
-    def check_point(self, p: GraphPoint) -> Edge:
-        e = self.edge_obj(p.edge)
-        if not (0.0 <= p.s <= e.length):
-            raise GraphError(
-                f"point s={p.s} off edge {p.edge!r} of length {e.length}",
-                offending=p.edge,
-            )
+    def check_arclengths(self, edge_id: str, s) -> Edge:
+        """The edge, once every arclength of s (a float or an array) lies on it."""
+        e = self.edge_obj(edge_id)
+        inside = (s >= 0.0) & (s <= e.length)  # a bool for a float
+        if inside is not True and not np.asarray(inside).all():
+            bad = np.extract(np.logical_not(inside), s)[0]
+            raise GraphError(f"point s={bad} off edge {edge_id!r} of length {e.length}",
+                             offending=edge_id)
         return e
+
+    def check_point(self, p: GraphPoint) -> Edge:
+        return self.check_arclengths(p.edge, p.s)
 
     def point_at_vertex(self, p: GraphPoint) -> str | None:
         """Vertex id if p sits exactly at an endpoint, else None."""

@@ -11,11 +11,14 @@ just below and just above every root confirms it and its multiplicity.  The
 modes come from the null space of I - U(k)^T at the root.
 
 ``eigen`` returns a ``ModeTable``: the frequencies and per-edge coefficients
-of every mode as read-only arrays.  The vertex check, the eigen report, the
-traces and ``kernel_spectral`` all read those arrays.
+of every mode as read-only arrays.  The vertex check, the eigen report and the
+traces read those arrays, and ``modesum`` sums the kernel over them with times
+and arclengths broadcast as in ``kernels.pathsum``; ``kernel_spectral`` is its
+one-pair view.
 
-The same count gives proven bounds on what a table leaves out, and
-``_certified_k_max`` is the one rule for the k_max a tolerance needs.
+The same count gives proven bounds on what a table leaves out, at one time or
+an array of times, and ``_certified_k_max`` is the one rule for the k_max a
+tolerance needs.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class ModeTable:
     def at(self, edges, s: np.ndarray) -> np.ndarray:
         """Every mode at the points (edges[j], s[j]), shape (len(s), M)."""
         try:
-            rows = self._basis[[self.col[eid] for eid in edges]]
+            rows = self._basis.take([self.col[eid] for eid in edges], axis=0)
         except KeyError as exc:
             raise GraphError(f"mode table has no edge {exc.args[0]!r}") from None
         ks = np.multiply.outer(s, self.k)
@@ -377,37 +380,52 @@ def vertex_residuals(modes: ModeTable) -> tuple[np.ndarray, np.ndarray]:
 # -- derived quantities ---------------------------------------------------------
 
 
-def kernel_spectral(
-    g: MetricGraph,
-    t: float,
-    x: GraphPoint,
-    y: GraphPoint,
-    modes: ModeTable,
-    tol: float | None = None,
-) -> KernelEval:
-    """Spectral heat kernel sum over a mode table, with a tail bound.
+def _mode_sum(modes: ModeTable, t, phi_x: np.ndarray, phi_y: np.ndarray) -> np.ndarray:
+    """sum_m e^{-k_m^2 t} phi_m(x) phi_m(y), the modes on the last axis of
+    phi_x and phi_y; t, a time or an array, broadcasts with their other axes."""
+    return np.vecdot(phi_x * phi_y, np.exp(-np.multiply.outer(t, modes.k**2)))
 
-    Every mode is evaluated at x and y at once from the table's arrays.  The
-    tail bound covers the modes beyond the k the table was searched to.
+
+def modesum(modes: ModeTable, t, edge_x: str, sx, edge_y: str, sy) -> tuple[np.ndarray, float]:
+    """p_t between arclengths sx on edge_x and sy on edge_y of ``modes.graph``
+    over the table's modes; t, sx and sy broadcast as in ``kernels.pathsum``.
+
+    Returns (values, tail bound); the values equal ``kernel_spectral``'s at
+    each pair and time, bit for bit.  The bound is ``spectral_tail_bound`` at
+    the least time, and holds at every time since it falls as t grows.
+    """
+    g = modes.graph
+    t = np.asarray(t, dtype=float)
+    _check_time(t)
+    sx, sy = np.asarray(sx, dtype=float), np.asarray(sy, dtype=float)
+    g.check_arclengths(edge_x, sx)
+    g.check_arclengths(edge_y, sy)
+    phi_x, phi_y = (modes.at([edge] * s.size, s.ravel()).reshape(s.shape + (-1,))
+                    for edge, s in ((edge_x, sx), (edge_y, sy)))
+    return _mode_sum(modes, t, phi_x, phi_y), spectral_tail_bound(g, t.min(), modes.searched_to)
+
+
+def kernel_spectral(g: MetricGraph, t: float, x: GraphPoint, y: GraphPoint, modes: ModeTable,
+                    tol: float | None = None) -> KernelEval:
+    """``modesum`` at one pair: the spectral heat kernel over a mode table,
+    with the tail bound beyond the k the table was searched to.  A bound
+    above ``tol``, when given, raises ``TruncationError``.
     """
     _check_time(t)
     g.check_point(x)
     g.check_point(y)
     phi_x, phi_y = modes.at((x.edge, y.edge), np.array([x.s, y.s], dtype=float))
-    val = np.dot(np.exp(-modes.k**2 * t), phi_x * phi_y)
     k_max = modes.searched_to
     bound = spectral_tail_bound(g, t, k_max)
     if tol is not None and bound > tol:
-        raise TruncationError(
-            f"k_max={k_max:.3g} insufficient for tolerance {tol:g} at t={t:g}"
-        )
-    return KernelEval(t, x, y, float(val), bound)
+        raise TruncationError(f"k_max={k_max:.3g} insufficient for tolerance {tol:g} at t={t:g}")
+    return KernelEval(t, x, y, float(_mode_sum(modes, t, phi_x, phi_y)), bound)
 
 
-def spectral_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
+def spectral_tail_bound(g: MetricGraph, t, k_max: float):
     """Bound on the kernel's terms beyond k_max, at any pair of points:
     max(1, 4 / l_min) ``trace_tail_bound(g, t, k_max)`` for k_max >= 2 / l_min,
-    and inf below that.
+    and inf below that; t may be a numpy array, and the bound falls as t grows.
 
     On an edge of length l a mode is A cos(ks) + B sin(ks), so |phi|^2 <=
     A^2 + B^2 there.  The Gram matrix of (cos, sin) on the edge
@@ -419,15 +437,16 @@ def spectral_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
     counted with multiplicity.  The factor is at least 1, so the bound also
     covers the heat trace's omitted terms.
     """
-    _check_time(t)
+    bound = trace_tail_bound(g, t, k_max)
     if k_max < 2.0 / g.min_edge_length:
-        return math.inf
-    return max(1.0, 4.0 / g.min_edge_length) * trace_tail_bound(g, t, k_max)
+        return bound + math.inf  # inf in the shape of t
+    return max(1.0, 4.0 / g.min_edge_length) * bound
 
 
-def trace_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
+def trace_tail_bound(g: MetricGraph, t, k_max: float):
     """Bound on the heat trace's terms beyond k_max: sum over roots k > K of
-    e^{-k^2 t} <= e^{-K^2 t} (L / (2 pi K t) + 2E), for K = k_max > 0.
+    e^{-k^2 t} <= e^{-K^2 t} (L / (2 pi K t) + 2E), for K = k_max > 0, and
+    inf otherwise; t may be a numpy array, and the bound falls as t grows.
 
     The count of roots in (k1, k2] is at most L (k2 - k1) / pi + 2E
     (``_count``), L the total length and E the edge count.  Summing by parts
@@ -436,8 +455,8 @@ def trace_tail_bound(g: MetricGraph, t: float, k_max: float) -> float:
     """
     _check_time(t)
     if not k_max > 0.0:
-        return math.inf
-    return math.exp(-(k_max**2) * t) * (
+        return t + math.inf  # inf in the shape of t
+    return np.exp(-(k_max**2) * t) * (
         g.total_length / (2.0 * math.pi * k_max * t) + 2.0 * len(g.edges))
 
 

@@ -34,7 +34,6 @@ class TraceSeries:
 
     t: tuple[float, ...]
     Z: tuple[float, ...]
-    step: float
     quad_error: tuple[float, ...]
 
     def __post_init__(self):
@@ -99,37 +98,33 @@ def trace_series(
         z, err = _trace_parts(g, float(t), step, tol)
         zs.append(z)
         errs.append(err)
-    return TraceSeries(tuple(float(t) for t in t_grid), tuple(zs), step, tuple(errs))
+    return TraceSeries(tuple(float(t) for t in t_grid), tuple(zs), tuple(errs))
 
 
-def single_trace_eigen(modes: ModeTable, t: float) -> float:
+def single_trace_eigen(modes: ModeTable, t):
+    """Z_1(t) = sum_m e^{-k_m^2 t} over the table; t a time or an array."""
+    t = np.asarray(t, dtype=float)
     _check_time(t)
-    return sum(math.exp(-k**2 * t) for k in modes.k.tolist())
+    return np.exp(-np.multiply.outer(t, modes.k**2)).sum(axis=-1)
 
 
-def trace_two_particle_eigen(modes: ModeTable, t: float) -> float:
+def trace_two_particle_eigen(modes: ModeTable, t):
     """Eigen-pair trace sum over unordered mode pairs, via the symmetrization
-    identity Z_M(t) = (Z_1(t)^2 + Z_1(2t)) / 2."""
-    _check_time(t)
-    z1 = single_trace_eigen(modes, t)
-    return 0.5 * (z1 * z1 + single_trace_eigen(modes, 2.0 * t))
+    identity Z_M(t) = (Z_1(t)^2 + Z_1(2t)) / 2; t a time or an array."""
+    t = np.asarray(t, dtype=float)
+    z1, z2 = single_trace_eigen(modes, np.stack([t, 2.0 * t]))
+    return 0.5 * (z1 * z1 + z2)
 
 
 def eigen_trace_series(g: MetricGraph, t_grid) -> TraceSeries:
     """TraceSeries from the eigenvalue-pair oracle, with truncation bounds."""
-    for t in t_grid:
-        _check_time(t)
-    t_min = min(float(t) for t in t_grid)
-    k_max = _certified_k_max(g, t_min, 1e-18)
+    ts = np.asarray(t_grid, dtype=float)
+    _check_time(ts)
+    k_max = _certified_k_max(g, float(ts.min()), 1e-18)
     modes = eigen(g, k_max)
-    zs, errs = [], []
-    for t in t_grid:
-        t = float(t)
-        z1_tail = trace_tail_bound(g, t, k_max)
-        z = trace_two_particle_eigen(modes, t)
-        zs.append(z)
-        errs.append(z1_tail * (2.0 * single_trace_eigen(modes, t) + 1.0))
-    return TraceSeries(tuple(float(t) for t in t_grid), tuple(zs), 0.0, tuple(errs))
+    errs = trace_tail_bound(g, ts, k_max) * (2.0 * single_trace_eigen(modes, ts) + 1.0)
+    return TraceSeries(tuple(ts.tolist()), tuple(trace_two_particle_eigen(modes, ts).tolist()),
+                       tuple(errs.tolist()))
 
 
 # -- exact coefficient arithmetic -------------------------------------------------

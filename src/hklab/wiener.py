@@ -238,10 +238,6 @@ class EnsembleResult:
         off = np.cumsum([0.0] + lengths[:-1])  # edge offsets, summed in edge order
         return (off[self.final_edge] + self.final_s)[self.alive]
 
-    def exit_times(self) -> np.ndarray:
-        steps = self.exit_step[self.exit_step >= 0]
-        return steps * time_step(self.h)
-
     def stay_fraction(self) -> float:
         return float(np.mean(self.exit_step < 0))
 
@@ -869,17 +865,13 @@ def compare_ensembles(
     statistic: str = "endpoint-histogram",
     bins: int = 20,
 ) -> tuple[float, float]:
-    """Chi-square comparison of two ensembles; returns (statistic, p-value)."""
+    """Chi-square comparison of two ensembles by "endpoint-histogram", the
+    one statistic; returns (statistic, p-value)."""
     if abs(e1.T - e2.T) > 1e-12 or abs(e1.h - e2.h) > 1e-12:
         raise GraphError("ensembles must share horizon and step")
-    if statistic == "endpoint-histogram":
-        v1, v2 = e1.endpoint_coords(), e2.endpoint_coords()
-        lo, hi = 0.0, max(e1.graph.total_length, e2.graph.total_length)
-    elif statistic == "exit-time-histogram":
-        v1, v2 = e1.exit_times(), e2.exit_times()
-        lo, hi = 0.0, e1.T
-    else:
+    if statistic != "endpoint-histogram":
         raise GraphError(f"unknown statistic {statistic!r}")
-    c1, _ = histogram_counts(v1, lo, hi, bins)
-    c2, _ = histogram_counts(v2, lo, hi, bins)
+    hi = max(e1.graph.total_length, e2.graph.total_length)
+    c1, _ = histogram_counts(e1.endpoint_coords(), 0.0, hi, bins)
+    c2, _ = histogram_counts(e2.endpoint_coords(), 0.0, hi, bins)
     return chi_square_two_sample(c1, c2)

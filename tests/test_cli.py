@@ -156,6 +156,14 @@ class TestKernelCommand:
         assert "off edge 'e'" in err["error"]
         assert not (workdir / "kernel.csv").exists()
 
+    def test_interval_image_cap_exit_2(self, workdir, capsys):
+        args = ["kernel", "--graph", str(workdir / "interval.json"), "--method",
+                "interval", "--t", "1e12", "--x", "e:0.3", "--y", "e:0.6",
+                "--out", str(workdir)]
+        assert main(args) == 2
+        assert "images" in json.loads(capsys.readouterr().err)["error"]
+        assert not (workdir / "kernel.csv").exists()
+
     @pytest.mark.parametrize("x,y", [("e:5.0", "e:0.5"), ("e:0.5", "e:5.0")])
     def test_points_checked_before_eigen(self, workdir, monkeypatch, x, y, capsys):
         from hklab import cli

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -11,8 +12,10 @@ from hklab._quad import simpson_nodes
 from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import (
     _BLOCK,
+    TruncationError,
     _certified_lambda,
     _families,
+    _image_tail,
     _resolvent_table,
     gauss_free,
     kernel_interval,
@@ -149,6 +152,28 @@ class TestKernelInterval:
     def test_point_outside(self):
         with pytest.raises(ValueError):
             kernel_interval(1.0, "neumann", "neumann", 0.05, 1.2, 0.5)
+
+    def test_long_time_equilibrium(self):
+        # the closed-form image tail certifies 1e-14 at n = 5678 at once
+        start = time.perf_counter()
+        ev = kernel_interval(1.0, "neumann", "neumann", 1e6, 0.2, 0.7)
+        assert time.perf_counter() - start < 1.0
+        assert ev.value == pytest.approx(1.0, abs=1e-12)
+        assert ev.tail_bound <= 1e-14
+
+    def test_image_cap_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match="images"):
+            kernel_interval(1.0, "neumann", "neumann", 1e12, 0.2, 0.7)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("length", [1.0, 0.3])
+    @pytest.mark.parametrize("t", [0.05, 1.0, 30.0, 1e3])
+    def test_image_tail_bounds_the_images(self, length, t):
+        # against the omitted images summed far out: 4 g(2mL) for m >= n
+        for n in (1, 3, max(1, math.ceil(math.sqrt(t * math.log(1e14)) / length))):
+            m = np.arange(n, n + 200_000)
+            assert _image_tail(length, t, n) >= float(np.sum(4.0 * gauss_free(t, 2.0 * m * length)))
 
 
 class TestKernelPathsum:

@@ -2,11 +2,12 @@
 
 Hypothesis draws stars of degree 2-4, triangles, lollipops and three-edge
 multigraphs with mixed Kirchhoff and Dirichlet vertices and drawn edge
-lengths, points that include edge ends, and times in [0.005, 0.06].  The
-root search of ``eigen`` is checked on the same graphs against bisection
-alone (``spectral_reference``), and the spectral tail bound against the
-terms it bounds.  The runs are derandomized, so Tier-1 sees the same
-examples on every run.
+lengths, points that include edge ends, and times in [0.005, 0.06].  Walk
+sums and mode sums agree pair by pair and on grids over time arrays, and
+the heat mass is at most 1.  The root search of ``eigen`` is checked on the
+same graphs against bisection alone (``spectral_reference``), and the
+spectral tail bound against the terms it bounds.  The runs are
+derandomized, so Tier-1 sees the same examples on every run.
 """
 
 import math
@@ -17,13 +18,14 @@ from hypothesis import strategies as st
 
 from conftest import make_graph
 from hklab.graph import DIRICHLET, GraphPoint
-from hklab.kernels import kernel_pathsum
+from hklab.kernels import kernel_mass, kernel_pathsum, pathsum
 from hklab.locality import interval_subdomain, kernel_killed
 from hklab.spectral import (
     _certified_k_max,
     _phase_count,
     eigen,
     kernel_spectral,
+    modesum,
     spectral_tail_bound,
     trace_tail_bound,
 )
@@ -106,6 +108,33 @@ def test_walk_sum_matches_modes(case):
     modes = eigen(g, _certified_k_max(g, t, 1e-14))
     a, b = kernel_pathsum(g, t, x, y), kernel_spectral(g, t, x, y, modes)
     assert abs(a.value - b.value) <= max(1e-8, a.tail_bound + b.tail_bound)
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_walk_grid_matches_mode_grid(g, data):
+    # one edge pair, drawn arclengths on each, and a drawn time array
+    ex, ey = (data.draw(st.sampled_from(g.edges)) for _ in range(2))
+    sx, sy = (np.array(data.draw(st.lists(fractions, min_size=1, max_size=4))) * e.length
+              for e in (ex, ey))
+    ts = np.array(data.draw(st.lists(times, min_size=1, max_size=3)))
+    modes = eigen(g, _certified_k_max(g, float(ts.min()), 1e-14))
+    grid = (ex.id, sx[:, None], ey.id, sy[None, :])
+    a, tail_a = pathsum(g, ts[:, None, None], *grid)
+    b, tail_b = modesum(modes, ts[:, None, None], *grid)
+    assert np.abs(a - b).max() <= max(1e-8, tail_a + tail_b)
+
+
+@PROPERTY
+@given(cases(n_points=1))
+def test_mass_at_most_one(case):
+    # heat is conserved when every vertex is Kirchhoff, and lost at a
+    # Dirichlet vertex
+    g, t, (x,) = case
+    mass = kernel_mass(g, t, x)
+    assert mass <= 1.0 + 1e-10
+    if all(v.condition != DIRICHLET for v in g.vertices):
+        assert abs(mass - 1.0) <= 1e-10
 
 
 @PROPERTY

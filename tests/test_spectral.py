@@ -16,6 +16,7 @@ from hklab.spectral import (
     eigen,
     eigen_report,
     kernel_spectral,
+    modesum,
     spectral_tail_bound,
     trace_tail_bound,
     vertex_residuals,
@@ -286,6 +287,39 @@ class TestSpectralKernel:
         for x, y in [(GraphPoint("e", s), inside), (inside, GraphPoint("e", s))]:
             with pytest.raises(GraphError, match="off edge 'e'"):
                 kernel_spectral(interval, 0.05, x, y, modes)
+
+
+class TestModesum:
+    def test_grid_and_time_array_equal_one_pair_calls(self, star3):
+        modes = eigen(star3, 60.0)
+        sx, sy, ts = np.linspace(0.0, 1.0, 6), np.array([0.1, 0.55, 1.0]), np.array([0.01, 0.2])
+        for ex, ey in (("e1", "e1"), ("e1", "e3")):
+            grid, bound = modesum(modes, ts[:, None, None], ex, sx[:, None], ey, sy[None, :])
+            assert grid.shape == (2, 6, 3)
+            for a, t in enumerate(ts):
+                at_t, _ = modesum(modes, t, ex, sx[:, None], ey, sy[None, :])
+                assert np.array_equal(at_t, grid[a])
+                for i, x in enumerate(sx):
+                    for j, y in enumerate(sy):
+                        ev = kernel_spectral(star3, t, GraphPoint(ex, x), GraphPoint(ey, y), modes)
+                        assert ev.value == grid[a, i, j]
+            assert bound == kernel_spectral(star3, ts.min(), GraphPoint(ex, 0.5),
+                                            GraphPoint(ey, 0.5), modes).tail_bound
+
+    def test_bound_at_least_time_holds_at_every_time(self, triangle):
+        modes = eigen(triangle, 40.0)
+        ts = np.array([0.2, 0.03, 0.05])
+        _, bound = modesum(modes, ts, "e1", 0.3, "e2", 0.6)
+        assert bound == spectral_tail_bound(triangle, 0.03, 40.0)
+        assert np.all(spectral_tail_bound(triangle, ts, 40.0) <= bound)
+
+    @pytest.mark.parametrize("s", [5.0, -0.5, 1.0 + 1e-12, math.nan])
+    def test_off_edge_arclength_rejected(self, interval, s):
+        modes = eigen(interval, 20.0)
+        for sx, sy in ((np.array([0.5, s]), 0.5), (0.5, np.array([[0.2], [s]]))):
+            with pytest.raises(GraphError, match=f"point s={s} off edge 'e'") as exc:
+                modesum(modes, 0.05, "e", sx, "e", sy)
+            assert exc.value.offending == "e"
 
 
 class TestContinuityValidation:

@@ -27,7 +27,13 @@ from hklab.locality import (
     interval_subdomain,
     kernel_killed,
 )
-from hklab.spectral import ModeTable, kernel_spectral, spectral_tail_bound, trace_tail_bound
+from hklab.spectral import (
+    ModeTable,
+    kernel_spectral,
+    modesum,
+    spectral_tail_bound,
+    trace_tail_bound,
+)
 from hklab.twoparticle import (
     eigen_trace_series,
     single_trace_eigen,
@@ -55,11 +61,23 @@ CALLS = {
     "pathsum_tail_bound": lambda g, t: pathsum_tail_bound(g, t, 2.0),
     "kernel_mass": lambda g, t: kernel_mass(g, t, X, step_frac=0.05),
     "kernel_spectral": lambda g, t: kernel_spectral(g, t, X, X, ModeTable(g, [], [])),
+    "modesum": lambda g, t: modesum(ModeTable(g, [], []), t, X.edge, X.s, X.edge, X.s),
+    "modesum_at_grid": lambda g, t: modesum(
+        ModeTable(g, [], []), t, "e", S[:, None], "e", S[None, :]),
+    "modesum_time_array": lambda g, t: modesum(
+        ModeTable(g, [], []), np.array([0.05, t])[:, None], "e", S, "e", S),
     "spectral_tail_bound": lambda g, t: spectral_tail_bound(g, t, 40.0),
+    "spectral_tail_bound_time_array": lambda g, t: spectral_tail_bound(
+        g, np.array([0.05, t]), 40.0),
     "trace_tail_bound": lambda g, t: trace_tail_bound(g, t, 40.0),
+    "trace_tail_bound_time_array": lambda g, t: trace_tail_bound(g, np.array([0.05, t]), 40.0),
     "single_trace_eigen": lambda g, t: single_trace_eigen(ModeTable(g, [], []), t),
+    "single_trace_eigen_time_array": lambda g, t: single_trace_eigen(
+        ModeTable(g, [], []), np.array([0.05, t])),
     "trace_two_particle_eigen": lambda g, t: trace_two_particle_eigen(
         ModeTable(g, [], []), t),
+    "trace_two_particle_eigen_time_array": lambda g, t: trace_two_particle_eigen(
+        ModeTable(g, [], []), np.array([0.05, t])),
     "trace_two_particle": lambda g, t: trace_two_particle(g, t, 1e-2),
     "trace_series": lambda g, t: trace_series(g, [0.05, t], 1e-2),
     # a bad time after a good one: every time is checked, not only the least

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hklab.graph import GraphError
-from hklab.spectral import _certified_k_max, eigen
+from hklab.spectral import _certified_k_max, eigen, trace_tail_bound
 from hklab.twoparticle import (
     SymCoeff,
     TraceSeries,
@@ -52,6 +52,17 @@ class TestTraces:
     def test_long_time_limit(self, interval):
         modes = eigen(interval, 20.0)
         assert trace_two_particle_eigen(modes, 10.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_time_arrays_equal_one_time_calls(self, star3):
+        modes = eigen(star3, 60.0)
+        ts = np.geomspace(0.002, 0.2, 7)
+        for fn in (single_trace_eigen, trace_two_particle_eigen):
+            assert fn(modes, ts).tolist() == [fn(modes, t) for t in ts]
+        # against the mode-by-mode sum in another order
+        loop = [sum(math.exp(-k * k * t) for k in modes.k.tolist()) for t in ts]
+        assert single_trace_eigen(modes, ts) == pytest.approx(loop, rel=1e-14, abs=0.0)
+        tails = [trace_tail_bound(star3, t, 60.0) for t in ts]
+        assert trace_tail_bound(star3, ts, 60.0).tolist() == tails
 
     def test_series_decreasing(self, interval):
         series = trace_series(interval, np.geomspace(0.01, 0.1, 5), 2e-3)
@@ -182,7 +193,7 @@ class TestPredicted:
 class TestFit:
     def test_exact_basis_member(self):
         ts = np.geomspace(0.002, 0.02, 8)
-        series = TraceSeries(tuple(ts), tuple(2.0 / ts), 0.0, tuple(0.0 for _ in ts))
+        series = TraceSeries(tuple(ts), tuple(2.0 / ts), tuple(0.0 for _ in ts))
         fit = asymptotic_fit(series)
         assert fit.a_minus1 == pytest.approx(2.0, abs=1e-10)
         assert abs(fit.a_half) < 1e-9
@@ -227,20 +238,20 @@ class TestFit:
 
     def test_narrow_range_rejected(self):
         ts = np.linspace(0.01, 0.0100001, 8)
-        series = TraceSeries(tuple(ts), tuple(2.0 / ts), 0.0, tuple(0.0 for _ in ts))
+        series = TraceSeries(tuple(ts), tuple(2.0 / ts), tuple(0.0 for _ in ts))
         with pytest.raises(ValueError, match="ill-conditioned"):
             asymptotic_fit(series)
 
     def test_too_few_points_rejected(self):
         ts = np.geomspace(0.002, 0.02, 4)
-        series = TraceSeries(tuple(ts), tuple(2.0 / ts), 0.0, tuple(0.0 for _ in ts))
+        series = TraceSeries(tuple(ts), tuple(2.0 / ts), tuple(0.0 for _ in ts))
         with pytest.raises(ValueError):
             asymptotic_fit(series)
 
     def test_noisy_series_rejected(self):
         ts = np.geomspace(0.002, 0.02, 8)
         series = TraceSeries(
-            tuple(ts), tuple(2.0 / ts), 0.0, tuple(0.02 / t for t in ts)
+            tuple(ts), tuple(2.0 / ts), tuple(0.02 / t for t in ts)
         )
         with pytest.raises(ValueError, match="error"):
             asymptotic_fit(series)

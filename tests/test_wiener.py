@@ -311,7 +311,7 @@ class TestPathsAndExits:
         u = interval_subdomain(interval, "e", 0.25, 0.75)
         n = 50000
         ens = simulate_ensemble(interval, GraphPoint("e", 0.5), 0.05, 1e-3, 7, n, U=u)
-        times = ens.exit_times()
+        times = ens.exit_step[ens.exit_step >= 0] * time_step(ens.h)
         bins = np.linspace(0.0, 0.05, 11)
         counts, _ = np.histogram(times, bins=bins)
         # Simpson nodes of every bin, with one array call per cut point
@@ -505,6 +505,11 @@ class TestCompare:
         b = simulate_ensemble(interval, GraphPoint("e", 0.5), 0.04, 2e-3, 5, 100)
         with pytest.raises(GraphError):
             compare_ensembles(a, b)
+
+    def test_unknown_statistic_rejected(self, interval):
+        a = simulate_ensemble(interval, GraphPoint("e", 0.5), 0.02, 2e-3, 5, 100)
+        with pytest.raises(GraphError, match="unknown statistic 'exit-time-histogram'"):
+            compare_ensembles(a, a, "exit-time-histogram")
 
 
 # sha256 prefixes of (final_s, exit_step, exit_coord, alive) recorded from the
