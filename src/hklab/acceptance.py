@@ -18,33 +18,13 @@ import numpy as np
 from ._quad import simpson_nodes
 from .energy import SampledFunction, convergence_study, energy_Er, sample_function
 from .graph import Edge, GraphPoint, MetricGraph, Vertex, scattering_matrix
-from .kernels import (
-    gauss_free,
-    kernel_mass,
-    kernel_pathsum,
-    kernel_semigroup_residual,
-    kernel_star,
-    pathsum,
-    star_sigma,
-)
-from .locality import (
-    IsometryMap,
-    MapPiece,
-    ball_subdomain,
-    decomposition_residual,
-    interval_subdomain,
-    locality_compare,
-)
+from .kernels import (gauss_free, kernel_mass, kernel_pathsum, kernel_semigroup_residual,
+                      kernel_star, pathsum, star_sigma)
+from .locality import (IsometryMap, MapPiece, ball_subdomain, decomposition_residual,
+                       interval_subdomain, locality_compare)
 from .spectral import _certified_k_max, eigen, modesum
-from .twoparticle import (
-    SymCoeff,
-    asymptotic_fit,
-    eigen_trace_series,
-    predicted_coefficients,
-    region_coefficients,
-    trace_two_particle,
-    trace_two_particle_eigen,
-)
+from .twoparticle import (SymCoeff, asymptotic_fit, eigen_trace_series, predicted_coefficients,
+                          region_coefficients, trace_two_particle, trace_two_particle_eigen)
 from .wiener import SpliceConfig, compare_ensembles, simulate_ensemble, splice
 
 DEFAULT_SEED = 20260808
@@ -382,7 +362,7 @@ def criterion_8() -> CriterionResult:
     g = interval_graph()
     ts = (0.01, 0.05)
     modes = eigen(g, _certified_k_max(g, min(ts), 1e-17))
-    zq = np.array([trace_two_particle(g, t, 2e-3) for t in ts])
+    zq = np.array([trace_two_particle(g, t) for t in ts])
     worst = float(np.abs(zq - trace_two_particle_eigen(modes, ts)).max())
     passed = worst <= 1e-8
     return CriterionResult(

@@ -18,28 +18,11 @@ from . import __version__
 from .energy import convergence_study, sample_function
 from .graph import GraphError, GraphPoint, _check_time, load_graph, parse_graph
 from .kernels import TruncationError, kernel_interval, kernel_pathsum
-from .locality import (
-    IsometryMap,
-    MapPiece,
-    SubdomainSpec,
-    decomposition_residual,
-    interval_subdomain,
-    locality_compare,
-)
-from .spectral import (
-    _certified_k_max,
-    eigen,
-    eigen_report,
-    kernel_spectral,
-    trace_tail_bound,
-)
-from .twoparticle import (
-    asymptotic_fit,
-    eigen_trace_series,
-    predicted_coefficients,
-    single_trace_eigen,
-    trace_series,
-)
+from .locality import (IsometryMap, MapPiece, SubdomainSpec, decomposition_residual,
+                       interval_subdomain, locality_compare)
+from .spectral import _certified_k_max, eigen, eigen_report, kernel_spectral, trace_tail_bound
+from .twoparticle import (asymptotic_fit, eigen_trace_series, predicted_coefficients,
+                          single_trace_eigen, trace_series)
 from .wiener import SpliceConfig, histogram_counts, simulate_ensemble, splice
 from . import acceptance
 
@@ -344,7 +327,7 @@ def _cmd_twoparticle(args):
     g = load_graph(args.graph)
     cfg = _options(args)
     if args.action == "trace":
-        series = trace_series(g, _grid(args.tgrid, "t-grid"), args.step)
+        series = trace_series(g, _grid(args.tgrid, "t-grid"))
         out = Path(args.out) / "trace.csv"
         _write_csv(
             out,
@@ -498,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=["trace", "predict"])
     sp.add_argument("--graph", required=True)
     sp.add_argument("--tgrid", default="0.002:0.02:8")
-    sp.add_argument("--step", type=float, default=2e-3)
     sp.add_argument("--fit", action="store_true")
     sp.add_argument("--out", default=".")
     sp.set_defaults(func=_cmd_twoparticle)

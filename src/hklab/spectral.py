@@ -425,7 +425,7 @@ def kernel_spectral(g: MetricGraph, t: float, x: GraphPoint, y: GraphPoint, mode
 def spectral_tail_bound(g: MetricGraph, t, k_max: float):
     """Bound on the kernel's terms beyond k_max, at any pair of points:
     max(1, 4 / l_min) ``trace_tail_bound(g, t, k_max)`` for k_max >= 2 / l_min,
-    and inf below that; t may be a numpy array, and the bound falls as t grows.
+    and inf below that; t may be an array or a list, and the bound falls as t grows.
 
     On an edge of length l a mode is A cos(ks) + B sin(ks), so |phi|^2 <=
     A^2 + B^2 there.  The Gram matrix of (cos, sin) on the edge
@@ -446,13 +446,14 @@ def spectral_tail_bound(g: MetricGraph, t, k_max: float):
 def trace_tail_bound(g: MetricGraph, t, k_max: float):
     """Bound on the heat trace's terms beyond k_max: sum over roots k > K of
     e^{-k^2 t} <= e^{-K^2 t} (L / (2 pi K t) + 2E), for K = k_max > 0, and
-    inf otherwise; t may be a numpy array, and the bound falls as t grows.
+    inf otherwise; t may be an array or a list, and the bound falls as t grows.
 
     The count of roots in (k1, k2] is at most L (k2 - k1) / pi + 2E
     (``_count``), L the total length and E the edge count.  Summing by parts
     against that count gives 2E e^{-K^2 t} plus L / pi times the Gaussian
     integral from K, which is at most e^{-K^2 t} / (2 K t).
     """
+    t = np.asarray(t, dtype=float) if np.ndim(t) else t
     _check_time(t)
     if not k_max > 0.0:
         return t + math.inf  # inf in the shape of t

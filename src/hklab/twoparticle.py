@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from ._quad import simpson_weights
+from ._quad import gauss_legendre
 from .graph import GraphError, MetricGraph, _check_time, sigma_entries
-from .kernels import pathsum
+from .kernels import _certified_lambda, _memo_per_graph, _resolvent_table, pathsum
 from .spectral import ModeTable, _certified_k_max, eigen, trace_tail_bound
 
 SQRT2 = math.sqrt(2.0)
@@ -30,7 +30,7 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class TraceSeries:
-    """Heat-trace values on a time grid with per-point error estimates."""
+    """Heat-trace values on a time grid with per-point error bounds."""
 
     t: tuple[float, ...]
     Z: tuple[float, ...]
@@ -41,64 +41,93 @@ class TraceSeries:
             raise ValueError("trace values must be positive")
 
 
-def _trace_parts(g: MetricGraph, t: float, step: float, tol: float):
-    """Diagonal integral A = int p(z,z) dz and pair integral B = int int p^2."""
-    strides = (1, 2)  # the full grid, and its half grid for the error estimate
-    diag = [0.0, 0.0]
-    grids = {}
-    for e in g.edges:
-        n = max(4, int(math.ceil(e.length / step)))
-        n += (-n) % 4  # divisible by 4 so the half grid is Simpson-compatible
-        s = np.linspace(0.0, e.length, n + 1)
-        grids[e.id] = s
-        vals, _ = pathsum(g, t, e.id, s, e.id, s, tol=tol)
-        for i, k in enumerate(strides):
-            m = n // k
-            diag[i] += float(np.dot(simpson_weights(m), vals[::k])) * e.length / (3.0 * m)
-    pair = [0.0, 0.0]
-    for e1 in g.edges:
-        for e2 in g.edges:
-            s1, s2 = grids[e1.id], grids[e2.id]
-            mat, _ = pathsum(g, t, e1.id, s1[:, None], e2.id, s2[None, :], tol=tol)
-            sq = mat * mat
-            for i, k in enumerate(strides):
-                m1, m2 = (len(s1) - 1) // k, (len(s2) - 1) // k
-                inner = simpson_weights(m1) @ sq[::k, ::k] @ simpson_weights(m2)
-                pair[i] += float(inner) * e1.length * e2.length / (9.0 * m1 * m2)
-    z, z_half = [0.5 * (a * a + b) for a, b in zip(diag, pair)]
-    return z, abs(z - z_half) / 15.0
+# node count past which an edge's rule is refused
+_MAX_NODES = 1024
 
 
-def trace_two_particle(
-    g: MetricGraph, t: float, step: float, tol: float = 1e-10
-) -> float:
-    """Two-particle heat trace by composite quadrature over the state space.
+@_memo_per_graph
+def _edge_rule(g: MetricGraph, t: float, length: float, tol: float):
+    """(n, diagonal bound, pair bound): the least Gauss-Legendre node count on
+    an edge of length l whose two error bounds are each at most tol/2.
 
-    The integral over the fundamental domain of unordered pairs is evaluated
-    as half the product-space integral of the symmetrized diagonal.  Raises
-    when the half-grid error estimate exceeds 1% of the value.
+    n >= 2 nodes err by at most (l/2)(64/15) M rho^(2-2n) / (rho^2 - 1) on
+    [0, l] (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), M = sup |f| on the
+    ellipse of foci 0, l and semi-axes (l/4)(rho +- 1/rho): it reaches
+    b = (l/4)(rho - 1/rho) off the axis and d = (l/4)(rho + 1/rho) - l/2 past
+    each end.  There a walk term e^{-u^2/4t} of mid-length m and x-slope beta
+    is at most e^{beta^2 b^2/4t} e^{r^2 t + r beta d - r m}, and all walks sum
+    to at most e^{r^2 t + r beta d} Z(r) (``kernels._resolvent_table``).  On
+    the diagonal beta <= 2 beside the constant direct term, which the rule
+    integrates exactly.  In p(x, y)^2 beta = 1 and the direct term is at most
+    e^{b^2/4t}; over the other edge and all ordered edge pairs its bound
+    counts 2L times, L the total length.  Each bound is minimized over rho
+    on a grid; memoized per graph, so edges of one length share it.
     """
-    _check_time(t)
-    _check_time(step, "step")
-    z, err = _trace_parts(g, t, step, tol)
-    if err > 0.01 * z:
-        raise ValueError(
-            f"quadrature step {step:g} too coarse at t={t:g}: "
-            f"error estimate {err:.3g} exceeds 1% of Z={z:.6g}"
-        )
-    return z
+    r, log_z = _resolvent_table(g)
+    rho = 1.0 + np.geomspace(1e-4, 1e2, 100)
+    b2 = (0.25 * length * (rho - 1.0 / rho)) ** 2
+    d = 0.25 * length * (rho + 1.0 / rho) - 0.5 * length
+    walks = [np.min(r * r * t + beta * np.outer(d, r) + log_z, axis=1) for beta in (2.0, 1.0)]
+    log_g = -0.5 * math.log(4.0 * math.pi * t)
+    log_m = np.array([b2 / t + walks[0] + log_g,  # the diagonal; then p^2, counted 2L times
+                      2.0 * (b2 / (4.0 * t) + np.logaddexp(0.0, walks[1]) + log_g)
+                      + math.log(2.0 * g.total_length)])
+    log_c, log_rho = log_m + np.log(length * 32.0 / 15.0 / (rho * rho - 1.0)), np.log(rho)
+    # per bound, the least n with log_c + (2 - 2n) log rho <= log(tol/2) at some rho
+    n = (1.0 + (log_c - math.log(0.5 * tol)) / (2.0 * log_rho)).min(axis=1).max()
+    n = max(2, math.ceil(n))
+    if n > _MAX_NODES:
+        raise ValueError(f"Gauss-Legendre needs {n} nodes on an edge at t={t:g}, "
+                         f"more than {_MAX_NODES}")
+    return n, *np.exp(np.min(log_c + (2.0 - 2.0 * n) * log_rho, axis=1)).tolist()
 
 
-def trace_series(
-    g: MetricGraph, t_grid, step: float, tol: float = 1e-10
-) -> TraceSeries:
-    _check_time(step, "step")
-    zs, errs = [], []
-    for t in t_grid:
-        z, err = _trace_parts(g, float(t), step, tol)
-        zs.append(z)
-        errs.append(err)
-    return TraceSeries(tuple(float(t) for t in t_grid), tuple(zs), tuple(errs))
+def _trace_parts(g: MetricGraph, t: float, tol: float):
+    """(Z, bound on |Z - exact Z|) with Z = (A^2 + B)/2, A = int p(z,z) dz and
+    B = int int p^2, by tensor Gauss-Legendre sized by ``_edge_rule``.
+
+    The bound adds the quadrature bounds to the walk-sum tail tau, which moves
+    A by at most L tau and B by at most tau (2L + L^2 tau), as p >= 0 and the
+    heat mass is at most 1, and allows 1e-13 Z for rounding.  p is symmetric,
+    so each unordered edge pair is evaluated once.
+    """
+    _, tail = _certified_lambda(g, t, tol)
+    L = g.total_length
+    err_a, err_b, rules = L * tail, tail * (2.0 * L + L * L * tail), {}
+    for e in g.edges:
+        n, e_diag, e_pair = _edge_rule(g, t, e.length, tol)
+        x, w = gauss_legendre(n)
+        rules[e.id] = (e.length * x, e.length * w)
+        err_a, err_b = err_a + e_diag, err_b + e_pair
+    diag = sum(float(w @ pathsum(g, t, eid, s, eid, s, tol=tol)[0])
+               for eid, (s, w) in rules.items())
+    pair = 0.0
+    for e1, e2 in combinations_with_replacement(g.edges, 2):
+        (s1, w1), (s2, w2) = rules[e1.id], rules[e2.id]
+        mat, _ = pathsum(g, t, e1.id, s1[:, None], e2.id, s2[None, :], tol=tol)
+        pair += (1.0 if e1 is e2 else 2.0) * float(w1 @ (mat * mat) @ w2)
+    z = 0.5 * (diag * diag + pair)
+    return z, err_a * (abs(diag) + 0.5 * err_a) + 0.5 * err_b + 1e-13 * z
+
+
+def trace_two_particle(g: MetricGraph, t: float, step: float | None = None,
+                       tol: float = 1e-10) -> float:
+    """Two-particle heat trace by Gauss-Legendre quadrature over the state
+    space, half the product-space integral of the symmetrized diagonal; each
+    edge's node count certifies ``tol`` (``_edge_rule``).  ``step``, the old
+    Simpson spacing, is only validated: ``perfbench/workloads.py`` passes it
+    in third place, and it stays until ROADMAP item 1's benchmark change.
+    """
+    if step is not None:
+        _check_time(step, "step")
+    return _trace_parts(g, t, tol)[0]
+
+
+def trace_series(g: MetricGraph, t_grid, tol: float = 1e-10) -> TraceSeries:
+    """Quadrature traces on a time grid, each with its certified error bound."""
+    ts = tuple(float(t) for t in t_grid)
+    parts = [_trace_parts(g, t, tol) for t in ts]
+    return TraceSeries(ts, tuple(z for z, _ in parts), tuple(e for _, e in parts))
 
 
 def single_trace_eigen(modes: ModeTable, t):

@@ -539,10 +539,13 @@ class TestOtherCommands:
     def test_twoparticle_trace(self, workdir):
         assert main(["twoparticle", "trace", "--graph",
                      str(workdir / "interval.json"), "--tgrid", "0.01:0.05:3",
-                     "--step", "2e-3", "--out", str(workdir)]) == 0
+                     "--out", str(workdir)]) == 0
         lines = (workdir / "trace.csv").read_text().splitlines()
-        zs = [float(r.split(",")[1]) for r in lines[2:]]
-        assert zs[0] > zs[-1] > 0
+        assert lines[1] == "t,Z,quad_error"
+        rows = [[float(v) for v in r.split(",")] for r in lines[2:]]
+        assert rows[0][1] > rows[-1][1] > 0
+        # the column carries the certified bound of the Gauss-Legendre rule
+        assert all(0.0 < err < 1e-9 * z for _, z, err in rows)
 
     def test_energy_study(self, workdir):
         assert main(["energy", "study", "--graph", str(workdir / "interval.json"),

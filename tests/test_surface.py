@@ -1,10 +1,14 @@
-"""Every name the package exports has a user in the library or the benchmark.
+"""Every name the package exports has a user in the library or the benchmark,
+and importing the package stays cheap.
 
 A name that only the tests call is surface to maintain with nothing that
-runs it.  The sources are parsed with ``ast``, never imported.
+runs it.  The sources are parsed with ``ast``, never imported; the import
+itself is checked in a fresh interpreter.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +55,15 @@ def test_every_export_is_used():
     assert sorted(unused - set(EXEMPT)) == []
     # an exemption ends once its name gains a user or leaves the exports
     assert set(EXEMPT) <= unused
+
+
+def test_import_loads_no_heavy_module():
+    # ``import hklab`` is paid by every process that uses the package: scipy
+    # costs 150-200 ms there, numpy.polynomial a few ms (the Gauss-Legendre
+    # helper imports it on first use), and the CLI and the acceptance suite
+    # pull in every layer's callers
+    code = "import sys, hklab; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT).stdout.split()
+    heavy = ("scipy", "numpy.polynomial", "hklab.acceptance", "hklab.cli")
+    assert [m for m in out if any(m == h or m.startswith(h + ".") for h in heavy)] == []

@@ -71,6 +71,9 @@ CALLS = {
         g, np.array([0.05, t]), 40.0),
     "trace_tail_bound": lambda g, t: trace_tail_bound(g, t, 40.0),
     "trace_tail_bound_time_array": lambda g, t: trace_tail_bound(g, np.array([0.05, t]), 40.0),
+    # a list of times is read as an array
+    "spectral_tail_bound_time_list": lambda g, t: spectral_tail_bound(g, [0.05, t], 40.0),
+    "trace_tail_bound_time_list": lambda g, t: trace_tail_bound(g, [0.05, t], 40.0),
     "single_trace_eigen": lambda g, t: single_trace_eigen(ModeTable(g, [], []), t),
     "single_trace_eigen_time_array": lambda g, t: single_trace_eigen(
         ModeTable(g, [], []), np.array([0.05, t])),
@@ -79,7 +82,7 @@ CALLS = {
     "trace_two_particle_eigen_time_array": lambda g, t: trace_two_particle_eigen(
         ModeTable(g, [], []), np.array([0.05, t])),
     "trace_two_particle": lambda g, t: trace_two_particle(g, t, 1e-2),
-    "trace_series": lambda g, t: trace_series(g, [0.05, t], 1e-2),
+    "trace_series": lambda g, t: trace_series(g, [0.05, t]),
     # a bad time after a good one: every time is checked, not only the least
     "eigen_trace_series": lambda g, t: eigen_trace_series(g, [0.05, t]),
     "exit_density": lambda g, t: exit_density(
@@ -135,15 +138,21 @@ def test_bad_time_rejected(interval, name, t):
 @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1e-2])
 @pytest.mark.parametrize("call", [
     lambda g, step: trace_two_particle(g, 0.05, step),
-    lambda g, step: trace_series(g, [0.05], step),
     lambda g, step: kernel_semigroup_residual(g, 0.05, 0.05, X, X, quadrature_step=step),
     lambda g, step: decomposition_residual(
         interval_subdomain(g, "e", 0.25, 0.75), 0.05, X, X, time_step=step),
     lambda g, step: kernel_mass(g, 0.05, X, step_frac=step),
     lambda g, step: sample_function(g, lambda eid, s: s, step),
     lambda g, step: SampledFunction(g, {"e": S}, step),
-], ids=["trace_two_particle", "trace_series", "kernel_semigroup_residual",
+], ids=["trace_two_particle", "kernel_semigroup_residual",
         "decomposition_residual", "kernel_mass", "sample_function", "SampledFunction"])
 def test_bad_quadrature_step_rejected(interval, call, step):
     with pytest.raises(ValueError, match="step must be finite and positive"):
         call(interval, step)
+
+
+@pytest.mark.parametrize("bound", [spectral_tail_bound, trace_tail_bound])
+def test_time_list_reads_as_array(interval, bound):
+    ts = [0.05, 0.1]
+    assert bound(interval, ts, 40.0).tolist() == bound(interval, np.array(ts), 40.0).tolist()
+    assert bound(interval, ts, 40.0).tolist() == [bound(interval, t, 40.0) for t in ts]

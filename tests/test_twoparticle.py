@@ -39,15 +39,15 @@ class TestTraces:
     def test_symmetrization_identity(self, interval):
         modes = eigen(interval, 85.0)
         for t in (0.01, 0.05):
-            zq = trace_two_particle(interval, t, 2e-3)
+            zq = trace_two_particle(interval, t)
             ze = trace_two_particle_eigen(modes, t)
             assert abs(zq - ze) < 1e-8
 
     def test_star_trace_three_digits(self, star3):
         modes = eigen(star3, 60.0)
-        zq = trace_two_particle(star3, 0.02, 2e-3)
+        zq = trace_two_particle(star3, 0.02)
         ze = trace_two_particle_eigen(modes, 0.02)
-        assert zq == pytest.approx(ze, rel=5e-4)
+        assert zq == pytest.approx(ze, rel=1e-12)
 
     def test_long_time_limit(self, interval):
         modes = eigen(interval, 20.0)
@@ -65,12 +65,36 @@ class TestTraces:
         assert trace_tail_bound(star3, ts, 60.0).tolist() == tails
 
     def test_series_decreasing(self, interval):
-        series = trace_series(interval, np.geomspace(0.01, 0.1, 5), 2e-3)
+        series = trace_series(interval, np.geomspace(0.01, 0.1, 5))
         assert all(a > b for a, b in zip(series.Z, series.Z[1:]))
 
-    def test_coarse_step_rejected(self, interval):
-        with pytest.raises(ValueError, match="too coarse"):
-            trace_two_particle(interval, 0.002, 0.2)
+    def test_node_cap_refused(self, interval):
+        # the unit interval needs 901 nodes at t = 1e-5 and 1285 at 5e-6
+        trace_two_particle(interval, 1e-5)
+        with pytest.raises(ValueError, match=r"needs 1285 nodes on an edge at t=5e-06"):
+            trace_two_particle(interval, 5e-6)
+
+    def test_step_is_only_validated(self, interval):
+        # the third place stays the old Simpson step, never the tolerance:
+        # any step, however coarse, gives the same bits
+        z = trace_two_particle(interval, 0.002)
+        assert trace_two_particle(interval, 0.002, 4e-3) == z
+        assert trace_two_particle(interval, 0.002, 0.5) == z
+        assert trace_two_particle(interval, 0.002, 4e-3, 1e-4) != z
+
+    def test_dirichlet_star_within_bound(self):
+        # unequal legs and a Dirichlet leaf: the diagonal is not periodic, so
+        # the rule's error shows here (Simpson at step 4e-3 read 8.1e-12 at
+        # t = 0.05); the quadrature must land within its certified bound plus
+        # the eigen pairs' tail bound
+        g = make_graph([("c", K), ("l0", K), ("l1", K), ("l2", D)],
+                       [("e0", "c", "l0", 1.0), ("e1", "c", "l1", 0.6),
+                        ("e2", "c", "l2", 0.35)])
+        quad = trace_series(g, [0.002, 0.05])
+        pairs = eigen_trace_series(g, [0.002, 0.05])
+        for zq, bound, ze, tail in zip(quad.Z, quad.quad_error, pairs.Z, pairs.quad_error):
+            assert abs(zq - ze) <= bound + tail
+            assert bound < 1e-9 * ze
 
 
 class TestRegions:
@@ -207,12 +231,13 @@ class TestFit:
         assert abs(fit.a_0 / pred.a_0 - 1) < 0.01
 
     def test_quadrature_fit_refines_toward_predicted(self, interval):
-        # refining the quadrature step does not worsen the fitted coefficients
+        # the certified quadrature fits as close to the predicted coefficients
+        # as the eigen pairs do
         pred = predicted_coefficients(interval)
         ts = np.geomspace(0.005, 0.02, 6)
         errs = []
-        for step in (4e-3, 2e-3):
-            fit = asymptotic_fit(trace_series(interval, ts, step))
+        for series in (eigen_trace_series(interval, ts), trace_series(interval, ts)):
+            fit = asymptotic_fit(series)
             errs.append(abs(fit.a_0 - pred.a_0) + abs(fit.a_half - pred.a_half))
         assert errs[1] <= errs[0] + 1e-9
         assert errs[1] < 0.02
