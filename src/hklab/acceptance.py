@@ -141,13 +141,9 @@ def criterion_2() -> CriterionResult:
     # semigroup residual
     res = max(
         kernel_semigroup_residual(
-            interval_graph(), 0.05, 0.05, GraphPoint("e", 0.5), GraphPoint("e", 0.5),
-            quadrature_step=1e-3,
-        ),
+            interval_graph(), 0.05, 0.05, GraphPoint("e", 0.5), GraphPoint("e", 0.5)),
         kernel_semigroup_residual(
-            star_graph(), 0.02, 0.02, GraphPoint("e1", 0.4), GraphPoint("e2", 0.6),
-            quadrature_step=1e-3,
-        ),
+            star_graph(), 0.02, 0.02, GraphPoint("e1", 0.4), GraphPoint("e2", 0.6)),
     )
     checks.append(("semigroup", res <= 1e-6, f"{res:.2e}"))
     # approximation of identity with shrinking error
@@ -247,8 +243,7 @@ def _criterion_5_stats(seed: int):
     # paths that never left U versus the killed-kernel mass
     stay = spliced.stay_fraction()
     cg, to_cut, _ = interval_subdomain(interval_graph(), "e", 0.25, 0.75).cut_graph()
-    stay_exact = kernel_mass(cg, cfg.T, to_cut(GraphPoint("e", 0.5)), step_frac=4e-4,
-                             tol=1e-10)
+    stay_exact = kernel_mass(cg, cfg.T, to_cut(GraphPoint("e", 0.5)), tol=1e-10)
     se = math.sqrt(stay_exact * (1.0 - stay_exact) / cfg.n_paths)
     z_stay = (stay - stay_exact) / se
     _, p_control = compare_ensembles(direct_n, direct_d)

@@ -20,7 +20,7 @@ from functools import wraps
 
 import numpy as np
 
-from ._quad import simpson_nodes
+from ._quad import gauss_legendre
 from .graph import (
     _WEIGHT_FLOOR,
     KIRCHHOFF,
@@ -195,6 +195,11 @@ def _memo_per_graph(fn):
     return memoized
 
 
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 @_memo_per_graph
 def _certified_lambda(g: MetricGraph, t: float, tol: float) -> tuple[float, float]:
     """(lambda, tail bound): the shortest truncation length certifying tol.
@@ -206,8 +211,7 @@ def _certified_lambda(g: MetricGraph, t: float, tol: float) -> tuple[float, floa
     reuse the memoized walk families.
     """
     _check_time(t)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     r, log_z = _resolvent_table(g)
     # aim at tol (1 - 1e-9), so that rounding cannot lift the bound above tol
     c = log_z - math.log(tol) + 1e-9 - 0.5 * math.log(4.0 * math.pi * t)
@@ -216,6 +220,55 @@ def _certified_lambda(g: MetricGraph, t: float, tol: float) -> tuple[float, floa
     if not bound <= tol:
         raise TruncationError(f"tail bound will not certify tolerance {tol:g} at t={t:g}")
     return lam, bound
+
+
+# the Bernstein-ellipse parameters rho of the edge rules, and their node cap
+_RHO = 1.0 + np.geomspace(1e-4, 1e2, 100)
+_MAX_NODES = 1024
+
+
+@_memo_per_graph
+def _edge_envelope(g: MetricGraph, t: float, length: float):
+    """(log D, log P) per rho of ``_RHO``: bounds on the Bernstein ellipse of
+    an edge of length l, on the diagonal walk sum and on p_t(x, .).
+
+    The ellipse of foci 0, l and semi-axes (l/4)(rho +- 1/rho) reaches
+    b = (l/4)(rho - 1/rho) off the axis and d = (l/4)(rho + 1/rho) - l/2 past
+    each end.  There a walk term e^{-u^2/4t} of mid-length m and slope beta
+    in the arclength is at most e^{beta^2 b^2/4t} e^{r^2 t + r beta d - r m},
+    and all walks sum to at most e^{r^2 t + r beta d} Z(r)
+    (``_resolvent_table``), each over sqrt(4 pi t).  On the diagonal p(z, z)
+    beta <= 2, and the direct term is a constant, which every rule integrates
+    exactly; in p(x, .) beta = 1, and the direct term is at most e^{b^2/4t}.
+    Memoized per graph, so edges of one length share it.
+    """
+    r, log_z = _resolvent_table(g)
+    b2 = (0.25 * length * (_RHO - 1.0 / _RHO)) ** 2
+    d = 0.25 * length * (_RHO + 1.0 / _RHO) - 0.5 * length
+    diag, row = (np.min(r * r * t + beta * np.outer(d, r) + log_z, axis=1) for beta in (2.0, 1.0))
+    log_g = -0.5 * math.log(4.0 * math.pi * t)
+    return b2 / t + diag + log_g, b2 / (4.0 * t) + np.logaddexp(0.0, row) + log_g
+
+
+def _edge_rule(t: float, length: float, log_m, tol: float):
+    """(nodes, weights, bounds): Gauss-Legendre on [0, l] with the least node
+    count n whose error bound on each integrand is at most tol/2.
+
+    Row i of log_m is ln sup |f_i| on the ellipse at each rho of ``_RHO``
+    (``_edge_envelope``); n >= 2 nodes err by at most (l/2)(64/15) M
+    rho^(2-2n) / (rho^2 - 1) (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), each
+    bound minimized over rho.  Past ``_MAX_NODES`` nodes, ValueError.
+    """
+    log_c = np.asarray(log_m) + np.log(length * 32.0 / 15.0 / (_RHO * _RHO - 1.0))
+    log_rho = np.log(_RHO)
+    n = (1.0 + (log_c - math.log(0.5 * tol)) / (2.0 * log_rho)).min(axis=1).max()
+    n = max(2, math.ceil(n))
+    if n > _MAX_NODES:
+        raise ValueError(f"Gauss-Legendre needs {n} nodes on an edge at t={t:g}, "
+                         f"more than {_MAX_NODES}")
+    x, w = gauss_legendre(n)
+    bounds = np.exp(np.min(log_c + (2.0 - 2.0 * n) * log_rho, axis=1)).tolist()
+    return length * x, length * w, bounds
 
 
 @_memo_per_graph
@@ -358,33 +411,31 @@ def pathsum(
 # -- kernel functionals --------------------------------------------------------
 
 
-def kernel_mass(g: MetricGraph, t: float, x: GraphPoint, step_frac: float = 1e-3,
-                tol: float = 1e-12) -> float:
-    """Integral of p_t(x, .) over the whole graph (composite Simpson per edge)."""
+def kernel_mass(g: MetricGraph, t: float, x: GraphPoint, tol: float = 1e-12) -> float:
+    """Integral of p_t(x, .) over the graph by Gauss-Legendre on each edge, each
+    edge's rule within tol/2 (``_edge_rule``) and each value within tol."""
+    _check_time(t)
+    _check_tol(tol)
     total = 0.0
     for e in g.edges:
-        s, w = simpson_nodes(e.length, step_frac * e.length)
+        s, w, _ = _edge_rule(t, e.length, [_edge_envelope(g, t, e.length)[1]], tol)
         vals, _ = pathsum(g, t, x.edge, x.s, e.id, s, tol=tol)
         total += float(np.dot(w, vals))
     return total
 
 
 def kernel_semigroup_residual(
-    g: MetricGraph,
-    t: float,
-    s: float,
-    x: GraphPoint,
-    y: GraphPoint,
-    quadrature_step: float | None = None,
-    tol: float = 1e-12,
+    g: MetricGraph, t: float, s: float, x: GraphPoint, y: GraphPoint, tol: float = 1e-12
 ) -> float:
-    """|p_{t+s}(x,y) - int_G p_t(x,z) p_s(z,y) dz| with per-edge Simpson."""
+    """|p_{t+s}(x,y) - int_G p_t(x,z) p_s(z,y) dz|, the integral by
+    Gauss-Legendre on each edge, within tol/2 per edge (``_edge_rule``)."""
     _check_time(t)
     _check_time(s, "s")
+    _check_tol(tol)
     conv = 0.0
     for e in g.edges:
-        step = quadrature_step if quadrature_step is not None else 1e-3 * e.length
-        nodes, w = simpson_nodes(e.length, step)
+        log_m = _edge_envelope(g, t, e.length)[1] + _edge_envelope(g, s, e.length)[1]
+        nodes, w, _ = _edge_rule(min(t, s), e.length, [log_m], tol)
         row_t, _ = pathsum(g, t, x.edge, x.s, e.id, nodes, tol=tol)
         row_s, _ = pathsum(g, s, y.edge, y.s, e.id, nodes, tol=tol)
         conv += float(np.dot(w, row_t * row_s))

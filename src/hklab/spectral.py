@@ -67,12 +67,17 @@ class ModeTable:
 
     def at(self, edges, s: np.ndarray) -> np.ndarray:
         """Every mode at the points (edges[j], s[j]), shape (len(s), M)."""
+        rows, cos, sin = self._trig(edges, s)
+        return rows[:, 0] * cos + rows[:, 1] * sin + rows[:, 2] * s[:, None]
+
+    def _trig(self, edges, s: np.ndarray):
+        """Basis rows (len(s), 3, M), cos k s and sin k s (len(s), M) at the points."""
         try:
             rows = self._basis.take([self.col[eid] for eid in edges], axis=0)
         except KeyError as exc:
             raise GraphError(f"mode table has no edge {exc.args[0]!r}") from None
         ks = np.multiply.outer(s, self.k)
-        return rows[:, 0] * np.cos(ks) + rows[:, 1] * np.sin(ks) + rows[:, 2] * s[:, None]
+        return rows, np.cos(ks), np.sin(ks)
 
 
 # -- the modes of every root ----------------------------------------------------
@@ -364,9 +369,7 @@ def vertex_residuals(modes: ModeTable) -> tuple[np.ndarray, np.ndarray]:
     starts = np.cumsum([0] + [g.degree(v.id) for v in g.vertices[:-1]])
     far = np.array([end == 1 for _, end in halves])
     s = np.where(far, [g.edge_obj(eid).length for eid, _ in halves], 0.0)
-    rows = modes._basis[[modes.col[eid] for eid, _ in halves]]
-    ks = np.multiply.outer(s, modes.k)
-    cos, sin = np.cos(ks), np.sin(ks)
+    rows, cos, sin = modes._trig([eid for eid, _ in halves], s)
     val = rows[:, 0] * cos + rows[:, 1] * sin + rows[:, 2] * s[:, None]
     der = modes.k * (rows[:, 1] * cos - rows[:, 0] * sin) + rows[:, 2]
     der = np.where(far[:, None], -der, der)

@@ -268,12 +268,22 @@ class TestKernelPathsum:
             kernel_pathsum(interval, 0.05, x, x, tol=tol)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             pathsum(interval, 0.05, "e", 0.5, "e", [0.5], tol=tol)
+        # before an edge rule is sized from tol
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            kernel_mass(interval, 0.05, x, tol=tol)
 
     def test_stochastic_completeness(self, interval, star3, triangle):
         for g in (interval, star3, triangle):
             x = GraphPoint(g.edges[0].id, 0.37)
             for t in (0.05, 0.2):
-                assert kernel_mass(g, t, x) == pytest.approx(1.0, abs=1e-6)
+                assert kernel_mass(g, t, x) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mass_node_cap_refused(self, interval):
+        # the unit interval's rule needs 479 nodes at t = 1e-5 and 1560 at 1e-6
+        x = GraphPoint("e", 0.5)
+        assert kernel_mass(interval, 1e-5, x) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match=r"needs 1560 nodes on an edge at t=1e-06"):
+            kernel_mass(interval, 1e-6, x)
 
     def test_rejects_bad_args(self, interval):
         x = GraphPoint("e", 0.5)
@@ -493,15 +503,13 @@ class TestGoldenFamilies:
 class TestSemigroup:
     def test_interval_residual(self, interval):
         x = GraphPoint("e", 0.5)
-        r = kernel_semigroup_residual(interval, 0.05, 0.05, x, x, quadrature_step=1e-3)
-        assert r < 1e-6
+        r = kernel_semigroup_residual(interval, 0.05, 0.05, x, x)
+        assert r < 1e-12
 
     def test_star_residual(self, star3):
         r = kernel_semigroup_residual(
-            star3, 0.02, 0.02, GraphPoint("e1", 0.5), GraphPoint("e2", 0.5),
-            quadrature_step=1e-3,
-        )
-        assert r < 1e-6
+            star3, 0.02, 0.02, GraphPoint("e1", 0.5), GraphPoint("e2", 0.5))
+        assert r < 1e-12
 
     def test_diagonal_positive(self, interval):
         # int p_t(x,z)^2 dz = p_2t(x,x) > 0
@@ -526,7 +534,9 @@ class TestSemigroup:
             errs.append(abs(float(np.dot(w, vals * f(s))) - f(0.5)))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_rejects_bad_step(self, interval):
+    def test_rejects_bad_tol(self, interval):
+        # the rule is sized from tol, so a bad one is refused before any node
         x = GraphPoint("e", 0.5)
-        with pytest.raises(ValueError):
-            kernel_semigroup_residual(interval, 0.05, 0.05, x, x, quadrature_step=-1.0)
+        for tol in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                kernel_semigroup_residual(interval, 0.05, 0.05, x, x, tol=tol)

@@ -3,13 +3,14 @@
 Hypothesis draws stars of degree 2-4, triangles, lollipops and three-edge
 multigraphs with mixed Kirchhoff and Dirichlet vertices and drawn edge
 lengths, points that include edge ends, and times in [0.005, 0.06].  Walk
-sums and mode sums agree pair by pair and on grids over time arrays, and
-the heat mass is at most 1.  The root search of ``eigen`` is checked on the
-same graphs against bisection alone (``spectral_reference``), and the
-spectral tail bound against the terms it bounds.  On stars with a Dirichlet
-leaf the two-particle trace by quadrature meets the eigen pairs within the
-two certified bounds, for times in [0.002, 0.05].  The runs are
-derandomized, so Tier-1 sees the same examples on every run.
+sums and mode sums agree pair by pair and on grids over time arrays, the
+heat mass is at most 1, and the semigroup property holds to 1e-12.  The root
+search of ``eigen`` is checked on the same graphs against bisection alone
+(``spectral_reference``), and the spectral tail bound against the terms it
+bounds.  On stars with a Dirichlet leaf the two-particle trace by quadrature
+meets the eigen pairs within the two certified bounds, for times in
+[0.002, 0.05].  The runs are derandomized, so Tier-1 sees the same examples
+on every run.
 """
 
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import make_graph
 from hklab.graph import DIRICHLET, GraphPoint
-from hklab.kernels import kernel_mass, kernel_pathsum, pathsum
+from hklab.kernels import kernel_mass, kernel_pathsum, kernel_semigroup_residual, pathsum
 from hklab.locality import interval_subdomain, kernel_killed
 from hklab.spectral import (
     _certified_k_max,
@@ -146,7 +147,15 @@ def test_mass_at_most_one(case):
     mass = kernel_mass(g, t, x)
     assert mass <= 1.0 + 1e-10
     if all(v.condition != DIRICHLET for v in g.vertices):
-        assert abs(mass - 1.0) <= 1e-10
+        assert abs(mass - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(cases(), times)
+def test_semigroup(case, s):
+    # p_{t+s}(x, y) = int p_t(x, z) p_s(z, y) dz, the integral by the edge rules
+    g, t, (x, y) = case
+    assert kernel_semigroup_residual(g, t, s, x, y) <= 1e-12
 
 
 @PROPERTY

@@ -16,8 +16,8 @@ PACKAGE = ROOT / "src" / "hklab"
 
 # exported names without a user yet, and why they stay
 EXEMPT = {
-    "fit_decay_params": "goes with ROADMAP item 4's certified bound",
-    "nonlocal_bound": "goes with ROADMAP item 4's certified bound",
+    "fit_decay_params": "goes with ROADMAP item 6's certified bound",
+    "nonlocal_bound": "goes with ROADMAP item 6's certified bound",
 }
 
 

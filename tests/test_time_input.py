@@ -59,7 +59,7 @@ CALLS = {
     "semigroup_t": lambda g, t: kernel_semigroup_residual(g, t, 0.05, X, X),
     "semigroup_s": lambda g, t: kernel_semigroup_residual(g, 0.05, t, X, X),
     "pathsum_tail_bound": lambda g, t: pathsum_tail_bound(g, t, 2.0),
-    "kernel_mass": lambda g, t: kernel_mass(g, t, X, step_frac=0.05),
+    "kernel_mass": lambda g, t: kernel_mass(g, t, X),
     "kernel_spectral": lambda g, t: kernel_spectral(g, t, X, X, ModeTable(g, [], [])),
     "modesum": lambda g, t: modesum(ModeTable(g, [], []), t, X.edge, X.s, X.edge, X.s),
     "modesum_at_grid": lambda g, t: modesum(
@@ -138,14 +138,12 @@ def test_bad_time_rejected(interval, name, t):
 @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1e-2])
 @pytest.mark.parametrize("call", [
     lambda g, step: trace_two_particle(g, 0.05, step),
-    lambda g, step: kernel_semigroup_residual(g, 0.05, 0.05, X, X, quadrature_step=step),
     lambda g, step: decomposition_residual(
         interval_subdomain(g, "e", 0.25, 0.75), 0.05, X, X, time_step=step),
-    lambda g, step: kernel_mass(g, 0.05, X, step_frac=step),
     lambda g, step: sample_function(g, lambda eid, s: s, step),
     lambda g, step: SampledFunction(g, {"e": S}, step),
-], ids=["trace_two_particle", "kernel_semigroup_residual",
-        "decomposition_residual", "kernel_mass", "sample_function", "SampledFunction"])
+], ids=["trace_two_particle", "decomposition_residual", "sample_function",
+        "SampledFunction"])
 def test_bad_quadrature_step_rejected(interval, call, step):
     with pytest.raises(ValueError, match="step must be finite and positive"):
         call(interval, step)
