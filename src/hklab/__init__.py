@@ -10,7 +10,6 @@ from .graph import (  # noqa: F401
     GraphPoint,
     MetricGraph,
     Vertex,
-    distance,
     load_graph,
     parse_graph,
     scattering_matrix,
@@ -27,7 +26,6 @@ from .kernels import (  # noqa: F401
     star_sigma,
 )
 from .locality import (  # noqa: F401
-    DecayBoundParams,
     IsometryMap,
     LocalityCertificate,
     MapPiece,
@@ -35,11 +33,9 @@ from .locality import (  # noqa: F401
     ball_subdomain,
     decomposition_residual,
     exit_density,
-    fit_decay_params,
     interval_subdomain,
     kernel_killed,
     locality_compare,
-    nonlocal_bound,
 )
 from .spectral import ModeTable, eigen, kernel_spectral, modesum, vertex_residuals  # noqa: F401
 from .twoparticle import (  # noqa: F401

@@ -246,6 +246,7 @@ def _cmd_locality(args):
             "T": max(cert.t_grid),
             "t_grid": list(cert.t_grid),
             "sup_diffs": list(cert.sup_diffs),
+            "sup_bounds": list(cert.sup_bounds),
             "C": cert.C,
             "eps": cert.eps,
             "r2": cert.r2,
@@ -256,8 +257,8 @@ def _cmd_locality(args):
     )
     _write_csv(
         Path(args.out) / "supdiffs.csv",
-        ["t", "sup_diff", "noise_floor"],
-        [[t, s, f] for t, s, f in zip(cert.t_grid, cert.sup_diffs, cert.noise_floor)],
+        ["t", "sup_diff", "sup_bound"],
+        zip(cert.t_grid, cert.sup_diffs, cert.sup_bounds),
         cfg,
     )
     print(

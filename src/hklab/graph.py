@@ -308,25 +308,6 @@ def scattering_matrix(g: MetricGraph, vertex_id: str) -> np.ndarray:
     return m
 
 
-# -- path metric -------------------------------------------------------------
-
-
-def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
-    """Shortest-path distance between two points of the graph."""
-    ex = g.check_point(x)
-    ey = g.check_point(y)
-    best = math.inf
-    if x.edge == y.edge:
-        best = abs(x.s - y.s)
-    dvv = g.vertex_distances()
-    ends_x = ((ex.u, x.s), (ex.v, ex.length - x.s))
-    ends_y = ((ey.u, y.s), (ey.v, ey.length - y.s))
-    for va, da in ends_x:
-        for vb, db in ends_y:
-            best = min(best, da + dvv[(va, vb)] + db)
-    return best
-
-
 # -- bond table ---------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -271,15 +272,27 @@ def _edge_rule(t: float, length: float, log_m, tol: float):
     return length * x, length * w, bounds
 
 
+class _Split(NamedTuple):
+    """Which walks x -> y leave an open set U: those whose first leg, last leg
+    or some crossed edge is not in U.  The default, U empty, keeps them all."""
+
+    direct: bool = True  # the direct term x -> y leaves U
+    x_ends: tuple = (False, False)  # x's piece of U reaches end 0, end 1 of edge_x
+    y_ends: tuple = (False, False)  # y's piece of U reaches end 0, end 1 of edge_y
+    edges: frozenset = frozenset()  # indices of the edges that U covers whole
+
+
 @_memo_per_graph
-def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float):
-    """Scattering-walk families from edge_x into edge_y with mid-length <= lam.
+def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float, left=_Split()):
+    """Scattering-walk families from edge_x into edge_y with mid-length <= lam
+    that leave U (``_Split``; by default every walk).
 
     A family fixes the departure end d1 of edge_x and the entry end d2 of
     edge_y; a walk of the family evaluated at positions (sx, sy) has total
     length a_{d1}(sx) + L_mid + b_{d2}(sy).  Walks step on the bond table
     (``graph._bond_table``): a walk is at an incoming half-edge k = 2i + end,
-    and its moves are the table rows first[k] to first[k + 1].
+    and its moves are the table rows first[k] to first[k + 1]; it carries
+    whether it has left U.
     """
     rows, cols, sigma, lengths = _bond_table(g)
     first = np.searchsorted(rows, np.arange(2 * len(g.edges) + 1)).tolist()
@@ -290,9 +303,10 @@ def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float):
     dvv = g.vertex_distances()
     # distance from the vertex of each state to the nearer end of edge_y
     remaining = [min(dvv[(v, eey.u)], dvv[(v, eey.v)]) for e in g.edges for v in (e.u, e.v)]
+    y_ends, inside = left.y_ends, left.edges
 
     groups = {(a, b): ([], []) for a in (0, 1) for b in (0, 1)}
-    frontier = [(2 * ix + d1, 0.0, 1.0, d1) for d1 in (0, 1)
+    frontier = [(2 * ix + d1, 0.0, 1.0, d1, not left.x_ends[d1]) for d1 in (0, 1)
                 if remaining[2 * ix + d1] <= lam]
     visited = 0
     while frontier:
@@ -303,19 +317,19 @@ def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float):
                 f"(truncation length {lam:.3g} is not enumerable)"
             )
         nxt = []
-        for state, acc, w, d1 in frontier:
+        for state, acc, w, d1, out in frontier:
             for m in range(first[state], first[state + 1]):
                 w2 = w * sigma[m]
                 if abs(w2) < _WEIGHT_FLOOR:
                     continue
                 k = cols[m]
-                if k >> 1 == iy and acc <= lam:
+                if k >> 1 == iy and acc <= lam and (out or not y_ends[1 - (k & 1)]):
                     ls, ws = groups[(d1, 1 - (k & 1))]
                     ls.append(acc)
                     ws.append(w2)
                 acc2 = acc + lengths[m]
                 if acc2 + remaining[k] <= lam:
-                    nxt.append((k, acc2, w2, d1))
+                    nxt.append((k, acc2, w2, d1, out or k >> 1 not in inside))
         frontier = nxt
     return {
         key: (np.asarray(ls), np.asarray(ws))
@@ -330,19 +344,27 @@ _BLOCK = 1 << 16
 _IN_PLACE = 1 << 10
 
 
-def _eval_pathsum(g, t, edge_x, sx, edge_y, sy, lam):
+def _eval_pathsum(g, t, edge_x, sx, edge_y, sy, lam, left=_Split()):
     """Walk sum at flat arclengths sx, sy and times t (a scalar t, or an
     array; equal sizes, or size 1) and the number of walks summed; a lone
-    point takes one dot product per family."""
-    fams = _families(g, edge_x, edge_y, lam)
-    sizes = [ls.size for ls, _ in fams.values()]
-    same = edge_x == edge_y
+    point takes one dot product per family.  Only the walks that leave U
+    (``left``) are summed."""
+    fams = _families(g, edge_x, edge_y, lam, left)
+    same = edge_x == edge_y and left.direct
     ax = (sx, g.edge_obj(edge_x).length - sx)
     by = (sy, g.edge_obj(edge_y).length - sy)
+    total = _gauss_sum(fams, ax, by, t, sx - sy if same else None)
+    return total, sum(ls.size for ls, _ in fams.values()) + same
+
+
+def _gauss_sum(fams, ax, by, t, direct):
+    """Sum over the walk families (d1, d2) of w times the free kernel at each
+    walk's length l_mid + ax[d1] + by[d2], plus the free kernel at the direct
+    distance, if given; ax, by and t broadcast flat."""
     c = -4.0 * t  # exp(d*d/c) / norm is gauss_free(t, d), bit for bit
     norm = np.sqrt(4.0 * math.pi * t)
-    d = sx - sy
-    total = np.exp(d * d / c) / norm if same else np.zeros(max(sx.size, sy.size))
+    total = (np.zeros(max(ax[0].size, by[0].size)) if direct is None
+             else np.exp(direct * direct / c) / norm)
     step = max(1, _BLOCK // max(1, total.size))
     for (d1, d2), (ls, ws) in fams.items():
         base = ax[d1] + by[d2]
@@ -351,7 +373,7 @@ def _eval_pathsum(g, t, edge_x, sx, edge_y, sy, lam):
             o = d if d.size > _IN_PLACE else None
             d = np.divide(np.exp(np.divide(np.multiply(d, d, o), c, o), o), norm, o)
             total += np.dot(ws[k:k + step], d)
-    return total, sum(sizes) + same
+    return total
 
 
 def kernel_pathsum(

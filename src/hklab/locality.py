@@ -23,7 +23,17 @@ from .graph import (
     Vertex,
     _check_time,
 )
-from .kernels import KernelEval, kernel_pathsum, pathsum
+from .kernels import (
+    KernelEval,
+    _certified_lambda,
+    _eval_pathsum,
+    _families,
+    _gauss_sum,
+    _Split,
+    kernel_pathsum,
+    pathsum,
+    pathsum_tail_bound,
+)
 
 
 class SubdomainError(GraphError):
@@ -247,78 +257,6 @@ def decomposition_residual(
     return abs(full - killed - flux)
 
 
-# -- decay bound ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecayBoundParams:
-    """Envelope p_t(x,y) <= C t^{-n/2} exp(-d^2/(c t)) valid for 0 < t < T."""
-
-    C: float
-    c: float
-    n: float
-    T: float
-
-    def __post_init__(self):
-        if self.C <= 0 or self.c <= 0 or self.n < 0 or self.T <= 0:
-            raise ValueError("decay-bound parameters must be positive (n >= 0)")
-
-
-def nonlocal_bound(params: DecayBoundParams, rho: float, t: float) -> float:
-    """Bound C t^{-n/2} exp(-rho^2/(c t)) on the mass of paths leaving U."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if not (0 < t < params.T):
-        raise ValueError(f"t must lie in (0, {params.T})")
-    return params.C * t ** (-params.n / 2.0) * math.exp(-rho * rho / (params.c * t))
-
-
-def fit_decay_params(
-    g: MetricGraph,
-    T: float,
-    n: float = 1.0,
-    t_grid: np.ndarray | None = None,
-    points_per_edge: int = 5,
-    tol: float = 1e-12,
-) -> DecayBoundParams:
-    """Empirical decay envelope fitted on sampled kernel values.
-
-    c comes from a least-squares fit of log p against d^2/t; C is then
-    inflated so the bound majorizes every sample.
-    """
-    from .graph import distance
-
-    _check_time(T, "T")
-    if t_grid is None:
-        t_grid = np.geomspace(T / 20.0, T * 0.999, 6)
-    pts = [
-        GraphPoint(e.id, frac * e.length)
-        for e in g.edges
-        for frac in np.linspace(0.15, 0.85, points_per_edge)
-    ]
-    rows = []
-    for t in t_grid:
-        for i, x in enumerate(pts):
-            for y in pts[i:]:
-                d = distance(g, x, y)
-                p = kernel_pathsum(g, float(t), x, y, tol=tol).value
-                if p > 1e-250:
-                    rows.append((d * d / t, math.log(p) + 0.5 * n * math.log(t), d, t, p))
-    w = np.array([r[0] for r in rows])
-    z = np.array([r[1] for r in rows])
-    mask = w > 1e-12
-    if mask.sum() >= 2:
-        slope = np.polyfit(w[mask], z[mask], 1)[0]
-        c = -1.0 / slope if slope < 0 else 8.0
-    else:
-        c = 4.0
-    c = float(min(max(c, 2.0), 50.0))
-    C = max(
-        r[4] * r[3] ** (n / 2.0) * math.exp(r[2] ** 2 / (c * r[3])) for r in rows
-    )
-    return DecayBoundParams(float(C) * (1.0 + 1e-9), c, n, T)
-
-
 # -- isometries and locality certificates ---------------------------------------
 
 
@@ -353,12 +291,12 @@ class IsometryMap:
         src = {(p.edge_a, p.lo_a, p.hi_a) for p in self.pieces}
         if src != set(self.source.pieces):
             raise SubdomainError("map pieces must cover the source subdomain exactly")
-        tgt_b = self.target.parent
+        g_a, tgt_b, pairs = self.source.parent, self.target.parent, set()
         remaining = list(self.target.pieces)
         for p in self.pieces:
-            length = p.hi_a - p.lo_a
-            hi_b = p.lo_b + length
-            if hi_b > tgt_b.edge_obj(p.edge_b).length + 1e-12:
+            e_a, e_b = g_a.edge_obj(p.edge_a), tgt_b.edge_obj(p.edge_b)
+            hi_b = p.lo_b + (p.hi_a - p.lo_a)
+            if hi_b > e_b.length + 1e-12:
                 raise SubdomainError(
                     f"image of piece {p.edge_a!r} exceeds edge {p.edge_b!r}"
                 )
@@ -370,8 +308,19 @@ class IsometryMap:
                 raise SubdomainError(
                     f"image of piece {p.edge_a!r} is not a piece of the target"
                 )
+            ends_b = (e_b.u if lo == 0.0 else None, e_b.v if hi == e_b.length else None)
+            pairs |= set(zip((e_a.u if p.lo_a == 0.0 else None,
+                              e_a.v if p.hi_a == e_a.length else None), ends_b[::p.sign]))
         if remaining:
             raise SubdomainError("map pieces must cover the target subdomain exactly")
+        # a walk that stays in U meets the same vertices as its image: a piece
+        # end at a vertex maps to one at a vertex of the same condition, one
+        # vertex to one (so of the same degree, as both lie inside)
+        pairs.discard((None, None))
+        if (len({va for va, _ in pairs}) < len(pairs) or len({vb for _, vb in pairs}) < len(pairs)
+                or any(None in pair or g_a.condition(pair[0]) != tgt_b.condition(pair[1])
+                       for pair in pairs)):
+            raise SubdomainError("the map does not carry U's vertices onto the target's")
 
     def apply(self, p: GraphPoint) -> GraphPoint:
         for piece in self.pieces:
@@ -389,7 +338,7 @@ def identity_map(spec: SubdomainSpec) -> IsometryMap:
 
 @dataclass(frozen=True)
 class LocalityCertificate:
-    """Fitted exponential-in-1/t envelope for kernel differences on V x V."""
+    """Fitted exponential-in-1/t envelope and certified bounds for kernel differences on V x V."""
 
     t_grid: tuple[float, ...]
     sup_diffs: tuple[float, ...]
@@ -398,26 +347,43 @@ class LocalityCertificate:
     r2: float
     certified: bool
     reason: str
-    noise_floor: tuple[float, ...]
+    sup_bounds: tuple[float, ...]
 
     def bound(self, t: float) -> float:
         return self.C * math.exp(-self.eps / t)
 
 
-def _v_grid(spec: SubdomainSpec, iso: IsometryMap, points_per_piece: int = 9):
-    """V's grid points and their images, grouped by the edges they lie on.
+def _v_grid(iso: IsometryMap, V: SubdomainSpec, points_per_piece: int):
+    """V's grid, one run per piece of V: the map piece that holds its closure,
+    then (edge, s, ends) on A and on B, where ends says whether that piece
+    reaches end 0 and end 1 of the edge.  The map carries piece ends at
+    vertices to piece ends at vertices, so B's ends are A's, reversed with the
+    orientation."""
+    runs = []
+    for eid, lo, hi in V.pieces:
+        length = V.parent.edge_obj(eid).length
+        p = next((p for p in iso.pieces if p.edge_a == eid
+                  and (p.lo_a < lo or p.lo_a == lo == 0.0)
+                  and (hi < p.hi_a or hi == p.hi_a == length)), None)
+        if p is None:
+            raise SubdomainError("closure of V must be contained in U")
+        s = np.linspace(lo, hi, points_per_piece)
+        ends = (p.lo_a == 0.0, p.hi_a == length)
+        runs.append((p, (eid, s, ends), (p.edge_b, p.apply(s), ends[::p.sign])))
+    return runs
 
-    Returns (edge_a, s_a, edge_b, s_b) runs: s_a on edge_a of V's graph maps to
-    s_b on edge_b of the image graph.
-    """
-    runs = {}
-    for eid, lo, hi in spec.pieces:
-        for s in np.linspace(lo, hi, points_per_piece):
-            img = iso.apply(GraphPoint(eid, float(s)))
-            sa, sb = runs.setdefault((eid, img.edge), ([], []))
-            sa.append(float(s))
-            sb.append(img.s)
-    return [(ea, np.array(sa), eb, np.array(sb)) for (ea, eb), (sa, sb) in runs.items()]
+
+def _leaving_bound(g, t, edge_x, sx, edge_y, sy, lam, left):
+    """At each time of t, a bound on the walks that leave U over [min sx,
+    max sx] x [min sy, max sy]: each walk's |w| times the free kernel at the
+    walk's shortest length there."""
+    fams = {key: (ls, np.abs(ws))
+            for key, (ls, ws) in _families(g, edge_x, edge_y, lam, left).items()}
+    ones = np.ones_like(t)
+    ax = (sx.min() * ones, (g.edge_obj(edge_x).length - sx.max()) * ones)
+    by = (sy.min() * ones, (g.edge_obj(edge_y).length - sy.max()) * ones)
+    gap = max(sy.min() - sx.max(), sx.min() - sy.max(), 0.0)
+    return _gauss_sum(fams, ax, by, t, gap if edge_x == edge_y and left.direct else None)
 
 
 def locality_compare(
@@ -428,50 +394,58 @@ def locality_compare(
     t_grid,
     points_per_piece: int = 9,
 ) -> LocalityCertificate:
-    """Measure sup |p^A - p^B ∘ psi| on a V x V grid and fit C exp(-eps/t).
+    """Measure sup |p^A - p^B ∘ psi| on a V x V grid, bound it, and fit
+    C exp(-eps/t).
 
-    Differences below the float64 resolution of the kernel values are
-    excluded from the fit and recorded; with fewer than four usable points,
-    or a fit with R^2 below 0.99 or eps <= 0, no certificate is issued.
+    A walk that stays in U has the same weight on A as its image on B, so on
+    V x V the difference is the sum of the walks on A that leave U minus that
+    on B of those that leave psi(U) (``kernels._Split``): no two kernel values
+    are subtracted.  Both sums are truncated at the length certified to
+    1e-16/sqrt(4 pi t_max) and taken at every grid time in one call per run
+    pair.  ``sup_bounds`` bounds the difference on closure(V)^2 at each time:
+    each leaving walk's |w| times the Gaussian at its shortest length there,
+    plus the truncation tail, on A and on B, raised by 1e-9 against rounding.
+
+    The fit uses the nonzero differences.  With none the certificate holds
+    with eps = inf; with fewer than four, or a fit with R^2 below 0.99 or
+    eps <= 0, none is issued.  An empty grid, or a time that is not finite and
+    positive, raises GraphError.
     """
+    t = np.array(t_grid, dtype=float).ravel()
+    if not t.size:
+        raise GraphError("t_grid must hold at least one time")
+    _check_time(t)
     if V.parent != g_a:
         raise SubdomainError("V must be a subdomain of the first graph")
-    for eid, lo, hi in V.pieces:
-        if not (
-            iso.source.contains(GraphPoint(eid, lo))
-            and iso.source.contains(GraphPoint(eid, hi))
-        ):
-            raise SubdomainError("closure of V must be contained in U")
-    t_grid = tuple(float(t) for t in t_grid)
-    runs = _v_grid(V, iso, points_per_piece)
-    sups, floors = [], []
-    for t in t_grid:
-        scale = 1.0 / math.sqrt(4.0 * math.pi * t)
-        tol = max(1e-16 * scale, 1e-280)
-        sup = 0.0
-        kmax = 0.0
-        for ex, xa, fx, xb in runs:
-            for ey, ya, fy, yb in runs:
-                pa, _ = pathsum(g_a, t, ex, xa[:, None], ey, ya[None, :], tol=tol)
-                pb, _ = pathsum(g_b, t, fx, xb[:, None], fy, yb[None, :], tol=tol)
-                sup = max(sup, float(np.max(np.abs(pa - pb))))
-                kmax = max(kmax, float(np.max(np.abs(pa))), float(np.max(np.abs(pb))))
-        sups.append(sup)
-        floors.append(64.0 * np.finfo(float).eps * kmax)
-    usable = [i for i in range(len(t_grid)) if sups[i] > floors[i]]
-    if not usable and all(s == 0.0 or s <= f for s, f in zip(sups, floors)):
+    runs = _v_grid(iso, V, points_per_piece)
+    tol = 1e-16 / math.sqrt(4.0 * math.pi * t.max())
+    sides = [(g, _certified_lambda(g, float(t.max()), tol)[0],
+              frozenset(i for i, e in enumerate(g.edges) if (e.id, 0.0, e.length) in spec.pieces))
+             for g, spec in ((g_a, iso.source), (g_b, iso.target))]
+    sups, bounds = np.zeros(t.size), np.zeros(t.size)
+    for px, *rx in runs:
+        for py, *ry in runs:
+            diff = bound = 0.0
+            for (g, lam, whole), (ex, sx, x_ends), (ey, sy, y_ends) in zip(sides, rx, ry):
+                left = _Split(px != py, x_ends, y_ends, whole)
+                ts, gx, gy = np.broadcast_arrays(t[:, None, None], sx[:, None], sy[None, :])
+                diff = _eval_pathsum(g, ts.ravel(), ex, gx.ravel(), ey, gy.ravel(), lam,
+                                     left)[0] - diff
+                bound = bound + _leaving_bound(g, t, ex, sx, ey, sy, lam, left)
+            sups = np.maximum(sups, np.abs(diff).reshape(t.size, -1).max(axis=1))
+            bounds = np.maximum(bounds, bound)
+    for g, lam, _ in sides:
+        bounds += [pathsum_tail_bound(g, float(ti), lam) for ti in t]
+    out = (tuple(t.tolist()), tuple(sups.tolist()))
+    bounds, ok = tuple((bounds * (1.0 + 1e-9)).tolist()), sups > 0.0
+    if not ok.any():
+        return LocalityCertificate(*out, 0.0, math.inf, 1.0, True,
+                                   "differences vanish at every grid time", bounds)
+    if ok.sum() < 4:
         return LocalityCertificate(
-            t_grid, tuple(sups), 0.0, math.inf, 1.0, True,
-            "differences vanish at every grid time", tuple(floors),
-        )
-    if len(usable) < 4:
-        return LocalityCertificate(
-            t_grid, tuple(sups), math.nan, math.nan, math.nan, False,
-            "no exponential certificate: too few resolvable differences",
-            tuple(floors),
-        )
-    ts = np.array([t_grid[i] for i in usable])
-    ys = np.log(np.array([sups[i] for i in usable]))
+            *out, math.nan, math.nan, math.nan, False,
+            "no exponential certificate: too few resolvable differences", bounds)
+    ts, ys = t[ok], np.log(sups[ok])
     design = np.column_stack([np.ones_like(ts), -1.0 / ts])
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     log_c, eps = float(coef[0]), float(coef[1])
@@ -482,12 +456,6 @@ def locality_compare(
     C = math.exp(log_c)
     certified = eps > 0 and r2 >= 0.99
     reason = "ok" if certified else "no exponential certificate"
-    if certified:
-        for i in usable:
-            if sups[i] > C * math.exp(-eps / t_grid[i]) * 1.10:
-                certified = False
-                reason = "fitted envelope violated beyond the 10% slack"
-                break
-    return LocalityCertificate(
-        t_grid, tuple(sups), C, eps, r2, certified, reason, tuple(floors)
-    )
+    if certified and np.any(sups[ok] > C * np.exp(-eps / ts) * 1.10):
+        certified, reason = False, "fitted envelope violated beyond the 10% slack"
+    return LocalityCertificate(*out, C, eps, r2, certified, reason, bounds)

@@ -29,7 +29,7 @@ from itertools import groupby
 import numpy as np
 
 from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _bond_table, _check_time
-from .kernels import KernelEval, TruncationError
+from .kernels import KernelEval, TruncationError, _check_tol
 
 
 class ModeTable:
@@ -473,8 +473,7 @@ def _certified_k_max(g: MetricGraph, t: float, tol: float) -> float:
     ``kernel_spectral`` takes its bound there.
     """
     _check_time(t)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     lo = hi = 2.0 / g.min_edge_length
     while not spectral_tail_bound(g, t, hi) <= tol:
         lo, hi = hi, 2.0 * hi

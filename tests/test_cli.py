@@ -194,6 +194,20 @@ class TestLocalityCommand:
         assert len(doc["sup_diffs"]) == 8
         assert "config_hash" in doc
 
+    def test_supdiffs_csv_carries_bounds(self, workdir):
+        main([
+            "locality", "--graph-a", str(workdir / "interval.json"),
+            "--graph-b", str(workdir / "interval_d.json"),
+            "--map", str(workdir / "map.json"), "--V", "0.4:0.6",
+            "--tgrid", "0.002:0.05:6", "--out", str(workdir),
+        ])
+        lines = (workdir / "supdiffs.csv").read_text().splitlines()
+        assert lines[1] == "t,sup_diff,sup_bound"
+        rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+        doc = json.loads((workdir / "certificate.json").read_text())
+        assert [row[2] for row in rows] == pytest.approx(doc["sup_bounds"], rel=1e-9)
+        assert len(rows) == 6 and all(0.0 < s <= b for _, s, b in rows)
+
     @pytest.mark.parametrize("doc, message", [
         ({"pieces": [{k: v for k, v in MAP["pieces"][0].items() if k != "lo_b"}]},
          "map piece has no 'lo_b'"),

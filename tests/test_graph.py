@@ -1,12 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from hklab.graph import (
     GraphError,
     GraphPoint,
-    distance,
     parse_graph,
     scattering_matrix,
 )
@@ -102,56 +99,6 @@ class TestScatteringMatrix:
         assert isinstance(sig, np.ndarray) and sig.shape == (3, 3)
         with pytest.raises(ValueError):
             sig[0, 0] = 0.0
-
-
-class TestDistance:
-    def test_within_edge(self, interval):
-        d = distance(interval, GraphPoint("e", 0.2), GraphPoint("e", 0.7))
-        assert d == pytest.approx(0.5, abs=1e-15)
-
-    def test_through_vertex(self, star3):
-        d = distance(star3, GraphPoint("e1", 0.3), GraphPoint("e2", 0.3))
-        assert d == pytest.approx(0.6, abs=1e-15)
-
-    def test_triangle_midpoints_brute_force(self, triangle):
-        # oracle: enumerate simple vertex routes by hand around the triangle
-        x = GraphPoint("e1", 0.5)
-        y = GraphPoint("e2", 0.5)
-        routes = []
-        for da, va in ((0.5, "a"), (0.5, "b")):
-            for db, vb in ((0.5, "b"), (0.5, "c")):
-                hop = {("a", "b"): 1.0, ("b", "a"): 1.0, ("b", "b"): 0.0,
-                       ("a", "c"): 1.0, ("b", "c"): 1.0, ("a", "a"): 0.0,
-                       ("c", "c"): 0.0, ("c", "a"): 1.0, ("c", "b"): 1.0}
-                routes.append(da + hop[(va, vb)] + db)
-        assert distance(triangle, x, y) == pytest.approx(min(routes), abs=1e-15)
-        assert min(routes) == 1.0
-
-    def test_loop_shortcut(self, circle):
-        d = distance(circle, GraphPoint("loop", 0.1), GraphPoint("loop", 0.9))
-        assert d == pytest.approx(0.2, abs=1e-15)
-
-    def test_metric_properties_random_triples(self, star3, triangle):
-        rng = np.random.default_rng(7)
-        for g in (star3, triangle):
-            eids = [e.id for e in g.edges]
-            pts = [
-                GraphPoint(eids[rng.integers(len(eids))], float(rng.uniform(0, 1)))
-                for _ in range(12)
-            ]
-            for x, y, z in itertools.combinations(pts, 3):
-                dxy = distance(g, x, y)
-                assert dxy == pytest.approx(distance(g, y, x), abs=1e-14)
-                assert dxy <= distance(g, x, z) + distance(g, z, y) + 1e-12
-            for x in pts:
-                assert distance(g, x, x) == 0.0
-
-    def test_identified_endpoints_distance_zero(self, star3):
-        assert distance(star3, GraphPoint("e1", 0.0), GraphPoint("e2", 0.0)) == 0.0
-
-    def test_point_off_edge(self, interval):
-        with pytest.raises(GraphError):
-            distance(interval, GraphPoint("e", 1.5), GraphPoint("e", 0.5))
 
 
 class TestWalks:

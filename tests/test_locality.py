@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from hklab._quad import simpson_nodes
-from hklab.graph import GraphPoint
+from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import kernel_interval, kernel_mass, kernel_pathsum
 from hklab.locality import (
-    DecayBoundParams,
     IsometryMap,
     MapPiece,
     SubdomainError,
@@ -15,12 +14,10 @@ from hklab.locality import (
     ball_subdomain,
     decomposition_residual,
     exit_density,
-    fit_decay_params,
     identity_map,
     interval_subdomain,
     kernel_killed,
     locality_compare,
-    nonlocal_bound,
 )
 
 from conftest import make_graph
@@ -193,39 +190,6 @@ class TestDecomposition:
             )
 
 
-class TestNonlocalBound:
-    def test_formula_value(self):
-        params = DecayBoundParams(1.0, 1.0, 1.0, 1.0)
-        v = nonlocal_bound(params, 1.0, 0.1)
-        assert v == pytest.approx(0.1 ** -0.5 * math.exp(-10.0), rel=1e-12)
-        assert v == pytest.approx(1.4357e-4, abs=1e-8)
-
-    def test_monotone_below_threshold(self):
-        params = DecayBoundParams(1.0, 1.0, 1.0, 10.0)
-        rho = 1.0
-        ts = np.linspace(0.05, 2 * rho**2 / 1.0 - 0.05, 12)
-        vals = [nonlocal_bound(params, rho, float(t)) for t in ts]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_measured_mass_below_fitted_bound(self, line):
-        # non-local mass of the line against U = (3, 4): image-sum oracle
-        # 2 e^{-5}/sqrt(0.2 pi), dominated by the fitted envelope at rho = 0.5
-        u = interval_subdomain(line, "e", 3.0, 4.0)
-        x = GraphPoint("e", 3.5)
-        full = kernel_pathsum(line, 0.05, x, x, tol=1e-14).value
-        killed = kernel_killed(u, 0.05, x, x, tol=1e-14).value
-        mass = full - killed
-        assert mass == pytest.approx(2 * math.exp(-5) / math.sqrt(0.2 * math.pi),
-                                     abs=1e-7)
-        params = fit_decay_params(line, T=0.2)
-        assert mass <= nonlocal_bound(params, 0.5, 0.05)
-
-    def test_out_of_range_t(self):
-        params = DecayBoundParams(1.0, 4.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            nonlocal_bound(params, 1.0, 0.2)
-
-
 class TestLocalityCompare:
     def test_neumann_vs_dirichlet_certificate(self, interval, interval_dirichlet):
         u_n = interval_subdomain(interval, "e", 0.25, 0.75)
@@ -281,8 +245,9 @@ class TestLocalityCompare:
 
     def test_matches_pointwise_loop(self, star3, star3_dirichlet_leaves):
         # V has three pieces of different lengths, so the grid runs pair
-        # different point sets; the batched sups match a loop over point
-        # pairs to within the noise floor of the kernel values
+        # different point sets; the sups of the walks that leave U match a
+        # loop that subtracts kernel values pair by pair, to within the float64
+        # resolution of those values
         g_a, g_b = star3, star3_dirichlet_leaves
         iso = IsometryMap(
             ball_subdomain(g_a, "c", 0.6), ball_subdomain(g_b, "c", 0.6),
@@ -292,11 +257,13 @@ class TestLocalityCompare:
         ts = (0.02, 0.04)
         cert = locality_compare(g_a, g_b, iso, v, ts, points_per_piece=4)
         pts = [GraphPoint(e, float(s)) for e, lo, hi in v.pieces for s in np.linspace(lo, hi, 4)]
-        for t, sup, floor in zip(ts, cert.sup_diffs, cert.noise_floor):
+        for t, sup in zip(ts, cert.sup_diffs):
             tol = 1e-16 / math.sqrt(4.0 * math.pi * t)
-            loop = max(abs(kernel_pathsum(g_a, t, x, y, tol).value
-                           - kernel_pathsum(g_b, t, iso.apply(x), iso.apply(y), tol).value)
-                       for x in pts for y in pts)
+            pairs = [(kernel_pathsum(g_a, t, x, y, tol).value,
+                      kernel_pathsum(g_b, t, iso.apply(x), iso.apply(y), tol).value)
+                     for x in pts for y in pts]
+            loop = max(abs(pa - pb) for pa, pb in pairs)
+            floor = 64.0 * np.finfo(float).eps * max(max(abs(pa), abs(pb)) for pa, pb in pairs)
             assert abs(sup - loop) <= floor < sup
 
     @pytest.mark.parametrize("sign", [0, 2, -3])
@@ -314,8 +281,8 @@ class TestLocalityCompare:
             locality_compare(interval, interval_dirichlet, iso, v_bad, [0.01, 0.02])
 
     def test_sup_diff_respects_decay_envelope(self, interval, interval_dirichlet, star3):
-        # sup|Delta| <= 2 C t^{-1/2} exp(-rho_bar^2/(c t)) with fitted (C, c):
-        # the difference is at most the two non-local masses
+        # the certified decay bound holds at every grid time, down to times
+        # where subtracting the two kernels would return 0
         long_star = make_graph(
             [("c", "kirchhoff"), ("l1", "kirchhoff"), ("l2", "kirchhoff"),
              ("l3", "kirchhoff")],
@@ -326,24 +293,71 @@ class TestLocalityCompare:
              interval_subdomain(interval, "e", 0.25, 0.75),
              interval_subdomain(interval_dirichlet, "e", 0.25, 0.75),
              interval_subdomain(interval, "e", 0.4, 0.6),
-             (MapPiece("e", 0.25, 0.75, "e", 0.25, +1),), 0.15),
+             (MapPiece("e", 0.25, 0.75, "e", 0.25, +1),)),
             (star3, long_star,
              ball_subdomain(star3, "c", 0.9), ball_subdomain(long_star, "c", 0.9),
              ball_subdomain(star3, "c", 0.5),
-             tuple(MapPiece(f"e{i}", 0.0, 0.9, f"e{i}", 0.0, +1) for i in (1, 2, 3)),
-             0.4),
+             tuple(MapPiece(f"e{i}", 0.0, 0.9, f"e{i}", 0.0, +1) for i in (1, 2, 3))),
         ]
-        ts = np.geomspace(0.01, 0.05, 6)
-        for g_a, g_b, u_a, u_b, v, pieces, rho_bar in pairs:
+        ts = np.geomspace(0.002, 0.05, 8)
+        for g_a, g_b, u_a, u_b, v, pieces in pairs:
             iso = IsometryMap(u_a, u_b, pieces)
             cert = locality_compare(g_a, g_b, iso, v, ts, points_per_piece=5)
-            pa = fit_decay_params(g_a, T=0.06)
-            pb = fit_decay_params(g_b, T=0.06)
-            c_env = max(pa.c, pb.c)
-            c_amp = max(pa.C, pb.C)
-            env = DecayBoundParams(c_amp, c_env, 1.0, 0.06)
-            for t, s in zip(cert.t_grid, cert.sup_diffs):
-                assert s <= 2.0 * nonlocal_bound(env, rho_bar, t)
+            assert len(cert.sup_bounds) == len(ts)
+            for s, b in zip(cert.sup_diffs, cert.sup_bounds):
+                assert 0.0 < s <= b
+
+    def test_differences_resolved_below_subtraction(self, interval, interval_dirichlet):
+        # criterion 3's pair: the walks that touch an end of the interval sum
+        # to 5.8e-69 at t = 0.001, where the two kernels agree to every bit;
+        # the sup there is the image pair 2 (e^{-0.64/4t} + e^{-1.44/4t}) at
+        # x = y = 0.4, over sqrt(4 pi t)
+        u_n = interval_subdomain(interval, "e", 0.25, 0.75)
+        u_d = interval_subdomain(interval_dirichlet, "e", 0.25, 0.75)
+        iso = IsometryMap(u_n, u_d, (MapPiece("e", 0.25, 0.75, "e", 0.25, +1),))
+        v = interval_subdomain(interval, "e", 0.4, 0.6)
+        ts = np.geomspace(0.001, 0.05, 12)
+        cert = locality_compare(interval, interval_dirichlet, iso, v, ts)
+        t = 0.001
+        oracle = 2.0 * (math.exp(-0.64 / (4 * t)) + math.exp(-1.44 / (4 * t))) \
+            / math.sqrt(4 * math.pi * t)
+        assert cert.sup_diffs[0] == pytest.approx(oracle, rel=1e-12)
+        assert cert.sup_diffs[0] == pytest.approx(5.81e-69, rel=1e-3)
+        assert all(0.0 < s <= b for s, b in zip(cert.sup_diffs, cert.sup_bounds))
+
+    @pytest.mark.parametrize("t_grid, message", [
+        ([], "at least one time"),
+        ([0.0, 0.02], "finite and positive, got 0.0"),
+        ([-0.01, 0.02], "finite and positive, got -0.01"),
+    ], ids=["empty", "zero", "negative"])
+    def test_bad_time_grid_rejected(self, interval, interval_dirichlet, t_grid, message):
+        # an empty grid used to certify that the differences vanish, a zero
+        # time to divide by zero and a negative one to fail in math.sqrt
+        u_n = interval_subdomain(interval, "e", 0.25, 0.75)
+        u_d = interval_subdomain(interval_dirichlet, "e", 0.25, 0.75)
+        iso = IsometryMap(u_n, u_d, (MapPiece("e", 0.25, 0.75, "e", 0.25, +1),))
+        v = interval_subdomain(interval, "e", 0.4, 0.6)
+        with pytest.raises(GraphError, match=message):
+            locality_compare(interval, interval_dirichlet, iso, v, t_grid)
+
+    def test_map_must_match_vertices(self, interval, star3, star3_dirichlet_leaves):
+        # walks that stay in U see its vertices: a piece end at a vertex may not
+        # map to a cut point, nor a vertex to one of another condition
+        at_vertex = interval_subdomain(interval, "e", 0.0, 0.5)
+        inner = interval_subdomain(interval, "e", 0.25, 0.75)
+        with pytest.raises(SubdomainError, match="vertices"):
+            IsometryMap(at_vertex, inner, (MapPiece("e", 0.0, 0.5, "e", 0.25, +1),))
+        dirichlet_centre = make_graph(
+            [("c", "dirichlet")] + [(f"l{i}", "kirchhoff") for i in (1, 2, 3)],
+            [(f"e{i}", "c", f"l{i}", 1.0) for i in (1, 2, 3)],
+        )
+        with pytest.raises(SubdomainError, match="vertices"):
+            IsometryMap(ball_subdomain(star3, "c", 0.5),
+                        ball_subdomain(dirichlet_centre, "c", 0.5),
+                        tuple(MapPiece(f"e{i}", 0.0, 0.5, f"e{i}", 0.0, +1) for i in (1, 2, 3)))
+        # the reversed map of an end piece reaches the other vertex
+        IsometryMap(at_vertex, interval_subdomain(interval, "e", 0.5, 1.0),
+                    (MapPiece("e", 0.0, 0.5, "e", 0.5, -1),))
 
     def test_shrinking_v_does_not_decrease_eps(self, interval, interval_dirichlet):
         u_n = interval_subdomain(interval, "e", 0.25, 0.75)

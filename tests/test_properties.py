@@ -9,8 +9,11 @@ search of ``eigen`` is checked on the same graphs against bisection alone
 (``spectral_reference``), and the spectral tail bound against the terms it
 bounds.  On stars with a Dirichlet leaf the two-particle trace by quadrature
 meets the eigen pairs within the two certified bounds, for times in
-[0.002, 0.05].  The runs are derandomized, so Tier-1 sees the same examples
-on every run.
+[0.002, 0.05].  On ``GRAPH_KINDS`` graphs and copies with every condition
+outside an open set U flipped, the locality difference summed over the walks
+that leave U matches the subtracted kernels and stays within its certified
+bound.  The runs are derandomized, so Tier-1 sees the same examples on every
+run.
 """
 
 import math
@@ -19,10 +22,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
-from hklab.graph import DIRICHLET, GraphPoint
+from conftest import GRAPH_KINDS, make_graph, random_graph
+from hklab.graph import DIRICHLET, KIRCHHOFF, GraphPoint
 from hklab.kernels import kernel_mass, kernel_pathsum, kernel_semigroup_residual, pathsum
-from hklab.locality import interval_subdomain, kernel_killed
+from hklab.locality import (
+    IsometryMap,
+    MapPiece,
+    SubdomainSpec,
+    ball_subdomain,
+    interval_subdomain,
+    kernel_killed,
+    locality_compare,
+)
 from hklab.spectral import (
     _certified_k_max,
     _phase_count,
@@ -197,3 +208,56 @@ def test_trace_quadrature_within_bound(g, t):
     # smooth periodic function, so the rule's own error is what is bounded
     quad, pairs = trace_series(g, [t]), eigen_trace_series(g, [t])
     assert abs(quad.Z[0] - pairs.Z[0]) <= quad.quad_error[0] + pairs.quad_error[0]
+
+
+@st.composite
+def locality_pairs(draw):
+    """A graph A from ``GRAPH_KINDS``, an open set U on it, V inside U, and B:
+    A with the condition of every vertex outside U flipped."""
+    g = random_graph(draw(st.sampled_from(GRAPH_KINDS)),
+                     np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    shape = draw(st.sampled_from(["ball", "piece", "two_pieces"]))
+    if shape == "ball":
+        v = g.vertices[draw(st.integers(0, len(g.vertices) - 1))]
+        # below half of every incident edge, so that a loop's two pieces stay apart
+        reach = min(g.edge_obj(eid).length for eid, _ in g.incidence(v.id)) / 2.0
+        radius = reach * draw(st.floats(0.2, 0.9))
+        u, v_sub = ball_subdomain(g, v.id, radius), ball_subdomain(g, v.id, radius / 2.0)
+    else:
+        e = g.edges[draw(st.integers(0, len(g.edges) - 1))]
+        cuts = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=4, max_size=4,
+                                    unique=True)))
+        ends = [cuts[::3]] if shape == "piece" else [cuts[:2], cuts[2:]]
+        u = SubdomainSpec(g, tuple((e.id, a * e.length, b * e.length) for a, b in ends))
+        # the middle half of each piece of U
+        v_sub = SubdomainSpec(g, tuple((eid, 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)
+                                       for eid, lo, hi in u.pieces))
+    flip = {KIRCHHOFF: DIRICHLET, DIRICHLET: KIRCHHOFF}
+    g_b = make_graph([(w.id, w.condition if u._aux["inside"][w.id] else flip[w.condition])
+                      for w in g.vertices],
+                     [(e.id, e.u, e.v, e.length) for e in g.edges])
+    iso = IsometryMap(u, SubdomainSpec(g_b, u.pieces),
+                      tuple(MapPiece(eid, lo, hi, eid, lo, +1) for eid, lo, hi in u.pieces))
+    return g, g_b, iso, v_sub
+
+
+@PROPERTY
+@given(locality_pairs())
+def test_locality_difference_and_bound(pair):
+    # the difference summed over the walks that leave U equals the difference
+    # of the two kernels, to their float64 resolution, and stays within its
+    # certified bound
+    g_a, g_b, iso, v = pair
+    ts = [0.05, 0.1, 0.2]
+    cert = locality_compare(g_a, g_b, iso, v, ts, points_per_piece=4)
+    grid = [(eid, np.linspace(lo, hi, 4)) for eid, lo, hi in v.pieces]
+    for t, sup, bound in zip(ts, cert.sup_diffs, cert.sup_bounds):
+        tol = 1e-16 / math.sqrt(4.0 * math.pi * t)
+        pa, pb = ([pathsum(g, t, ex, sx[:, None], ey, sy[None, :], tol=tol)[0]
+                   for ex, sx in grid for ey, sy in grid] for g in (g_a, g_b))
+        subtracted = max(float(np.abs(a - b).max()) for a, b in zip(pa, pb))
+        # near a Dirichlet vertex p is itself a cancellation of walk terms as
+        # large as 1/sqrt(4 pi t), which sets the rounding of both sides
+        scale = max(1.0 / math.sqrt(4.0 * math.pi * t), *(float(np.abs(p).max()) for p in pa + pb))
+        assert abs(sup - subtracted) <= 64.0 * np.finfo(float).eps * scale
+        assert sup <= bound

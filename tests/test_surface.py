@@ -15,10 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hklab"
 
 # exported names without a user yet, and why they stay
-EXEMPT = {
-    "fit_decay_params": "goes with ROADMAP item 6's certified bound",
-    "nonlocal_bound": "goes with ROADMAP item 6's certified bound",
-}
+EXEMPT = {}
 
 
 def exported_names():

@@ -23,7 +23,6 @@ from hklab.kernels import (
 from hklab.locality import (
     decomposition_residual,
     exit_density,
-    fit_decay_params,
     interval_subdomain,
     kernel_killed,
 )
@@ -93,7 +92,6 @@ CALLS = {
         interval_subdomain(g, "e", 0.25, 0.75), t, X, X),
     "decomposition_residual": lambda g, t: decomposition_residual(
         interval_subdomain(g, "e", 0.25, 0.75), t, X, X),
-    "fit_decay_params": lambda g, t: fit_decay_params(g, t),
     "n_steps": lambda g, t: n_steps(t, 1e-3),
     "simulate_ensemble": lambda g, t: simulate_ensemble(g, X, t, 2e-3, 1, 10),
 }
@@ -101,10 +99,7 @@ CALLS = {
 LAYERS = ("graph", "kernels", "spectral", "locality", "twoparticle", "wiener", "energy")
 
 # public functions with a time parameter that CALLS leaves out, and why
-EXEMPT = {
-    "nonlocal_bound": "raises ValueError for t outside (0, T) of its fitted "
-                      "envelope; goes with the empirical envelope",
-}
+EXEMPT = {}
 
 
 def timed_functions():

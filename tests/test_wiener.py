@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hklab._quad import simpson_nodes
-from hklab.graph import GraphError, GraphPoint, distance
+from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import kernel_interval, kernel_mass, pathsum
 from hklab.locality import (
     IsometryMap,
@@ -292,7 +292,9 @@ class TestPathsAndExits:
             assert ens.engine == "general" and ens.alive.all()
             ends = [GraphPoint(star3.edges[i].id, float(s))
                     for i, s in zip(ens.final_edge, ens.final_s)]
-            dist = np.array([distance(star3, x0, p) for p in ends])
+            # along the leg of x0, or through the centre at s = 0 of every leg
+            dist = np.array([abs(p.s - x0.s) if p.edge == x0.edge else x0.s + p.s
+                             for p in ends])
             if n == 1:
                 assert np.abs(dist - h).max() <= 1e-12
             else:
