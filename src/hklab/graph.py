@@ -44,6 +44,14 @@ def _check_time(t, name: str = "t"):
         raise GraphError(f"{name} must be finite and positive, got {t!r}")
 
 
+def _one_time(t, name: str = "t") -> float:
+    """t as a float, once it is one finite positive time; a 0-d array is one."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        raise GraphError(f"{name} must be one time; pathsum and modesum take arrays of times")
+    _check_time(float(t) if isinstance(t, np.ndarray) else t, name)
+    return float(t)
+
+
 @dataclass(frozen=True)
 class Vertex:
     id: str

@@ -3,13 +3,14 @@
 All kernels follow the variance-2t normalization: the free-line kernel is
 exp(-d^2/4t)/sqrt(4 pi t).  The walk-sum kernel truncates the scattering-walk
 expansion at the closed-form length where a rigorous Gaussian tail bound meets
-the tolerance, and enumerates the walks on ``graph._bond_table``.
-``kernel_pathsum`` evaluates one point pair and reports the remainder, length
-and walk count; ``pathsum`` broadcasts arclengths sx against sy, so that one
-call gives a profile, a diagonal or a grid, and broadcasts times t against
-both, so that one walk enumeration serves every time of an array.  Truncation
-lengths and walk families are memoized in the graph's own tables, at most
-``_MEMO_SIZE`` entries per graph, and are freed with it.
+the tolerance, and enumerates the walks on ``graph._bond_table`` into one flat
+table per edge pair (``_WalkTable``).  ``pathsum`` broadcasts arclengths sx
+against sy, so that one call gives a profile, a diagonal or a grid, and times t
+against both, so that one walk enumeration serves every time of an array;
+``kernel_pathsum`` is its one-pair view, bit for bit.  Both sum on
+``_gauss_sum``, which takes a small table's Gaussians in one fused pass.
+Truncation lengths and walk tables are memoized in the graph's own tables, up
+to ``_MEMO_BYTES`` per graph, and are freed with it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .graph import (
     MetricGraph,
     _bond_table,
     _check_time,
+    _one_time,
     sigma_entries,
     star_sigma,  # noqa: F401  (part of this module's interface)
 )
@@ -176,22 +178,29 @@ def pathsum_tail_bound(g: MetricGraph, t: float, lam: float) -> float:
     return math.exp(min(log_b - 0.5 * math.log(4.0 * math.pi * t), 700.0))
 
 
-# each graph memoizes at most this many truncation lengths and walk families
-_MEMO_SIZE = 4096
+# each graph memoizes truncation lengths, edge envelopes and walk tables up to
+# this many bytes: an entry counts the bytes of its arrays and 256 for the rest
+_MEMO_BYTES = 1 << 24
 
 
 def _memo_per_graph(fn):
-    """Memoize fn(g, *args) in ``g._tables``; a full memo is cleared."""
+    """Memoize fn(g, *args) in ``g._tables``, cleared when it would pass _MEMO_BYTES."""
 
     @wraps(fn)
     def memoized(g: MetricGraph, *args):
-        memo = g._tables.setdefault("walk_memo", {})
+        tables = g._tables
+        memo = tables.setdefault("walk_memo", {})
         key = (fn.__name__, *args)
-        if key not in memo:
-            if len(memo) >= _MEMO_SIZE:
+        value = memo.get(key)
+        if value is None:
+            value = fn(g, *args)
+            size = 256 + sum(a.nbytes for a in value if isinstance(a, np.ndarray))
+            used = tables.get("walk_memo_bytes", 0) + size
+            if used > _MEMO_BYTES:
                 memo.clear()
-            memo[key] = fn(g, *args)
-        return memo[key]
+                used = size
+            tables["walk_memo_bytes"], memo[key] = used, value
+        return value
 
     return memoized
 
@@ -209,7 +218,7 @@ def _certified_lambda(g: MetricGraph, t: float, tol: float) -> tuple[float, floa
     lam = 2tr + sqrt(4t^2 r^2 + 4t C(r)), C(r) = ln Z(r) - ln(tol sqrt(4 pi t)),
     or, with no real root, at the validity floor 2tr; lambda is the minimum
     over r.  Memoized per graph and (t, tol), so evaluations at one time
-    reuse the memoized walk families.
+    reuse the memoized walk tables.
     """
     _check_time(t)
     _check_tol(tol)
@@ -282,17 +291,34 @@ class _Split(NamedTuple):
     edges: frozenset = frozenset()  # indices of the edges that U covers whole
 
 
+class _WalkTable(NamedTuple):
+    """The walks of ``_families`` grouped by family code: 0 for the direct
+    walk, 1 + 2 d1 + d2 for the family (d1, d2).  ``bounds`` holds (code,
+    start, stop) of each nonempty family, in code order."""
+
+    lengths: np.ndarray  # (N, 1) mid-lengths
+    weights: np.ndarray  # (N,)
+    code: np.ndarray  # (N,)
+    bounds: tuple
+
+    def families(self):
+        """((d1, d2), mid-lengths, weights) of each nonempty family (d1, d2)."""
+        return [(divmod(c - 1, 2), self.lengths[a:b, 0], self.weights[a:b])
+                for c, a, b in self.bounds if c]
+
+
 @_memo_per_graph
 def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float, left=_Split()):
-    """Scattering-walk families from edge_x into edge_y with mid-length <= lam
-    that leave U (``_Split``; by default every walk).
+    """The scattering walks from edge_x into edge_y with mid-length <= lam
+    that leave U (``_Split``; by default every walk), as one ``_WalkTable``.
 
     A family fixes the departure end d1 of edge_x and the entry end d2 of
     edge_y; a walk of the family evaluated at positions (sx, sy) has total
-    length a_{d1}(sx) + L_mid + b_{d2}(sy).  Walks step on the bond table
-    (``graph._bond_table``): a walk is at an incoming half-edge k = 2i + end,
-    and its moves are the table rows first[k] to first[k + 1]; it carries
-    whether it has left U.
+    length a_{d1}(sx) + L_mid + b_{d2}(sy); the direct walk, on one edge,
+    has mid-length 0, weight 1 and length |sx - sy|.  Walks step on the bond
+    table (``graph._bond_table``): a walk is at an incoming half-edge
+    k = 2i + end, and its moves are the table rows first[k] to first[k + 1];
+    it carries its code less d2 and whether it has left U.
     """
     rows, cols, sigma, lengths = _bond_table(g)
     first = np.searchsorted(rows, np.arange(2 * len(g.edges) + 1)).tolist()
@@ -305,8 +331,9 @@ def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float, left=_Split(
     remaining = [min(dvv[(v, eey.u)], dvv[(v, eey.v)]) for e in g.edges for v in (e.u, e.v)]
     y_ends, inside = left.y_ends, left.edges
 
-    groups = {(a, b): ([], []) for a in (0, 1) for b in (0, 1)}
-    frontier = [(2 * ix + d1, 0.0, 1.0, d1, not left.x_ends[d1]) for d1 in (0, 1)
+    direct = edge_x == edge_y and left.direct
+    groups = [([0.0], [1.0]) if direct else ([], [])] + [([], []) for _ in range(4)]
+    frontier = [(2 * ix + d1, 0.0, 1.0, 1 + 2 * d1, not left.x_ends[d1]) for d1 in (0, 1)
                 if remaining[2 * ix + d1] <= lam]
     visited = 0
     while frontier:
@@ -317,25 +344,30 @@ def _families(g: MetricGraph, edge_x: str, edge_y: str, lam: float, left=_Split(
                 f"(truncation length {lam:.3g} is not enumerable)"
             )
         nxt = []
-        for state, acc, w, d1, out in frontier:
+        for state, acc, w, c1, out in frontier:
             for m in range(first[state], first[state + 1]):
                 w2 = w * sigma[m]
                 if abs(w2) < _WEIGHT_FLOOR:
                     continue
                 k = cols[m]
                 if k >> 1 == iy and acc <= lam and (out or not y_ends[1 - (k & 1)]):
-                    ls, ws = groups[(d1, 1 - (k & 1))]
+                    ls, ws = groups[c1 + 1 - (k & 1)]
                     ls.append(acc)
                     ws.append(w2)
                 acc2 = acc + lengths[m]
                 if acc2 + remaining[k] <= lam:
-                    nxt.append((k, acc2, w2, d1, out or k >> 1 not in inside))
+                    nxt.append((k, acc2, w2, c1, out or k >> 1 not in inside))
         frontier = nxt
-    return {
-        key: (np.asarray(ls), np.asarray(ws))
-        for key, (ls, ws) in groups.items()
-        if ls
-    }
+    bounds, stop = [], 0
+    for c, (ls, _) in enumerate(groups):
+        if ls:
+            bounds.append((c, stop, stop + len(ls)))
+            stop += len(ls)
+    return _WalkTable(
+        np.array([x for ls, _ in groups for x in ls], dtype=float).reshape(-1, 1),
+        np.array([x for _, ws in groups for x in ws], dtype=float),
+        np.array([c for c, a, b in bounds for _ in range(a, b)], dtype=np.intp),
+        tuple(bounds))
 
 
 # Walk blocks hold at most _BLOCK Gaussians (one walk if the points alone are more);
@@ -345,51 +377,63 @@ _IN_PLACE = 1 << 10
 
 
 def _eval_pathsum(g, t, edge_x, sx, edge_y, sy, lam, left=_Split()):
-    """Walk sum at flat arclengths sx, sy and times t (a scalar t, or an
-    array; equal sizes, or size 1) and the number of walks summed; a lone
-    point takes one dot product per family.  Only the walks that leave U
-    (``left``) are summed."""
-    fams = _families(g, edge_x, edge_y, lam, left)
-    same = edge_x == edge_y and left.direct
+    """Walk sum at arclengths sx, sy and times t and the number of walks
+    summed: sx and sy are two floats, or two flat arrays of one size, which t,
+    a scalar or an array, matches.  Only the walks that leave U (``left``)
+    are summed."""
+    table = _families(g, edge_x, edge_y, lam, left)
     ax = (sx, g.edge_obj(edge_x).length - sx)
     by = (sy, g.edge_obj(edge_y).length - sy)
-    total = _gauss_sum(fams, ax, by, t, sx - sy if same else None)
-    return total, sum(ls.size for ls, _ in fams.values()) + same
+    return _gauss_sum(table, ax, by, sx - sy, t), table.weights.size
 
 
-def _gauss_sum(fams, ax, by, t, direct):
-    """Sum over the walk families (d1, d2) of w times the free kernel at each
-    walk's length l_mid + ax[d1] + by[d2], plus the free kernel at the direct
-    distance, if given; ax, by and t broadcast flat."""
+def _gauss_sum(table, ax, by, direct, t):
+    """Sum over the walks of a ``_WalkTable`` of w times the free kernel at
+    l_mid plus the walk's end offset: direct for code 0, ax[d1] + by[d2] for
+    the family (d1, d2); direct, ax, by and t broadcast flat.  At most
+    _IN_PLACE Gaussians, as at one pair, take one pass, the offsets gathered
+    by code; more go by blocks cut at family boundaries.  Both add one dot
+    product per family and block, in code order, so they give the same bits."""
     c = -4.0 * t  # exp(d*d/c) / norm is gauss_free(t, d), bit for bit
     norm = np.sqrt(4.0 * math.pi * t)
-    total = (np.zeros(max(ax[0].size, by[0].size)) if direct is None
-             else np.exp(direct * direct / c) / norm)
+    total = np.zeros(np.size(direct))
     step = max(1, _BLOCK // max(1, total.size))
-    for (d1, d2), (ls, ws) in fams.items():
-        base = ax[d1] + by[d2]
-        for k in range(0, ls.size, step):
-            d = ls[k:k + step, None] + base
+    lengths, weights = table.lengths, table.weights
+    if weights.size * total.size <= _IN_PLACE:
+        offsets = np.array([direct] + [a + b for a in ax for b in by]).reshape(5, -1)
+        d = lengths + offsets.take(table.code, axis=0)
+        d = np.exp(d * d / c) / norm
+        for _, a, b in table.bounds:  # a short total adds faster than in place
+            total = total + np.dot(weights[a:b], d[a:b])
+        return total
+    for code, a, b in table.bounds:
+        base = ax[(code - 1) >> 1] + by[(code - 1) & 1] if code else direct
+        for k in range(a, b, step):
+            m = min(k + step, b)
+            # d lives until the next block is made: freeing a large block first
+            # lets the allocator hand its pages back, to be faulted in again
+            d = lengths[k:m] + base
             o = d if d.size > _IN_PLACE else None
             d = np.divide(np.exp(np.divide(np.multiply(d, d, o), c, o), o), norm, o)
-            total += np.dot(ws[k:k + step], d)
+            total += np.dot(weights[k:m], d)
     return total
 
 
 def kernel_pathsum(
     g: MetricGraph, t: float, x: GraphPoint, y: GraphPoint, tol: float = 1e-10
 ) -> KernelEval:
-    """Heat kernel by truncated scattering-walk summation.
+    """Heat kernel by truncated scattering-walk summation: ``pathsum`` at one
+    time and pair, bit for bit.
 
     The truncation length is the shortest one whose rigorous Gaussian tail
     bound is at most ``tol``; the certified remainder is returned in
     ``tail_bound``.
     """
+    t = _one_time(t)
     g.check_point(x)
     g.check_point(y)
     lam, tail = _certified_lambda(g, t, tol)
-    xs, ys = np.array([x.s], dtype=float), np.array([y.s], dtype=float)
-    val, walks = _eval_pathsum(g, t, x.edge, xs, y.edge, ys, lam)
+    val, walks = _eval_pathsum(g, t, x.edge, float(x.s), y.edge, float(y.s), lam)
     return KernelEval(t, x, y, float(val[0]), tail, lam, walks)
 
 
@@ -400,7 +444,8 @@ def pathsum(
 
     A scalar against an array gives a profile, two equal arrays the diagonal,
     ``sx[:, None]`` against ``sy[None, :]`` a grid.  Returns (values, tail
-    bound); the values agree with ``kernel_pathsum`` to rounding.
+    bound); the values agree with ``kernel_pathsum`` to rounding, and at one
+    pair equal it.
 
     ``t`` may be an array too, broadcast with sx and sy.  Then one truncation
     length lambda serves every time: the one certified at t_max, raised to
@@ -436,7 +481,7 @@ def pathsum(
 def kernel_mass(g: MetricGraph, t: float, x: GraphPoint, tol: float = 1e-12) -> float:
     """Integral of p_t(x, .) over the graph by Gauss-Legendre on each edge, each
     edge's rule within tol/2 (``_edge_rule``) and each value within tol."""
-    _check_time(t)
+    t = _one_time(t)
     _check_tol(tol)
     total = 0.0
     for e in g.edges:
@@ -451,8 +496,7 @@ def kernel_semigroup_residual(
 ) -> float:
     """|p_{t+s}(x,y) - int_G p_t(x,z) p_s(z,y) dz|, the integral by
     Gauss-Legendre on each edge, within tol/2 per edge (``_edge_rule``)."""
-    _check_time(t)
-    _check_time(s, "s")
+    t, s = _one_time(t), _one_time(s, "s")
     _check_tol(tol)
     conv = 0.0
     for e in g.edges:

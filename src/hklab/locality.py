@@ -377,13 +377,12 @@ def _leaving_bound(g, t, edge_x, sx, edge_y, sy, lam, left):
     """At each time of t, a bound on the walks that leave U over [min sx,
     max sx] x [min sy, max sy]: each walk's |w| times the free kernel at the
     walk's shortest length there."""
-    fams = {key: (ls, np.abs(ws))
-            for key, (ls, ws) in _families(g, edge_x, edge_y, lam, left).items()}
+    table = _families(g, edge_x, edge_y, lam, left)
     ones = np.ones_like(t)
     ax = (sx.min() * ones, (g.edge_obj(edge_x).length - sx.max()) * ones)
     by = (sy.min() * ones, (g.edge_obj(edge_y).length - sy.max()) * ones)
     gap = max(sy.min() - sx.max(), sx.min() - sy.max(), 0.0)
-    return _gauss_sum(fams, ax, by, t, gap if edge_x == edge_y and left.direct else None)
+    return _gauss_sum(table._replace(weights=np.abs(table.weights)), ax, by, gap * ones, t)
 
 
 def locality_compare(

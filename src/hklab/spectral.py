@@ -28,7 +28,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _bond_table, _check_time
+from .graph import (DIRICHLET, GraphError, GraphPoint, MetricGraph, _bond_table, _check_time,
+                    _one_time)
 from .kernels import KernelEval, TruncationError, _check_tol
 
 
@@ -56,7 +57,8 @@ class ModeTable:
         affine = self.k == 0.0
         self._basis = np.stack([a, np.where(affine, 0.0, b), np.where(affine, b, 0.0)],
                                axis=1)
-        for arr in (self.k, self.coef, self._basis):
+        self._neg_k2 = -self.k**2
+        for arr in (self.k, self.coef, self._basis, self._neg_k2):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -76,7 +78,7 @@ class ModeTable:
             rows = self._basis.take([self.col[eid] for eid in edges], axis=0)
         except KeyError as exc:
             raise GraphError(f"mode table has no edge {exc.args[0]!r}") from None
-        ks = np.multiply.outer(s, self.k)
+        ks = s[:, None] * self.k
         return rows, np.cos(ks), np.sin(ks)
 
 
@@ -386,7 +388,7 @@ def vertex_residuals(modes: ModeTable) -> tuple[np.ndarray, np.ndarray]:
 def _mode_sum(modes: ModeTable, t, phi_x: np.ndarray, phi_y: np.ndarray) -> np.ndarray:
     """sum_m e^{-k_m^2 t} phi_m(x) phi_m(y), the modes on the last axis of
     phi_x and phi_y; t, a time or an array, broadcasts with their other axes."""
-    return np.vecdot(phi_x * phi_y, np.exp(-np.multiply.outer(t, modes.k**2)))
+    return np.vecdot(phi_x * phi_y, np.exp(np.multiply.outer(t, modes._neg_k2)))
 
 
 def modesum(modes: ModeTable, t, edge_x: str, sx, edge_y: str, sy) -> tuple[np.ndarray, float]:
@@ -411,10 +413,13 @@ def modesum(modes: ModeTable, t, edge_x: str, sx, edge_y: str, sy) -> tuple[np.n
 def kernel_spectral(g: MetricGraph, t: float, x: GraphPoint, y: GraphPoint, modes: ModeTable,
                     tol: float | None = None) -> KernelEval:
     """``modesum`` at one pair: the spectral heat kernel over a mode table,
-    with the tail bound beyond the k the table was searched to.  A bound
-    above ``tol``, when given, raises ``TruncationError``.
+    with the tail bound beyond the k the table was searched to.  A bound above
+    ``tol``, when given, raises ``TruncationError``; a tol that is not finite
+    and positive, ValueError.
     """
-    _check_time(t)
+    t = _one_time(t)
+    if tol is not None:
+        _check_tol(tol)
     g.check_point(x)
     g.check_point(y)
     phi_x, phi_y = modes.at((x.edge, y.edge), np.array([x.s, y.s], dtype=float))
@@ -456,7 +461,7 @@ def trace_tail_bound(g: MetricGraph, t, k_max: float):
     against that count gives 2E e^{-K^2 t} plus L / pi times the Gaussian
     integral from K, which is at most e^{-K^2 t} / (2 K t).
     """
-    t = np.asarray(t, dtype=float) if np.ndim(t) else t
+    t = np.asarray(t, dtype=float) if type(t) is not float and np.ndim(t) else t
     _check_time(t)
     if not k_max > 0.0:
         return t + math.inf  # inf in the shape of t

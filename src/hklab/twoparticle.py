@@ -95,7 +95,7 @@ def single_trace_eigen(modes: ModeTable, t):
     """Z_1(t) = sum_m e^{-k_m^2 t} over the table; t a time or an array."""
     t = np.asarray(t, dtype=float)
     _check_time(t)
-    return np.exp(-np.multiply.outer(t, modes.k**2)).sum(axis=-1)
+    return np.exp(np.multiply.outer(t, modes._neg_k2)).sum(axis=-1)
 
 
 def trace_two_particle_eigen(modes: ModeTable, t):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hklab.graph import Edge, MetricGraph, Vertex
+from hklab.graph import Edge, GraphPoint, MetricGraph, Vertex
 
 # pyproject's `pythonpath` puts src/ on this interpreter's path only; the CLI
 # tests that start `python -m hklab.cli` in a subprocess need it too
@@ -45,6 +45,15 @@ def random_graph(kind, rng):
 
 
 GRAPH_KINDS = ["star", "star_dirichlet", "triangle", "lollipop", "multi"]
+
+
+def end_and_inner_points(g, rng):
+    """Both ends of every edge and one seeded inner point per edge."""
+    pts = []
+    for e in g.edges:
+        pts += [GraphPoint(e.id, 0.0), GraphPoint(e.id, e.length),
+                GraphPoint(e.id, float(rng.uniform(0.0, e.length)))]
+    return pts
 
 
 @pytest.fixture(scope="session")

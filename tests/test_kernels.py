@@ -6,8 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import GRAPH_KINDS, make_graph, make_star, random_graph
+from conftest import GRAPH_KINDS, end_and_inner_points, make_graph, make_star, random_graph
 from walk_reference import enumerate_walks
+from hklab import kernels
 from hklab._quad import simpson_nodes
 from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import (
@@ -231,7 +232,10 @@ class TestKernelPathsum:
                     ev = kernel_pathsum(g, 0.05, GraphPoint(edge_x, float(u)),
                                         GraphPoint(edge_y, float(w)), 1e-11)
                     assert ev.tail_bound == tail
-                    assert abs(v - ev.value) <= tail + 1e-15 * abs(ev.value)
+                    if vals.ndim == 0:  # one pair: the same sum, bit for bit
+                        assert v == ev.value
+                    else:
+                        assert abs(v - ev.value) <= tail + 1e-15 * abs(ev.value)
             assert pathsum(g, 0.05, ex.id, sx[:0], ey.id, sy[0])[0].shape == (0,)
             # and one grid value against the reference walk enumeration
             x, y = GraphPoint(ex.id, float(sx[2])), GraphPoint(ey.id, float(sy[3]))
@@ -240,18 +244,45 @@ class TestKernelPathsum:
                       for w in enumerate_walks(g, x, y, lam + ex.length + ey.length))
             assert abs(vals[2, 3] - ref) <= tail + 1e-13 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("kind", ["star3"] + GRAPH_KINDS)
+    def test_one_pair_view_is_pathsum_bit_for_bit(self, star3, kind):
+        # every ordered pair of edge ends and inner points, same-edge pairs
+        # among them, on Dirichlet leaves, a loop and a multi-edge too
+        g = star3 if kind == "star3" else random_graph(kind, np.random.default_rng(11))
+        pts = end_and_inner_points(g, np.random.default_rng(2))
+        for t in (0.02, 0.3):
+            for x in pts:
+                for y in pts:
+                    ev = kernel_pathsum(g, t, x, y, tol=1e-11)
+                    vals, tail = pathsum(g, t, x.edge, x.s, y.edge, y.s, tol=1e-11)
+                    assert ev.value.hex() == float(vals).hex()
+                    assert ev.tail_bound == tail
+
     def test_grid_blocks_match_profiles(self, star3):
         # a grid this large sums its families one walk per block; each of
         # its rows agrees with the profile that sums them in one block
         sx = np.linspace(0.0, 1.0, 181)
         sy = np.linspace(0.0, 1.0, 191)
         lam, _ = _certified_lambda(star3, 0.2, 1e-12)
-        longest = max(ls.size for ls, _ in _families(star3, "e1", "e2", lam).values())
+        longest = max(ls.size for _, ls, _ in _families(star3, "e1", "e2", lam).families())
         assert _BLOCK // (sx.size * sy.size) < longest <= _BLOCK // sy.size
         grid, tail = pathsum(star3, 0.2, "e1", sx[:, None], "e2", sy[None, :], tol=1e-12)
         for u, row in zip(sx, grid):
             prof, _ = pathsum(star3, 0.2, "e1", u, "e2", sy, tol=1e-12)
             assert np.all(np.abs(row - prof) <= tail + 1e-15 * np.abs(prof))
+
+    @pytest.mark.parametrize("kind", ["star3"] + GRAPH_KINDS)
+    def test_fused_pass_is_the_blocked_sum(self, star3, kind, monkeypatch):
+        # a short profile takes its Gaussians in one fused pass; with no fused
+        # pass allowed the same profile goes by family blocks, to the same bits
+        g = star3 if kind == "star3" else random_graph(kind, np.random.default_rng(11))
+        ex, ey = g.edges[0], g.edges[-1]
+        cases = [(ex.id, 0.3 * ex.length, edge.id, np.linspace(0.0, edge.length, n))
+                 for edge in (ex, ey) for n in (1, 7, 40)]
+        fused = [pathsum(g, 0.05, *case)[0] for case in cases]
+        monkeypatch.setattr(kernels, "_IN_PLACE", 0)
+        for case, vals in zip(cases, fused):
+            assert pathsum(g, 0.05, *case)[0].tobytes() == vals.tobytes()
 
     @pytest.mark.parametrize("sx, sy", [
         (-5.0, np.array([0.5])), (0.5, np.array([7.0])), (0.5, np.array([0.2, math.nan])),
@@ -426,7 +457,7 @@ class TestCertifiedTruncation:
         enumerated = Counter(key(w.length, w.weight) for w in walks)
         summed = Counter([key(0.0, 1.0)] if ex.id == ey.id else [])
         ends = {0: 0.0, 1: ex.length}, {0: 0.0, 1: ey.length}
-        for (d1, d2), (ls, ws) in _families(g, ex.id, ey.id, lam).items():
+        for (d1, d2), ls, ws in _families(g, ex.id, ey.id, lam).families():
             summed.update(key(ends[0][d1] + mid + ends[1][d2], w) for mid, w in zip(ls, ws))
         assert not summed - enumerated
         missing = sum(n * abs(w) * gauss_free(t, length)
@@ -445,14 +476,15 @@ class TestCertifiedTruncation:
         x = GraphPoint("e1", 0.4)
         ev = kernel_pathsum(star3, 0.05, x, x, tol=1e-10)
         lam, _ = _certified_lambda(star3, 0.05, 1e-10)
-        fams = _families(star3, "e1", "e1", lam)
+        table = _families(star3, "e1", "e1", lam)
         assert ev.lam == lam
-        assert ev.walks == 1 + sum(ls.size for ls, _ in fams.values())
+        assert ev.walks == table.weights.size == 1 + sum(ls.size for _, ls, _ in table.families())
 
 
 # sha256 prefixes of every walk-family array of a graph, over every ordered
 # edge pair and three truncation lengths, recorded while _families still
-# walked per-vertex scattering matrices
+# walked per-vertex scattering matrices and returned a dict of families; the
+# flat walk table gives each family back through ``families()``
 FAMILY_GOLDEN = {
     "circle": "24ce0af1b1409e07",
     "lollipop-0": "c9495b6a6780fd22",
@@ -492,12 +524,30 @@ class TestGoldenFamilies:
         for ex in g.edges:
             for ey in g.edges:
                 for lam in FAMILY_LAMS:
-                    for key, (ls, ws) in sorted(_families(g, ex.id, ey.id, lam).items()):
+                    for key, ls, ws in _families(g, ex.id, ey.id, lam).families():
                         assert ls.dtype == ws.dtype == np.float64
                         digest.update(repr((ex.id, ey.id, lam, key)).encode())
                         digest.update(ls.tobytes())
                         digest.update(ws.tobytes())
         assert digest.hexdigest()[:16] == FAMILY_GOLDEN[name]
+
+
+class TestWalkMemo:
+    def test_memo_past_its_byte_cap_is_cleared(self, monkeypatch):
+        # nine walk tables, a truncation length and the mass's envelopes pass
+        # 2 kB, so the capped memo is cleared on the way, and again when the
+        # values are asked for a second time; each value keeps its bits
+        def values(g):
+            pts = end_and_inner_points(g, np.random.default_rng(4))
+            vals = [kernel_pathsum(g, 0.05, x, y).value for x in pts for y in pts]
+            return [v.hex() for v in vals + [kernel_mass(g, 0.05, pts[2])]]
+
+        expected = values(random_graph("triangle", np.random.default_rng(4)))
+        monkeypatch.setattr(kernels, "_MEMO_BYTES", 2048)
+        g = random_graph("triangle", np.random.default_rng(4))
+        assert values(g) == expected
+        assert g._tables["walk_memo_bytes"] <= 2048 and len(g._tables["walk_memo"]) < 10
+        assert values(g) == expected
 
 
 class TestSemigroup:

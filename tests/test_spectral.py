@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import GRAPH_KINDS, make_graph, make_star, random_graph
+from conftest import GRAPH_KINDS, end_and_inner_points, make_graph, make_star, random_graph
 from hklab import spectral
 from hklab._quad import simpson_nodes
 from hklab.graph import GraphError, GraphPoint
@@ -280,6 +280,16 @@ class TestSpectralKernel:
         with pytest.raises(TruncationError):
             kernel_spectral(interval, 0.01, x, x, modes, tol=1e-10)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # the bound here is about 8.7: a NaN or infinite tol must not let it pass
+        g = make_graph([("a", "kirchhoff"), ("b", "dirichlet")], [("e", "a", "b", 1.0)])
+        modes = eigen(g, 5.0)
+        x = GraphPoint("e", 0.5)
+        assert 8.0 < kernel_spectral(g, 0.02, x, x, modes).tail_bound < 9.0
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            kernel_spectral(g, 0.02, x, x, modes, tol=tol)
+
     @pytest.mark.parametrize("s", [5.0, -0.5, 1.0 + 1e-12, math.nan])
     def test_off_edge_point_rejected(self, interval, s):
         modes = eigen(interval, 20.0)
@@ -305,6 +315,25 @@ class TestModesum:
                         assert ev.value == grid[a, i, j]
             assert bound == kernel_spectral(star3, ts.min(), GraphPoint(ex, 0.5),
                                             GraphPoint(ey, 0.5), modes).tail_bound
+
+    @pytest.mark.parametrize("kind", ["star3", "affine"] + GRAPH_KINDS)
+    def test_one_pair_view_is_modesum_bit_for_bit(self, star3, interval, kind):
+        # every ordered pair of edge ends and inner points, same-edge pairs
+        # among them; Kirchhoff graphs carry k = 0 modes, and the hand-built
+        # table an affine one
+        if kind == "affine":
+            g, modes = interval, ModeTable(interval, [0.0, 3.0], [[[0.25, 0.5]], [[0.5, 0.5]]])
+        else:
+            g = star3 if kind == "star3" else random_graph(kind, np.random.default_rng(11))
+            modes = eigen(g, 40.0)
+        pts = end_and_inner_points(g, np.random.default_rng(2))
+        for t in (0.02, 0.3):
+            for x in pts:
+                for y in pts:
+                    ev = kernel_spectral(g, t, x, y, modes)
+                    vals, bound = modesum(modes, t, x.edge, x.s, y.edge, y.s)
+                    assert ev.value.hex() == float(vals).hex()
+                    assert ev.tail_bound == bound
 
     def test_bound_at_least_time_holds_at_every_time(self, triangle):
         modes = eigen(triangle, 40.0)
@@ -403,15 +432,6 @@ def loop_reference(t, x, y, modes):
     terms = [math.exp(-modes.k[m] ** 2 * t) * mode_at(modes, m, x.edge, x.s)
              * mode_at(modes, m, y.edge, y.s) for m in range(len(modes))]
     return sum(terms), sum(abs(term) for term in terms)
-
-
-def end_and_inner_points(g, rng):
-    """Both ends of every edge and one seeded inner point per edge."""
-    pts = []
-    for e in g.edges:
-        pts += [GraphPoint(e.id, 0.0), GraphPoint(e.id, e.length),
-                GraphPoint(e.id, float(rng.uniform(0.0, e.length)))]
-    return pts
 
 
 class TestModeTable:

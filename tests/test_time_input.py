@@ -144,6 +144,30 @@ def test_bad_quadrature_step_rejected(interval, call, step):
         call(interval, step)
 
 
+# the entry points of one time: a 0-d array is that time, and an array of
+# times belongs to pathsum
+ONE_TIME = {
+    "kernel_pathsum": lambda g, t: kernel_pathsum(g, t, X, GraphPoint("e", 0.2)).value,
+    "kernel_mass": lambda g, t: kernel_mass(g, t, X),
+    "semigroup_t": lambda g, t: kernel_semigroup_residual(g, t, 0.05, X, X),
+    "semigroup_s": lambda g, t: kernel_semigroup_residual(g, 0.05, t, X, X),
+    "kernel_spectral": lambda g, t: kernel_spectral(
+        g, t, X, GraphPoint("e", 0.2), ModeTable(g, [0.0, math.pi], [[[1.0, 0.0]], [[1.0, 0.0]]])
+    ).value,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_TIME))
+def test_0d_time_is_that_time(interval, name):
+    assert ONE_TIME[name](interval, np.array(0.02)) == ONE_TIME[name](interval, 0.02)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_TIME))
+def test_time_array_refused_toward_pathsum(interval, name):
+    with pytest.raises(GraphError, match="one time.*pathsum"):
+        ONE_TIME[name](interval, np.array([0.02, 0.05]))
+
+
 @pytest.mark.parametrize("bound", [spectral_tail_bound, trace_tail_bound])
 def test_time_list_reads_as_array(interval, bound):
     ts = [0.05, 0.1]
