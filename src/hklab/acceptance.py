@@ -182,10 +182,13 @@ def criterion_3() -> CriterionResult:
     delta = abs(p_n.value - p_d.value)
     target = 4.0 * math.exp(-5.0) / math.sqrt(0.2 * math.pi)
     ok_point = abs(delta - 0.034001) <= 1e-5 and abs(delta - target) <= 1e-9
-    passed = cert.certified and cert.eps > 0 and cert.r2 >= 0.999 and ok_point
+    # eps* is the shortest leaving walk's 0.8^2/4, and the fit must find it
+    passed = (ok_point and cert.certified and abs(cert.eps - 0.16) <= 1e-12 and cert.r2 >= 0.999
+              and abs(cert.eps_fit / cert.eps - 1.0) <= 1e-2
+              and all(s <= cert.bound(t) for t, s in zip(cert.t_grid, cert.sup_diffs)))
     detail = (
-        f"eps={cert.eps:.4f} r2={cert.r2:.6f} |Delta|(0.05;0.5,0.5)={delta:.7f} "
-        f"(target 0.034001)"
+        f"eps={cert.eps:.4f} eps_fit={cert.eps_fit:.4f} r2={cert.r2:.6f} "
+        f"|Delta|(0.05;0.5,0.5)={delta:.7f} (target 0.034001)"
     )
     return CriterionResult(3, "heat-kernel locality certificate", passed, detail,
                            time.time() - t0)

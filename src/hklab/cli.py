@@ -249,6 +249,7 @@ def _cmd_locality(args):
             "sup_bounds": list(cert.sup_bounds),
             "C": cert.C,
             "eps": cert.eps,
+            "eps_fit": cert.eps_fit,
             "r2": cert.r2,
             "certified": cert.certified,
             "reason": cert.reason,
@@ -261,9 +262,8 @@ def _cmd_locality(args):
         zip(cert.t_grid, cert.sup_diffs, cert.sup_bounds),
         cfg,
     )
-    print(
-        f"certified={cert.certified} eps={_fmt(cert.eps)} r2={_fmt(cert.r2)} -> {out}"
-    )
+    print(f"certified={cert.certified} eps={_fmt(cert.eps)} eps_fit={_fmt(cert.eps_fit)} "
+          f"r2={_fmt(cert.r2)} -> {out}")
     return 0 if cert.certified else 3
 
 

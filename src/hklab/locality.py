@@ -73,36 +73,22 @@ class SubdomainSpec:
         # the mixed case, where the boundary would sit on the vertex itself
         inside = {}
         for v in g.vertices:
-            cover = []
-            for eid, end in g.incidence(v.id):
-                e = g.edge_obj(eid)
-                ivals = by_edge.get(eid, [])
-                if end == 0:
-                    cover.append(any(lo == 0.0 for lo, _ in ivals))
-                else:
-                    cover.append(any(hi == e.length for _, hi in ivals))
-            if all(cover):
-                inside[v.id] = True
-            elif not any(cover):
-                inside[v.id] = False
-            else:
+            cover = [any(lo == 0.0 if end == 0 else hi == g.edge_obj(eid).length
+                         for lo, hi in by_edge.get(eid, ())) for eid, end in g.incidence(v.id)]
+            if any(cover) and not all(cover):
                 raise SubdomainError(
                     f"boundary of U touches vertex {v.id!r}; cut points must "
                     "lie in open edge interiors"
                 )
-        cuts = []
-        for eid in sorted(by_edge):
-            e = g.edge_obj(eid)
-            for lo, hi in by_edge[eid]:
-                if lo > 0.0:
-                    cuts.append(GraphPoint(eid, lo))
-                if hi < e.length:
-                    cuts.append(GraphPoint(eid, hi))
+            inside[v.id] = all(cover)
+        # every piece end strictly inside its edge, in edge order
+        cuts = tuple(GraphPoint(eid, s) for eid in sorted(by_edge) for ends in by_edge[eid]
+                     for s in ends if 0.0 < s < g.edge_obj(eid).length)
         object.__setattr__(
             self,
             "_aux",
             {"by_edge": {k: tuple(v) for k, v in by_edge.items()},
-             "inside": inside, "cuts": tuple(cuts), "cut_graph": None},
+             "inside": inside, "cuts": cuts, "cut_graph": None},
         )
 
     @property
@@ -338,27 +324,35 @@ def identity_map(spec: SubdomainSpec) -> IsometryMap:
 
 @dataclass(frozen=True)
 class LocalityCertificate:
-    """Fitted exponential-in-1/t envelope and certified bounds for kernel differences on V x V."""
+    """Certified decay of the kernel difference on closure(V)^2: ``sup_bounds``
+    at each grid time, and ``bound(t) = C t^{-1/2} e^{-eps/t}`` at every
+    t <= max(t_grid), on the grid or off it, with eps = eps* and C = C* of
+    ``locality_compare``.  ``eps_fit`` and ``r2`` check eps* independently:
+    the least-squares fit of ln sup + (1/2) ln t = ln C - eps/t to the nonzero
+    differences, nan with fewer than three."""
 
     t_grid: tuple[float, ...]
     sup_diffs: tuple[float, ...]
     C: float
     eps: float
+    eps_fit: float
     r2: float
     certified: bool
     reason: str
     sup_bounds: tuple[float, ...]
 
     def bound(self, t: float) -> float:
-        return self.C * math.exp(-self.eps / t)
+        return self.C * math.exp(-self.eps / t) / math.sqrt(t)
 
 
-def _v_grid(iso: IsometryMap, V: SubdomainSpec, points_per_piece: int):
+def _v_grid(iso: IsometryMap, V: SubdomainSpec, n: int):
     """V's grid, one run per piece of V: the map piece that holds its closure,
-    then (edge, s, ends) on A and on B, where ends says whether that piece
-    reaches end 0 and end 1 of the edge.  The map carries piece ends at
-    vertices to piece ends at vertices, so B's ends are A's, reversed with the
-    orientation."""
+    then (edge, s, ends, box) on A and on B, where ends says whether that
+    piece reaches end 0 and end 1 of the edge and box is the piece's (lo, hi).
+    The map carries piece ends at vertices to piece ends at vertices, so B's
+    ends are A's, reversed with the orientation."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise GraphError(f"points_per_piece must be an integer >= 1, got {n!r}")
     runs = []
     for eid, lo, hi in V.pieces:
         length = V.parent.edge_obj(eid).length
@@ -367,22 +361,26 @@ def _v_grid(iso: IsometryMap, V: SubdomainSpec, points_per_piece: int):
                   and (hi < p.hi_a or hi == p.hi_a == length)), None)
         if p is None:
             raise SubdomainError("closure of V must be contained in U")
-        s = np.linspace(lo, hi, points_per_piece)
+        s = np.linspace(lo, hi, n)
         ends = (p.lo_a == 0.0, p.hi_a == length)
-        runs.append((p, (eid, s, ends), (p.edge_b, p.apply(s), ends[::p.sign])))
+        runs.append((p, (eid, s, ends, (lo, hi)),
+                     (p.edge_b, p.apply(s), ends[::p.sign], sorted(map(p.apply, (lo, hi))))))
     return runs
 
 
-def _leaving_bound(g, t, edge_x, sx, edge_y, sy, lam, left):
-    """At each time of t, a bound on the walks that leave U over [min sx,
-    max sx] x [min sy, max sy]: each walk's |w| times the free kernel at the
-    walk's shortest length there."""
+def _leaving_bound(g, t, edge_x, box_x, edge_y, box_y, lam, left):
+    """At each time of t, a bound on the walks that leave U over box_x x
+    box_y, two (lo, hi) ranges of arclength: each walk's |w| times the free
+    kernel at the walk's shortest length there; and the least such length."""
     table = _families(g, edge_x, edge_y, lam, left)
+    ax = (box_x[0], g.edge_obj(edge_x).length - box_x[1])
+    by = (box_y[0], g.edge_obj(edge_y).length - box_y[1])
+    gap = max(box_y[0] - box_x[1], box_x[0] - box_y[1], 0.0)
+    offsets = np.array([gap] + [a + b for a in ax for b in by])
+    shortest = float(np.min(table.lengths[:, 0] + offsets[table.code], initial=math.inf))
     ones = np.ones_like(t)
-    ax = (sx.min() * ones, (g.edge_obj(edge_x).length - sx.max()) * ones)
-    by = (sy.min() * ones, (g.edge_obj(edge_y).length - sy.max()) * ones)
-    gap = max(sy.min() - sx.max(), sx.min() - sy.max(), 0.0)
-    return _gauss_sum(table._replace(weights=np.abs(table.weights)), ax, by, gap * ones, t)
+    return _gauss_sum(table._replace(weights=np.abs(table.weights)), [a * ones for a in ax],
+                      [b * ones for b in by], gap * ones, t), shortest
 
 
 def locality_compare(
@@ -393,22 +391,26 @@ def locality_compare(
     t_grid,
     points_per_piece: int = 9,
 ) -> LocalityCertificate:
-    """Measure sup |p^A - p^B ∘ psi| on a V x V grid, bound it, and fit
-    C exp(-eps/t).
+    """Measure sup |p^A - p^B ∘ psi| on a V x V grid and certify its decay.
 
     A walk that stays in U has the same weight on A as its image on B, so on
     V x V the difference is the sum of the walks on A that leave U minus that
     on B of those that leave psi(U) (``kernels._Split``): no two kernel values
-    are subtracted.  Both sums are truncated at the length certified to
-    1e-16/sqrt(4 pi t_max) and taken at every grid time in one call per run
-    pair.  ``sup_bounds`` bounds the difference on closure(V)^2 at each time:
-    each leaving walk's |w| times the Gaussian at its shortest length there,
+    are subtracted.  Both sums are truncated at the length lambda certified to
+    1e-16/sqrt(4 pi t_max), at every grid time in one call per run pair.
+    ``sup_bounds`` bounds the difference on closure(V)^2 at each time: each
+    leaving walk's |w| times the Gaussian at its shortest length l_i there,
     plus the truncation tail, on A and on B, raised by 1e-9 against rounding.
+    It is certified if every difference is within its bound.
 
-    The fit uses the nonzero differences.  With none the certificate holds
-    with eps = inf; with fewer than four, or a fit with R^2 below 0.99 or
-    eps <= 0, none is issued.  An empty grid, or a time that is not finite and
-    positive, raises GraphError.
+    eps* = min(l*, lambda_A, lambda_B)^2/4, l* the least l_i, and C* =
+    sup_bounds(t_max) sqrt(t_max) e^{eps*/t_max}.  Times sqrt(t) e^{eps*/t}
+    a walk term is |w| e^{-(l_i^2 - 4 eps*)/4t}/sqrt(4 pi) and a tail term
+    exp(min_r (r lambda + ln Z) - (lambda^2 - 4 eps*)/4t)/sqrt(4 pi), over
+    the r admissible at t, fewer as t grows: both are nondecreasing in t, so
+    C* t^{-1/2} e^{-eps*/t} bounds the difference at every t <= t_max.  An
+    empty grid, a time that is not finite and positive, or a point count that
+    is not an integer >= 1 raises GraphError.
     """
     t = np.array(t_grid, dtype=float).ravel()
     if not t.size:
@@ -417,44 +419,38 @@ def locality_compare(
     if V.parent != g_a:
         raise SubdomainError("V must be a subdomain of the first graph")
     runs = _v_grid(iso, V, points_per_piece)
-    tol = 1e-16 / math.sqrt(4.0 * math.pi * t.max())
-    sides = [(g, _certified_lambda(g, float(t.max()), tol)[0],
+    t_max = float(t.max())
+    tol = 1e-16 / math.sqrt(4.0 * math.pi * t_max)
+    sides = [(g, _certified_lambda(g, t_max, tol)[0],
               frozenset(i for i, e in enumerate(g.edges) if (e.id, 0.0, e.length) in spec.pieces))
              for g, spec in ((g_a, iso.source), (g_b, iso.target))]
-    sups, bounds = np.zeros(t.size), np.zeros(t.size)
+    sups, bounds, reach = np.zeros(t.size), np.zeros(t.size), min(lam for _, lam, _ in sides)
     for px, *rx in runs:
         for py, *ry in runs:
             diff = bound = 0.0
-            for (g, lam, whole), (ex, sx, x_ends), (ey, sy, y_ends) in zip(sides, rx, ry):
+            for (g, lam, whole), (ex, sx, x_ends, bx), (ey, sy, y_ends, by) in zip(sides, rx, ry):
                 left = _Split(px != py, x_ends, y_ends, whole)
                 ts, gx, gy = np.broadcast_arrays(t[:, None, None], sx[:, None], sy[None, :])
                 diff = _eval_pathsum(g, ts.ravel(), ex, gx.ravel(), ey, gy.ravel(), lam,
                                      left)[0] - diff
-                bound = bound + _leaving_bound(g, t, ex, sx, ey, sy, lam, left)
+                walks, shortest = _leaving_bound(g, t, ex, bx, ey, by, lam, left)
+                bound, reach = bound + walks, min(reach, shortest)
             sups = np.maximum(sups, np.abs(diff).reshape(t.size, -1).max(axis=1))
             bounds = np.maximum(bounds, bound)
     for g, lam, _ in sides:
         bounds += [pathsum_tail_bound(g, float(ti), lam) for ti in t]
-    out = (tuple(t.tolist()), tuple(sups.tolist()))
-    bounds, ok = tuple((bounds * (1.0 + 1e-9)).tolist()), sups > 0.0
-    if not ok.any():
-        return LocalityCertificate(*out, 0.0, math.inf, 1.0, True,
-                                   "differences vanish at every grid time", bounds)
-    if ok.sum() < 4:
-        return LocalityCertificate(
-            *out, math.nan, math.nan, math.nan, False,
-            "no exponential certificate: too few resolvable differences", bounds)
-    ts, ys = t[ok], np.log(sups[ok])
-    design = np.column_stack([np.ones_like(ts), -1.0 / ts])
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    log_c, eps = float(coef[0]), float(coef[1])
-    fitted = design @ coef
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    C = math.exp(log_c)
-    certified = eps > 0 and r2 >= 0.99
-    reason = "ok" if certified else "no exponential certificate"
-    if certified and np.any(sups[ok] > C * np.exp(-eps / ts) * 1.10):
-        certified, reason = False, "fitted envelope violated beyond the 10% slack"
-    return LocalityCertificate(*out, C, eps, r2, certified, reason, bounds)
+    bounds *= 1.0 + 1e-9
+    eps = reach * reach / 4.0
+    # ln C*, raised by 1e-9 against rounding
+    C = math.exp(math.log(bounds[t.argmax()]) + 0.5 * math.log(t_max) + eps / t_max + 1e-9)
+    nz, eps_fit, r2 = sups > 0.0, math.nan, math.nan
+    if nz.sum() >= 3:
+        ts, ys = t[nz], np.log(sups[nz]) + 0.5 * np.log(t[nz])
+        design = np.column_stack([np.ones_like(ts), -1.0 / ts])
+        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+        res, tot = np.sum((ys - design @ coef) ** 2), np.sum((ys - ys.mean()) ** 2)
+        eps_fit, r2 = float(coef[1]), float(1.0 - res / tot) if tot > 0 else 1.0
+    ok = bool(np.all(sups <= bounds))
+    return LocalityCertificate(tuple(t.tolist()), tuple(sups.tolist()), C, eps, eps_fit, r2, ok,
+                               "ok" if ok else "a difference exceeds its bound",
+                               tuple(bounds.tolist()))

@@ -606,7 +606,8 @@ def _general_walk(
         # graph-B vertices are left unmarked: no tracked path reaches them
         v_outside = np.zeros(deg.size, dtype=bool)
         for v in g.vertices:
-            v_outside[vids[v.id]] = not U._aux["inside"][v.id]
+            eid, end = g.incidence(v.id)[0]
+            v_outside[vids[v.id]] = not U.contains(GraphPoint(eid, end * g.edge_obj(eid).length))
     if splice_to is not None:
         _, iso, images = splice_to
         eids_b = index_maps[1][1]

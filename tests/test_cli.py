@@ -179,28 +179,36 @@ class TestKernelCommand:
 
 
 class TestLocalityCommand:
-    def test_certificate_json(self, workdir):
-        rc = main([
-            "locality", "--graph-a", str(workdir / "interval.json"),
-            "--graph-b", str(workdir / "interval_d.json"),
-            "--map", str(workdir / "map.json"), "--V", "0.4:0.6",
-            "--tgrid", "0.01:0.05:8", "--out", str(workdir),
-        ])
-        assert rc == 0
+    def test_certificate_json(self, workdir, capsys):
+        args = ["locality", "--graph-a", str(workdir / "interval.json"),
+                "--graph-b", str(workdir / "interval_d.json"),
+                "--map", str(workdir / "map.json"), "--V", "0.4:0.6", "--out", str(workdir)]
+        assert main([*args, "--tgrid", "0.01:0.05:8"]) == 0
+        assert "eps_fit=" in capsys.readouterr().out
         doc = json.loads((workdir / "certificate.json").read_text())
         assert doc["certified"] is True
-        assert doc["eps"] > 0
+        assert doc["eps"] == pytest.approx(0.16, rel=1e-12)
+        assert doc["eps_fit"] == pytest.approx(doc["eps"], rel=1e-2)
         assert doc["r2"] >= 0.999
         assert len(doc["sup_diffs"]) == 8
         assert "config_hash" in doc
+        # on 1e-4..2e-4 every difference underflows to 0 (about e^-1600), and
+        # eps used to read inf: eps* is cut to lambda^2/4 by the truncation
+        # length, and the fit, with nothing to fit, reads nan
+        assert main([*args, "--tgrid", "1e-4:2e-4:3"]) == 0
+        doc = json.loads((workdir / "certificate.json").read_text())
+        assert doc["certified"] is True and not any(doc["sup_diffs"])
+        assert 0.0 < doc["eps"] < 0.16 and math.isfinite(doc["C"])
+        assert math.isnan(doc["eps_fit"]) and math.isnan(doc["r2"])
 
     def test_supdiffs_csv_carries_bounds(self, workdir):
-        main([
+        # this grid used to be refused a certificate, exit code 3
+        assert main([
             "locality", "--graph-a", str(workdir / "interval.json"),
             "--graph-b", str(workdir / "interval_d.json"),
             "--map", str(workdir / "map.json"), "--V", "0.4:0.6",
             "--tgrid", "0.002:0.05:6", "--out", str(workdir),
-        ])
+        ]) == 0
         lines = (workdir / "supdiffs.csv").read_text().splitlines()
         assert lines[1] == "t,sup_diff,sup_bound"
         rows = [[float(v) for v in line.split(",")] for line in lines[2:]]

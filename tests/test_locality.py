@@ -201,10 +201,12 @@ class TestLocalityCompare:
         )
         assert cert.certified
         assert cert.r2 >= 0.999
-        # dominant image exponent (x+y)^2/4 at the V-infimum is 0.16
-        assert 0.1 < cert.eps < 0.2
+        # the shortest walk that leaves U runs from 0.4 to an end and back:
+        # eps* = 0.8^2/4, and the fit with the t^{-1/2} prefactor finds it
+        assert cert.eps == 0.8**2 / 4
+        assert cert.eps_fit == pytest.approx(cert.eps, rel=1e-2)
         for t, s in zip(cert.t_grid, cert.sup_diffs):
-            assert s <= cert.bound(t) * 1.10
+            assert s <= cert.bound(t)
 
     def test_pointwise_difference_value(self, interval, interval_dirichlet):
         x = GraphPoint("e", 0.5)
@@ -221,8 +223,9 @@ class TestLocalityCompare:
         cert = locality_compare(
             interval, interval, identity_map(u), v, np.geomspace(0.01, 0.05, 6)
         )
+        # the differences vanish, and eps* is still the shortest leaving walk's
         assert cert.certified
-        assert cert.eps == math.inf
+        assert cert.eps == pytest.approx(0.16, rel=1e-12)
         assert max(cert.sup_diffs) == 0.0
 
     def test_star_leg_extension(self, star3):
@@ -265,6 +268,35 @@ class TestLocalityCompare:
             loop = max(abs(pa - pb) for pa, pb in pairs)
             floor = 64.0 * np.finfo(float).eps * max(max(abs(pa), abs(pb)) for pa, pb in pairs)
             assert abs(sup - loop) <= floor < sup
+
+    def test_bound_covers_v_at_one_point_per_piece(self, interval, interval_dirichlet):
+        # the bound is taken over V's pieces, not over its grid: one point per
+        # piece is the piece's lower end alone, and the bound at t = 0.05 used
+        # to read 0.0499, below |p^N - p^D| = 0.1047 at (0.6, 0.6)
+        u_n = interval_subdomain(interval, "e", 0.25, 0.75)
+        u_d = interval_subdomain(interval_dirichlet, "e", 0.25, 0.75)
+        iso = IsometryMap(u_n, u_d, (MapPiece("e", 0.25, 0.75, "e", 0.25, +1),))
+        v = interval_subdomain(interval, "e", 0.45, 0.6)
+        cert = locality_compare(interval, interval_dirichlet, iso, v, [0.01, 0.05],
+                                points_per_piece=1)
+        x = GraphPoint("e", 0.6)
+        delta = abs(kernel_pathsum(interval, 0.05, x, x, tol=1e-14).value
+                    - kernel_pathsum(interval_dirichlet, 0.05, x, x, tol=1e-14).value)
+        assert delta == pytest.approx(0.1047, abs=1e-4)
+        assert delta <= cert.sup_bounds[1] <= cert.bound(0.05)
+        assert cert.eps == pytest.approx(0.4**2, rel=1e-12)
+
+    @pytest.mark.parametrize("count", [0, -2, True, 2.5, "9"])
+    def test_bad_points_per_piece_rejected(self, interval, interval_dirichlet, count):
+        # 0 used to fail inside numpy, True to run as 1 and 2.5 to raise a bare
+        # TypeError
+        u_n = interval_subdomain(interval, "e", 0.25, 0.75)
+        u_d = interval_subdomain(interval_dirichlet, "e", 0.25, 0.75)
+        iso = IsometryMap(u_n, u_d, (MapPiece("e", 0.25, 0.75, "e", 0.25, +1),))
+        v = interval_subdomain(interval, "e", 0.4, 0.6)
+        with pytest.raises(GraphError, match="points_per_piece must be an integer >= 1"):
+            locality_compare(interval, interval_dirichlet, iso, v, [0.01, 0.02],
+                             points_per_piece=count)
 
     @pytest.mark.parametrize("sign", [0, 2, -3])
     def test_map_piece_sign_must_be_unit(self, sign):
@@ -372,4 +404,6 @@ class TestLocalityCompare:
             interval, interval_dirichlet, iso,
             interval_subdomain(interval, "e", 0.45, 0.55), ts
         ).eps
-        assert eps_narrow >= eps_wide * 0.98
+        # eps* = (2 lo)^2/4 = lo^2, the walk from lo to end 0 and back
+        assert eps_wide == pytest.approx(0.38**2, rel=1e-12)
+        assert eps_narrow == pytest.approx(0.45**2, rel=1e-12)

@@ -233,7 +233,12 @@ def locality_pairs(draw):
         v_sub = SubdomainSpec(g, tuple((eid, 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)
                                        for eid, lo, hi in u.pieces))
     flip = {KIRCHHOFF: DIRICHLET, DIRICHLET: KIRCHHOFF}
-    g_b = make_graph([(w.id, w.condition if u._aux["inside"][w.id] else flip[w.condition])
+
+    def inside(w):  # whether U holds the vertex, read at its point on one edge
+        eid, end = g.incidence(w.id)[0]
+        return u.contains(GraphPoint(eid, end * g.edge_obj(eid).length))
+
+    g_b = make_graph([(w.id, w.condition if inside(w) else flip[w.condition])
                       for w in g.vertices],
                      [(e.id, e.u, e.v, e.length) for e in g.edges])
     iso = IsometryMap(u, SubdomainSpec(g_b, u.pieces),
@@ -261,3 +266,9 @@ def test_locality_difference_and_bound(pair):
         scale = max(1.0 / math.sqrt(4.0 * math.pi * t), *(float(np.abs(p).max()) for p in pa + pb))
         assert abs(sup - subtracted) <= 64.0 * np.finfo(float).eps * scale
         assert sup <= bound
+    # C t^{-1/2} e^{-eps/t}, from this grid, lies above sup_bounds at every
+    # time up to the largest: on the grid and between its times
+    mids = np.sqrt(np.multiply(ts[:-1], ts[1:])).tolist()
+    fine = locality_compare(g_a, g_b, iso, v, sorted(ts + mids), points_per_piece=4)
+    assert fine.eps == cert.eps
+    assert all(b <= cert.bound(t) for t, b in zip(fine.t_grid, fine.sup_bounds))

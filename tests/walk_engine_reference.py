@@ -71,7 +71,8 @@ def reference_walk(g, x0, T, h, seed, n_paths, U=None, splice_to=None):
             u_hi[eids[eid]] = hi
         v_inside = np.zeros(sum(len(x.vertices) for x in graphs), dtype=bool)
         for v in g.vertices:
-            v_inside[vids[v.id]] = U._aux["inside"][v.id]
+            eid, end = g.incidence(v.id)[0]
+            v_inside[vids[v.id]] = U.contains(GraphPoint(eid, end * g.edge_obj(eid).length))
     if splice_to is not None:
         _, iso, images = splice_to
         eids_b = index_maps[1][1]
