@@ -15,11 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._quad import simpson_nodes
 from .energy import SampledFunction, convergence_study, energy_Er, sample_function
 from .graph import Edge, GraphPoint, MetricGraph, Vertex, scattering_matrix
-from .kernels import (gauss_free, kernel_mass, kernel_pathsum, kernel_semigroup_residual,
-                      kernel_star, pathsum, star_sigma)
+from .kernels import (_RHO, _edge_envelope, _edge_rule, gauss_free, kernel_mass, kernel_pathsum,
+                      kernel_semigroup_residual, kernel_star, pathsum, star_sigma)
 from .locality import (IsometryMap, MapPiece, ball_subdomain, decomposition_residual,
                        interval_subdomain, locality_compare)
 from .spectral import _certified_k_max, eigen, modesum
@@ -155,7 +154,9 @@ def criterion_2() -> CriterionResult:
 
     errs = []
     for t in (1e-2, 1e-3, 1e-4):
-        nodes, w = simpson_nodes(1.0, 2e-4)
+        # p's envelope plus f's: |s(1 - s)| <= ((rho + 1/rho)/4)^2 on the ellipse
+        log_m = _edge_envelope(g, t, 1.0)[1] + 4.0 * np.log((_RHO + 1.0 / _RHO) / 4.0)
+        nodes, w, _ = _edge_rule(t, 1.0, [log_m], 1e-12)
         vals, _ = pathsum(g, t, x.edge, x.s, "e", nodes, tol=1e-12)
         errs.append(abs(float(np.dot(w, vals * f(nodes))) - f(0.5)))
     ok_ident = errs[0] > errs[1] > errs[2]

@@ -461,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--step", type=float, default=1e-4)
+    sp.add_argument("--step", type=float, default=1e-4,
+                    help="Gauss-Legendre node spacing of the time integral: ceil(t/step) nodes")
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("mc", help="random-walk ensembles")

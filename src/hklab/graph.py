@@ -35,8 +35,11 @@ class GraphError(ValueError):
 
 
 def _check_time(t, name: str = "t"):
-    """Reject a time, or an array with a time, that is NaN, infinite or not positive."""
+    """Reject a time, or an array with a time, that is NaN, infinite or not
+    positive, and an empty array."""
     if isinstance(t, np.ndarray):
+        if not t.size:
+            raise GraphError(f"{name} must hold at least one time")
         bad = t[~((t > 0.0) & (t < math.inf))]
         if bad.size:
             raise GraphError(f"{name} must be finite and positive, got {float(bad[0])!r}")

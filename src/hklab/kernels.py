@@ -437,6 +437,28 @@ def kernel_pathsum(
     return KernelEval(t, x, y, float(val[0]), tail, lam, walks)
 
 
+def _time_lambda(g: MetricGraph, t, tol: float):
+    """(t, lambda, tail bound): one time as a float, with its certified
+    lambda; or an array of times, which one lambda serves: the one certified
+    at t_max, raised to sqrt(2 t_max) if shorter.  At each admissible r the
+    tail bound goes as e^{-lambda^2/4s}/sqrt(s), nondecreasing in s while
+    lambda^2 >= 2s, and each r admissible at t_max (2 t_max r <= lambda) is
+    admissible at every s < t_max; so the bound at t_max, which is returned,
+    holds at every time.
+    """
+    if np.ndim(t) == 0:
+        t = float(t)
+        return (t, *_certified_lambda(g, t, tol))
+    t = np.asarray(t, dtype=float)
+    _check_time(t)
+    t_max = float(t.max())
+    lam, tail = _certified_lambda(g, t_max, tol)
+    if lam * lam < 2.0 * t_max:
+        lam = math.sqrt(2.0 * t_max)
+        tail = pathsum_tail_bound(g, t_max, lam)
+    return t, lam, tail
+
+
 def pathsum(
     g: MetricGraph, t, edge_x: str, sx, edge_y: str, sy, tol: float = 1e-10
 ) -> tuple[np.ndarray, float]:
@@ -447,30 +469,15 @@ def pathsum(
     bound); the values agree with ``kernel_pathsum`` to rounding, and at one
     pair equal it.
 
-    ``t`` may be an array too, broadcast with sx and sy.  Then one truncation
-    length lambda serves every time: the one certified at t_max, raised to
-    sqrt(2 t_max) if shorter.  At each admissible r the tail bound goes as
-    e^{-lambda^2/4s}/sqrt(s), nondecreasing in s while lambda^2 >= 2s, and
-    each r admissible at t_max (2 t_max r <= lambda) is admissible at every
-    s < t_max; so the bound at t_max, which is returned, holds at every time.
+    ``t`` may be an array too, broadcast with sx and sy; one truncation
+    length then serves every time (``_time_lambda``).
     """
-    scalar = np.ndim(t) == 0
-    if scalar:
-        t = float(t)
-        lam, tail = _certified_lambda(g, t, tol)
-    else:
-        t = np.asarray(t, dtype=float)
-        _check_time(t)
-        t_max = float(t.max())
-        lam, tail = _certified_lambda(g, t_max, tol)
-        if lam * lam < 2.0 * t_max:
-            lam = math.sqrt(2.0 * t_max)
-            tail = pathsum_tail_bound(g, t_max, lam)
+    t, lam, tail = _time_lambda(g, t, tol)
     ts, sx, sy = np.broadcast_arrays(t, np.asarray(sx, dtype=float),
                                      np.asarray(sy, dtype=float))
     g.check_arclengths(edge_x, sx)
     g.check_arclengths(edge_y, sy)
-    values, _ = _eval_pathsum(g, t if scalar else ts.ravel(), edge_x, sx.ravel(),
+    values, _ = _eval_pathsum(g, t if np.ndim(t) == 0 else ts.ravel(), edge_x, sx.ravel(),
                               edge_y, sy.ravel(), lam)
     return values.reshape(sx.shape), tail
 

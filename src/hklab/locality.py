@@ -9,31 +9,16 @@ sum and the spectral solver both apply unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._quad import simpson_nodes
-from .graph import (
-    DIRICHLET,
-    Edge,
-    GraphError,
-    GraphPoint,
-    MetricGraph,
-    Vertex,
-    _check_time,
-)
-from .kernels import (
-    KernelEval,
-    _certified_lambda,
-    _eval_pathsum,
-    _families,
-    _gauss_sum,
-    _Split,
-    kernel_pathsum,
-    pathsum,
-    pathsum_tail_bound,
-)
+from ._quad import gauss_legendre
+from .graph import (DIRICHLET, Edge, GraphError, GraphPoint, MetricGraph, Vertex, _check_time,
+                    _one_time)
+from .kernels import (_MAX_NODES, KernelEval, _certified_lambda, _eval_pathsum, _families,
+                      _gauss_sum, _Split, _time_lambda, kernel_pathsum, pathsum,
+                      pathsum_tail_bound)
 
 
 class SubdomainError(GraphError):
@@ -181,7 +166,7 @@ def kernel_killed(
     the closure of U, or the map into the cut graph raises SubdomainError."""
     cg, to_cut, _ = spec.cut_graph()
     ev = kernel_pathsum(cg, t, to_cut(x), to_cut(y), tol=tol)
-    return KernelEval(t, x, y, ev.value, ev.tail_bound, ev.lam, ev.walks)
+    return replace(ev, x=x, y=y)
 
 
 def exit_density(
@@ -189,27 +174,35 @@ def exit_density(
 ):
     """Density in s of the first exit through cut point b, started from x.
 
-    Computed as the inward derivative of the killed kernel at b, by one-sided
-    differences with Richardson extrapolation (steps 1e-4 and 5e-5); both
-    points come from one ``pathsum`` call.  ``s`` may be an array of times,
-    which returns an array of densities from that one call.  b must be a cut
-    point of U and x lie in the closure of U, else SubdomainError; the inward
-    side of b is read off the cut graph, where b starts or ends its edge.
+    It is the inward derivative at b of the killed kernel's walk sum on the
+    cut graph.  With y = b fixed each walk has one total length l_i, so the
+    derivative is (1/2s) sum_i sigma_i w_i l_i g_s(l_i), g_s the free kernel:
+    sigma_i = -1 for a walk that enters b's edge at b, +1 for one that enters
+    at the other end and for the direct walk.  The walks are those of the
+    kernel at lambda certified to ``tol`` at the largest s (``pathsum``'s
+    truncation), summed in one pass over every time.  ``s`` may be an array
+    of times, which returns an array of densities.  b must be a cut point of
+    U and x lie inside U, else SubdomainError.
     """
     s = np.asarray(s, dtype=float)
     _check_time(s, "s")
     if b not in spec.cut_points:
         raise SubdomainError(f"{b} is not a cut point of U")
+    if not spec.contains(x):
+        raise SubdomainError("start point must lie inside U")
     cg, to_cut, _ = spec.cut_graph()
-    xc = to_cut(x)
-    sgn = 1.0 if to_cut(b).s == 0.0 else -1.0
-    h1, h2 = 1e-4, 5e-5
-    near = [to_cut(GraphPoint(b.edge, b.s + sgn * h)) for h in (h1, h2)]
-    vals, _ = pathsum(cg, s[..., None] if s.ndim else float(s), xc.edge, xc.s,
-                      near[0].edge, [p.s for p in near], tol=tol)
-    d1, d2 = vals[..., 0] / h1, vals[..., 1] / h2
-    out = 2.0 * d2 - d1
-    return out if s.ndim else float(out)
+    xc, bc = to_cut(x), to_cut(b)
+    table = _families(cg, xc.edge, bc.edge, _time_lambda(cg, s if s.ndim else float(s), tol)[1])
+    ax, by = ((p.s, cg.edge_obj(p.edge).length - p.s) for p in (xc, bc))
+    offsets = np.array([xc.s - bc.s] + [a + b for a in ax for b in by])
+    lengths = np.abs(table.lengths[:, 0] + offsets[table.code])
+    # the families (d1, d2) with d2 the end of b's edge at b
+    at_b = (table.code > 0) & ((table.code - 1) & 1 == (bc.s > 0.0))
+    weights = np.where(at_b, -lengths, lengths) * table.weights
+    ones = np.ones(s.size)
+    out = _gauss_sum(table._replace(weights=weights), [a * ones for a in ax],
+                     [b * ones for b in by], offsets[0] * ones, s.ravel()) / (2.0 * s.ravel())
+    return out.reshape(s.shape) if s.ndim else float(out[0])
 
 
 def decomposition_residual(
@@ -223,23 +216,26 @@ def decomposition_residual(
     """Defect of the first-exit decomposition of the heat kernel.
 
     |p_t(x,y) - p^U_t(x,y) - sum_b int_0^t q_b(s) p_{t-s}(b,y) ds| with q_b the
-    exit density through cut point b; the time integral uses composite Simpson
-    with the given step.  Each cut point takes one ``exit_density`` call and
-    one ``pathsum`` call over all the interior Simpson nodes, so each walk
+    exit density through cut point b and x inside U.  The time integral is
+    Gauss-Legendre with ceil(t / time_step) nodes, on panels of at most
+    ``kernels._MAX_NODES`` nodes.  Each cut point takes one ``exit_density``
+    call and one ``pathsum`` call over all the nodes, so each walk
     enumeration serves every node.
     """
-    g = spec.parent
-    full = kernel_pathsum(g, t, x, y, tol=tol).value
+    t = _one_time(t)
+    _check_time(time_step, "step")
+    full = kernel_pathsum(spec.parent, t, x, y, tol=tol).value
     killed = kernel_killed(spec, t, x, y, tol=tol).value
-    s_nodes, w = simpson_nodes(t, time_step)
-    inner = (s_nodes > 0.0) & (s_nodes < t)  # both factors vanish in the limits
+    n = math.ceil(t / time_step)
+    panels = -(-n // _MAX_NODES)
+    nodes, weights = gauss_legendre(-(-n // panels))
+    s = ((np.arange(panels)[:, None] + nodes) * (t / panels)).ravel()
+    w = np.tile(weights * (t / panels), panels)
     flux = 0.0
     for b in spec.cut_points:
-        integrand = np.zeros_like(s_nodes)
-        q = exit_density(spec, x, b, s_nodes[inner], tol=tol)
-        p, _ = pathsum(g, t - s_nodes[inner], b.edge, b.s, y.edge, y.s, tol=tol)
-        integrand[inner] = q * p
-        flux += float(np.dot(w, integrand))
+        q = exit_density(spec, x, b, s, tol=tol)
+        p, _ = pathsum(spec.parent, t - s, b.edge, b.s, y.edge, y.s, tol=tol)
+        flux += float(np.dot(w, q * p))
     return abs(full - killed - flux)
 
 
@@ -413,9 +409,7 @@ def locality_compare(
     is not an integer >= 1 raises GraphError.
     """
     t = np.array(t_grid, dtype=float).ravel()
-    if not t.size:
-        raise GraphError("t_grid must hold at least one time")
-    _check_time(t)
+    _check_time(t, "t_grid")
     if V.parent != g_a:
         raise SubdomainError("V must be a subdomain of the first graph")
     runs = _v_grid(iso, V, points_per_piece)

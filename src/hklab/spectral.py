@@ -405,7 +405,7 @@ def modesum(modes: ModeTable, t, edge_x: str, sx, edge_y: str, sy) -> tuple[np.n
     sx, sy = np.asarray(sx, dtype=float), np.asarray(sy, dtype=float)
     g.check_arclengths(edge_x, sx)
     g.check_arclengths(edge_y, sy)
-    phi_x, phi_y = (modes.at([edge] * s.size, s.ravel()).reshape(s.shape + (-1,))
+    phi_x, phi_y = (modes.at([edge] * s.size, s.ravel()).reshape(s.shape + modes.k.shape)
                     for edge, s in ((edge_x, sx), (edge_y, sy)))
     return _mode_sum(modes, t, phi_x, phi_y), spectral_tail_bound(g, t.min(), modes.searched_to)
 

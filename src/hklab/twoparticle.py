@@ -109,7 +109,7 @@ def trace_two_particle_eigen(modes: ModeTable, t):
 def eigen_trace_series(g: MetricGraph, t_grid) -> TraceSeries:
     """TraceSeries from the eigenvalue-pair oracle, with truncation bounds."""
     ts = np.asarray(t_grid, dtype=float)
-    _check_time(ts)
+    _check_time(ts, "t_grid")
     k_max = _certified_k_max(g, float(ts.min()), 1e-18)
     modes = eigen(g, k_max)
     errs = trace_tail_bound(g, ts, k_max) * (2.0 * single_trace_eigen(modes, ts) + 1.0)

@@ -9,7 +9,7 @@ import pytest
 from conftest import GRAPH_KINDS, end_and_inner_points, make_graph, make_star, random_graph
 from walk_reference import enumerate_walks
 from hklab import kernels
-from hklab._quad import simpson_nodes
+from hklab._quad import gauss_legendre
 from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import (
     _BLOCK,
@@ -564,7 +564,7 @@ class TestSemigroup:
     def test_diagonal_positive(self, interval):
         # int p_t(x,z)^2 dz = p_2t(x,x) > 0
         x = GraphPoint("e", 0.5)
-        s, w = simpson_nodes(1.0, 1e-3)
+        s, w = gauss_legendre(64)
         row, _ = pathsum(interval, 0.05, x.edge, x.s, "e", s, tol=1e-12)
         conv = float(np.dot(w, row * row))
         direct = kernel_pathsum(interval, 0.1, x, x, tol=1e-12).value
@@ -578,8 +578,8 @@ class TestSemigroup:
             return (s * (1.0 - s)) ** 2
 
         errs = []
+        s, w = gauss_legendre(256)
         for t in (1e-2, 1e-3, 1e-4):
-            s, w = simpson_nodes(1.0, 2e-4)
             vals, _ = pathsum(interval, t, x.edge, x.s, "e", s, tol=1e-12)
             errs.append(abs(float(np.dot(w, vals * f(s))) - f(0.5)))
         assert errs[0] > errs[1] > errs[2]

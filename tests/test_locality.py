@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hklab._quad import simpson_nodes
+from hklab._quad import gauss_legendre
 from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import kernel_interval, kernel_mass, kernel_pathsum
 from hklab.locality import (
@@ -96,12 +96,10 @@ class TestExitDensity:
     def test_conservation(self, line):
         u = interval_subdomain(line, "e", 3.0, 4.0)
         x = GraphPoint("e", 3.5)
-        s, w = simpson_nodes(2.0, 5e-4)
-        total = 0.0
-        for b in u.cut_points:  # one array call per cut point; q(0) = 0
-            q = np.zeros_like(s)
-            q[1:] = exit_density(u, x, b, s[1:])
-            total += float(np.dot(w, q))
+        s, w = gauss_legendre(256)
+        s, w = 2.0 * s, 2.0 * w
+        # one array call per cut point
+        total = sum(float(np.dot(w, exit_density(u, x, b, s))) for b in u.cut_points)
         cg, to_cut, _ = u.cut_graph()
         survivor = kernel_mass(cg, 2.0, to_cut(x))
         assert total + survivor == pytest.approx(1.0, abs=1e-4)
@@ -131,17 +129,35 @@ class TestExitDensity:
         for s in (0.02, 0.05):
             a = 0.5
             oracle = a * math.exp(-a * a / (4 * s)) / math.sqrt(4 * math.pi * s**3)
-            assert exit_density(u, x, b, s) == pytest.approx(oracle, rel=1e-3)
+            assert exit_density(u, x, b, s) == pytest.approx(oracle, rel=1e-12)
+
+    def test_against_dirichlet_image_sum(self):
+        # U = (1, 2) on a length-3 interval is the Dirichlet interval (0, 1):
+        # x at distance a from the cut point exits through it with density
+        # d/dy of sum_n g(a - y - 2n) - g(a + y - 2n) at y = 0
+        g = make_graph([("a", "kirchhoff"), ("b", "kirchhoff")], [("e", "a", "b", 3.0)])
+        u = interval_subdomain(g, "e", 1.0, 2.0)
+        x = GraphPoint("e", 1.3)
+        n = np.arange(-50, 51)
+        for s in (0.005, 0.05, 0.3, 1.0):
+            for b, a in zip(u.cut_points, (0.3, 0.7)):
+                d = a - 2.0 * n
+                oracle = np.sum(d / s * np.exp(-d * d / (4 * s))) / math.sqrt(4 * math.pi * s)
+                assert exit_density(u, x, b, s) == pytest.approx(oracle, rel=1e-11)
 
     def test_time_array_matches_scalar_calls(self, line, star3):
         # one call over an array of times certifies its truncation at the
-        # largest; each kernel value moves by at most 2 tol, so the density
-        # by at most (2/h2 + 1/h1) 2 tol
+        # largest, lam; a call at one time s omits walks of mid-length m in
+        # (lam_s, lam], whose sum of |w| g_s(m) is at most tol.  Such a walk's
+        # total length l is at most lam plus twice the longest cut edge, and
+        # g_s(l) <= g_s(m), so the density moves by at most l tol / 2s
         tol = 1e-12
-        allow = (2.0 / 5e-5 + 1.0 / 1e-4) * 2.0 * tol
         s = np.array([0.002, 0.01, 0.03, 0.1, 0.05])
         for u, x in ((interval_subdomain(line, "e", 3.0, 4.0), GraphPoint("e", 3.3)),
                      (ball_subdomain(star3, "c", 0.4), GraphPoint("e1", 0.2))):
+            lam = max(kernel_killed(u, s.max(), x, x, tol=tol).lam, math.sqrt(2.0 * s.max()))
+            longest = max(e.length for e in u.cut_graph()[0].edges)
+            allow = (lam + 2.0 * longest) * tol / (2.0 * s)
             for b in u.cut_points:
                 q = exit_density(u, x, b, s, tol=tol)
                 assert q.shape == s.shape
@@ -158,6 +174,18 @@ class TestExitDensity:
         u = interval_subdomain(line, "e", 3.0, 4.0)
         with pytest.raises(SubdomainError):
             exit_density(u, GraphPoint("e", 3.5), GraphPoint("e", 3.5), 0.1)
+
+    def test_start_on_boundary_refused(self, interval):
+        # a start on the boundary of U has no exit density: it read -3e-12
+        u = interval_subdomain(interval, "e", 0.25, 0.75)
+        for b in u.cut_points:
+            with pytest.raises(SubdomainError, match="start point must lie inside U"):
+                exit_density(u, GraphPoint("e", 0.25), b, 0.05)
+
+    def test_empty_time_array_refused(self, line):
+        u = interval_subdomain(line, "e", 3.0, 4.0)
+        with pytest.raises(GraphError, match="s must hold at least one time"):
+            exit_density(u, GraphPoint("e", 3.5), u.cut_points[0], np.array([]))
 
 
 class TestDecomposition:
@@ -181,6 +209,33 @@ class TestDecomposition:
             u, 5e-3, GraphPoint("e", 0.5), GraphPoint("e", 0.5), time_step=2e-5
         )
         assert r < 1e-6
+
+    @pytest.mark.parametrize("case", ["interval", "star", "short"])
+    def test_residual_at_rounding(self, interval, star3, case):
+        # the closed-form density and Gauss-Legendre in time leave only rounding
+        spec, t, x, y, step = {
+            "interval": (interval_subdomain(interval, "e", 0.25, 0.75), 0.05,
+                         GraphPoint("e", 0.5), GraphPoint("e", 0.5), 1e-4),
+            "star": (ball_subdomain(star3, "c", 0.4), 0.02,
+                     GraphPoint("e1", 0.2), GraphPoint("e2", 0.3), 1e-4),
+            "short": (interval_subdomain(interval, "e", 0.25, 0.75), 5e-3,
+                      GraphPoint("e", 0.5), GraphPoint("e", 0.5), 2e-5),
+        }[case]
+        assert decomposition_residual(spec, t, x, y, time_step=step) <= 1e-12
+
+    def test_start_on_boundary_refused(self, interval):
+        # at a cut point the identity has no density; this read 0.99926
+        u = interval_subdomain(interval, "e", 0.25, 0.75)
+        with pytest.raises(SubdomainError, match="start point must lie inside U"):
+            decomposition_residual(u, 0.05, GraphPoint("e", 0.25), GraphPoint("e", 0.5))
+
+    def test_steps_past_one_panel(self, interval):
+        # 10,000 nodes run on panels of at most 1024
+        u = interval_subdomain(interval, "e", 0.25, 0.75)
+        r = decomposition_residual(
+            u, 1.0, GraphPoint("e", 0.5), GraphPoint("e", 0.4), time_step=1e-4
+        )
+        assert r <= 1e-12
 
     def test_rejects_bad_step(self, interval):
         u = interval_subdomain(interval, "e", 0.25, 0.75)

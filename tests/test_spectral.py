@@ -6,7 +6,7 @@ import pytest
 
 from conftest import GRAPH_KINDS, end_and_inner_points, make_graph, make_star, random_graph
 from hklab import spectral
-from hklab._quad import simpson_nodes
+from hklab._quad import gauss_legendre
 from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import TruncationError, kernel_interval, kernel_pathsum
 from hklab.spectral import (
@@ -23,17 +23,19 @@ from hklab.spectral import (
 )
 
 
-def mode_gram(modes, per_wave=20):
-    """L2 Gram matrix of a mode table by composite Simpson on every edge: the
+def mode_gram(modes):
+    """L2 Gram matrix of a mode table by Gauss-Legendre on every edge: the
     reference for the orthonormality the table's modes are built with.
 
-    Nodes are at most an eighth of the edge and pi/per_wave over the largest
-    frequency (or 1) apart.
+    An edge of length l takes ceil(k l) + 16 nodes, k the largest frequency
+    (or 1): the products of two modes are entire, of frequency at most 2k, and
+    on the Bernstein ellipse of rho = e the rule's error bound is below 1e-13.
     """
-    step_k = math.pi / (per_wave * max(modes.k.max(initial=0.0), 1.0))
+    k = max(modes.k.max(initial=0.0), 1.0)
     phi, weights = [], []
     for e in modes.graph.edges:
-        s, w = simpson_nodes(e.length, min(e.length / 8.0, step_k))
+        s, w = gauss_legendre(math.ceil(k * e.length) + 16)
+        s, w = e.length * s, e.length * w
         phi.append(modes.at([e.id] * len(s), s))
         weights.append(w)
     phi = np.concatenate(phi)
@@ -143,14 +145,13 @@ class TestEigen:
     @pytest.mark.parametrize("kind", GRAPH_KINDS + ["star7"])
     def test_orthonormality_loops_and_clusters(self, kind):
         # loops, multi-edges, Dirichlet vertices, unequal lengths, and the
-        # multiplicity-6 roots of an equal 7-star; Simpson at pi/20 per unit
-        # of frequency is only good to about 4e-7 on these edges
+        # multiplicity-6 roots of an equal 7-star
         if kind == "star7":
             g = make_star([1.0] * 7)
         else:
             g = random_graph(kind, np.random.default_rng(3))
         modes = eigen(g, 12.0)
-        gram = mode_gram(modes, per_wave=80)
+        gram = mode_gram(modes)
         assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-8
 
     def test_rejects_bad_kmax(self, interval):
@@ -418,7 +419,7 @@ class TestUnequalLengthsAndLoops:
         modes = eigen(g, math.sqrt(math.log(1e14) / t) + 5.0)
         rows = [r for r in eigen_report(modes) if abs(r["k"] - 3.2724923474893) < 1e-9]
         assert [r["multiplicity"] for r in rows] == [2]
-        gram = mode_gram(modes, per_wave=160)
+        gram = mode_gram(modes)
         assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-8
         pts = [GraphPoint(e.id, s) for e in g.edges for s in (0.1, 0.35)]
         for x in pts:

@@ -154,6 +154,10 @@ ONE_TIME = {
     "kernel_spectral": lambda g, t: kernel_spectral(
         g, t, X, GraphPoint("e", 0.2), ModeTable(g, [0.0, math.pi], [[[1.0, 0.0]], [[1.0, 0.0]]])
     ).value,
+    "kernel_killed": lambda g, t: kernel_killed(
+        interval_subdomain(g, "e", 0.25, 0.75), t, X, GraphPoint("e", 0.3)).value,
+    "decomposition_residual": lambda g, t: decomposition_residual(
+        interval_subdomain(g, "e", 0.25, 0.75), t, X, GraphPoint("e", 0.3)),
 }
 
 
@@ -173,3 +177,36 @@ def test_time_list_reads_as_array(interval, bound):
     ts = [0.05, 0.1]
     assert bound(interval, ts, 40.0).tolist() == bound(interval, np.array(ts), 40.0).tolist()
     assert bound(interval, ts, 40.0).tolist() == [bound(interval, t, 40.0) for t in ts]
+
+
+def test_killed_kernel_reports_a_float_time(interval):
+    u = interval_subdomain(interval, "e", 0.25, 0.75)
+    assert type(kernel_killed(u, np.array(0.02), X, X).t) is float
+
+
+# an empty time array names its argument; empty points give empty values
+EMPTY_TIMES = {
+    "pathsum": (lambda g: pathsum(g, np.array([]), X.edge, X.s, "e", 0.3), "t"),
+    "modesum": (lambda g: modesum(ModeTable(g, [], []), np.array([]), X.edge, X.s, "e", 0.3),
+                "t"),
+    "exit_density": (lambda g: exit_density(
+        interval_subdomain(g, "e", 0.25, 0.75), X, GraphPoint("e", 0.25), np.array([])), "s"),
+    "eigen_trace_series": (lambda g: eigen_trace_series(g, []), "t_grid"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_TIMES))
+def test_empty_time_array_refused(interval, name):
+    call, arg = EMPTY_TIMES[name]
+    with pytest.raises(GraphError, match=f"^{arg} must hold at least one time"):
+        call(interval)
+
+
+@pytest.mark.parametrize("name", ["pathsum", "modesum"])
+def test_empty_points_give_empty_values(interval, name):
+    modes = ModeTable(interval, [0.0, math.pi], [[[1.0, 0.0]], [[1.0, 0.0]]])
+    call = {"pathsum": lambda *a: pathsum(interval, *a),
+            "modesum": lambda *a: modesum(modes, *a)}[name]
+    for sx, sy in ((np.array([]), 0.3), (0.3, np.array([])), (np.zeros((0, 3)), np.zeros(3))):
+        values, _ = call(0.05, "e", sx, "e", sy)
+        assert values.shape == np.broadcast_shapes(np.shape(sx), np.shape(sy))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from hklab._quad import simpson_nodes
+from hklab._quad import gauss_legendre
 from hklab.graph import GraphError, GraphPoint
 from hklab.kernels import kernel_interval, kernel_mass, pathsum
 from hklab.locality import (
@@ -178,7 +178,7 @@ class TestEndpointDistribution:
         ens = simulate_ensemble(
             interval_dirichlet, GraphPoint("e", 0.5), 0.05, 2e-3, 99, 50000
         )
-        s, w = simpson_nodes(1.0, 1e-3)
+        s, w = gauss_legendre(64)
         surv = float(np.dot(w, [
             kernel_interval(1.0, "dirichlet", "dirichlet", 0.05, 0.5, float(y)).value
             for y in s
@@ -198,7 +198,7 @@ class TestGeneralEngine:
         ens = simulate_ensemble(star3, GraphPoint("e1", 0.5), 0.02, 5e-3, 11, 6000)
         coords = ens.endpoint_coords()
         frac = float(np.mean(coords < 1.0))  # edge e1 occupies [0, 1)
-        s, w = simpson_nodes(1.0, 1e-3)
+        s, w = gauss_legendre(64)
         vals, _ = pathsum(star3, 0.02, "e1", 0.5, "e1", s)
         p1 = float(np.dot(w, vals))
         assert abs(frac - p1) <= 3 * math.sqrt(p1 * (1 - p1) / 6000)
@@ -402,7 +402,8 @@ class TestSplice:
         cfg = SpliceConfig(interval_dirichlet, interval, u_d, iso,
                            GraphPoint("e", 0.5), 0.05, 2e-3, 30000, 2)
         sp = splice(cfg)
-        s, w = simpson_nodes(0.5, 2e-4)
+        s, w = gauss_legendre(64)
+        s, w = 0.5 * s, 0.5 * w
         exact = float(np.dot(w, [
             kernel_killed(u_n, 0.05, GraphPoint("e", 0.5),
                           GraphPoint("e", 0.25 + float(v))).value
