@@ -101,6 +101,8 @@ def kernel_interval(L, cond_left, cond_right, t, x, y) -> KernelEval:
     ``_image_tail`` is at most 1e-14; past _MAX_IMAGES images
     ``TruncationError`` is raised.
     """
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be finite and positive, got {L!r}")
     _check_time(t)
     if not (0 <= x <= L and 0 <= y <= L):
         raise ValueError("point outside the interval")

@@ -87,6 +87,7 @@ def trace_two_particle(g: MetricGraph, t: float, step: float | None = None,
 def trace_series(g: MetricGraph, t_grid, tol: float = 1e-10) -> TraceSeries:
     """Quadrature traces on a time grid, each with its certified error bound."""
     ts = tuple(float(t) for t in t_grid)
+    _check_time(np.array(ts), "t_grid")
     parts = [_trace_parts(g, t, tol) for t in ts]
     return TraceSeries(ts, tuple(z for z, _ in parts), tuple(e for _, e in parts))
 

@@ -21,7 +21,7 @@ step's sign, and only a path that leaves a vertex turns its word into the
 double ``Generator.random`` would give.
 
 There is one general engine and one fast path.  The general engine walks
-every path in lockstep, one step at a time, on any graph.  It serves direct
+every path in lockstep, one step at a time, on any graph's bond table.  It serves direct
 runs, runs that record first exits from U, and splices, which walk on the
 disjoint union of the two graphs: a path whose edge index lies past the
 first graph's edges has crossed over.  Each path carries two event levels,
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _check_time
+from .graph import DIRICHLET, GraphError, GraphPoint, MetricGraph, _bond_table, _check_time
 from .locality import IsometryMap, SubdomainSpec
 
 _BLOCK = 1024  # steps per RNG block; fixed forever for reproducibility
@@ -508,42 +508,6 @@ def _lattice_ensemble(
 # -- general per-step engine -----------------------------------------------------
 
 
-def _incidence_tables(h: float, *graphs: MetricGraph):
-    """Tables the general engine walks with, for the disjoint union of the
-    graphs.
-
-    Each graph's edges and vertices follow those of the graphs before it, so
-    its indices are offset by their counts.  Also returns, per graph, the
-    maps from its vertex and edge ids to union indices.
-    """
-    index_maps = []
-    n_v = n_e = 0
-    for g in graphs:
-        index_maps.append(({v.id: n_v + i for i, v in enumerate(g.vertices)},
-                           {e.id: n_e + i for i, e in enumerate(g.edges)}))
-        n_v += len(g.vertices)
-        n_e += len(g.edges)
-    lengths = np.array([e.length for g in graphs for e in g.edges])
-    max_deg = max(g.max_degree for g in graphs)
-    # half-edge j of vertex v: its edge, and the arclength one step into it
-    inc_edge = np.zeros((n_v, max_deg), dtype=np.int64)
-    start_s = np.zeros((n_v, max_deg))
-    deg = np.zeros(n_v, dtype=np.int64)
-    end_vertex, dirichlet = [], []
-    for g, (vids, eids) in zip(graphs, index_maps):
-        for v in g.vertices:
-            hs = g.incidence(v.id)
-            deg[vids[v.id]] = len(hs)
-            for j, (eid, end) in enumerate(hs):
-                inc_edge[vids[v.id], j] = eids[eid]
-                start_s[vids[v.id], j] = h if end == 0 else lengths[eids[eid]] - h
-        end_vertex += [[vids[e.u], vids[e.v]] for e in g.edges]
-        dirichlet += [v.condition == DIRICHLET for v in g.vertices]
-    tables = (deg, inc_edge, start_s, lengths,
-              np.array(end_vertex, dtype=np.int64), np.array(dirichlet))
-    return index_maps, tables
-
-
 def _general_walk(
     g: MetricGraph,
     x0: GraphPoint,
@@ -558,24 +522,46 @@ def _general_walk(
 ) -> EnsembleResult:
     """Lockstep per-step walk on any graph.
 
-    Step m of every path draws the m-th word of the same stream.  Levels
-    change only when a path changes edge, leaves U or reaches a vertex.
-    s <= max(0, u_lo) holds exactly when s <= 0 or s <= u_lo, and likewise
-    for the upper level, so the level compare misses no event, and every
-    path's arclength still takes the same sequence of float adds.  With U,
-    each path's first exit from U is recorded: the step, the crossed cut and
-    its edge.  With splice_to=(graph_b, iso, images of U's cut points), the
-    paths walk on the disjoint union of g and graph B: an exit also snaps the
-    path to the cut and moves it to the cut's image on graph B, where it
-    walks from then on; a same-step absorption beyond the cut is void, since
-    the spliced path never went past the boundary.  A splice reports every
-    path in graph-B coordinates.  The result records ``refusal``, the reason
-    ``_lattice_refusal`` gave for not running the lattice engine.
+    Step m of every path draws the m-th word of the same stream.  The walk
+    steps on the bond table (``graph._bond_table``) of the disjoint union of
+    the graphs, graph B's edges following A's: a path that reaches end
+    ``end`` of union edge i is in state 2 i + end, whose Dirichlet and
+    outside-U flags decide its fate, and it departs along one of the state's
+    moves, which follow ``g.incidence`` at that vertex.  Levels change only
+    when a path changes edge, leaves U or reaches a vertex.  s <= max(0, u_lo)
+    holds exactly when s <= 0 or s <= u_lo, and likewise for the upper level,
+    so the level compare misses no event, and every path's arclength still
+    takes the same sequence of float adds.  With U, each path's first exit
+    from U is recorded: the step, the crossed cut and its edge.  With
+    splice_to=(graph_b, iso, images of U's cut points), the paths walk on the
+    union of g and graph B: an exit also snaps the path to the cut and moves
+    it, through the map piece of its edge, to the cut's image on graph B,
+    where it walks from then on; a same-step absorption beyond the cut is
+    void, since the spliced path never went past the boundary.  A splice
+    reports every path in graph-B coordinates: the paths still inside U at
+    the horizon go through the same map pieces in one pass.  The result
+    records ``refusal``, the reason ``_lattice_refusal`` gave for not running
+    the lattice engine.
     """
     graphs = (g,) if splice_to is None else (g, splice_to[0])
-    index_maps, tables = _incidence_tables(h, *graphs)
-    deg, inc_edge, start_s, lengths, end_vertex, dirichlet = tables
-    vids, eids = index_maps[0]
+    n_a = len(g.edges)
+    eids = {e.id: i for i, e in enumerate(g.edges)}
+    lengths = np.array([e.length for x in graphs for e in x.edges])
+    n_e = lengths.size
+    # union bond table: graph B's states follow A's, offset by 2 n_a; the
+    # moves of state i are first[i], ..., first[i] + n_moves[i] - 1
+    bonds = [_bond_table(x) for x in graphs]
+    rows, cols = (np.concatenate([b[c] + off for b, off in zip(bonds, (0, 2 * n_a))])
+                  for c in (0, 1))
+    first = np.searchsorted(rows, np.arange(2 * n_e))
+    n_moves = np.diff(first, append=rows.size)
+    # a move leads into edge col >> 1, one step from the end it leaves by
+    move_edge = cols >> 1
+    move_s = np.where(cols & 1, h, lengths[move_edge] - h)
+    # by state: the arclength of its end, and whether its vertex absorbs
+    end_s = np.stack([np.zeros(n_e), lengths], axis=1).ravel()
+    dirichlet = np.array([x.condition(v) == DIRICHLET
+                          for x in graphs for e in x.edges for v in (e.u, e.v)])
     steps = n_steps(T, h)
     e0 = eids[x0.edge]
     edge = np.full(n_paths, e0, dtype=np.int64)
@@ -585,7 +571,6 @@ def _general_walk(
     exit_coord = np.zeros(n_paths)
     exit_edge = np.zeros(n_paths, dtype=np.int64)
 
-    n_e = lengths.size
     # event levels by edge, a path's first row while it is tracked inside U
     # and its second once it is not: a step can take a path to a vertex or
     # across a cut only if it ends at or beyond one of them
@@ -603,38 +588,37 @@ def _general_walk(
             u_hi[eids[eid]] = hi
         lev_lo[:n_e] = np.maximum(0.0, u_lo)
         lev_hi[:n_e] = np.minimum(lengths, u_hi)
-        # graph-B vertices are left unmarked: no tracked path reaches them
-        v_outside = np.zeros(deg.size, dtype=bool)
-        for v in g.vertices:
-            eid, end = g.incidence(v.id)[0]
-            v_outside[vids[v.id]] = not U.contains(GraphPoint(eid, end * g.edge_obj(eid).length))
+        # graph-B states are left unmarked: no tracked path reaches them
+        outside = np.zeros(2 * n_e, dtype=bool)
+        outside[:2 * n_a] = [not U.contains(GraphPoint(e.id, end * e.length))
+                             for e in g.edges for end in (0, 1)]
     if splice_to is not None:
-        _, iso, images = splice_to
-        eids_b = index_maps[1][1]
-        # union edge and arclength of the image of each edge's lo (column 0)
-        # and hi (column 1) cut point
-        img_edge = np.zeros((len(g.edges), 2), dtype=np.int64)
-        img_s = np.zeros((len(g.edges), 2))
-        for cut, img in zip(U.cut_points, images):
-            k = eids[cut.edge]
-            side = int(cut.s == u_hi[k])
-            img_edge[k, side] = eids_b[img.edge]
-            img_s[k, side] = img.s
-    # flat tables: half-edge j of vertex v is entry first_half[v] + j, and the
-    # end of edge k at arclength 0 (L) is entry 2 k (2 k + 1)
-    first_half = np.arange(deg.size) * inc_edge.shape[1]
-    inc_edge, start_s = inc_edge.ravel(), start_s.ravel()
-    end_vertex = end_vertex.ravel()
-    end_s = np.stack([np.zeros(n_e), lengths], axis=1).ravel()
+        _, iso, _ = splice_to
+        eids_b = {e.id: n_a + i for i, e in enumerate(splice_to[0].edges)}
+        # the map piece that holds each edge's U piece: its B edge, lo_a,
+        # hi_a, lo_b and sign, by edge of A
+        img, held = np.zeros((5, n_a)), set()
+        for p in iso.pieces:
+            k = eids.get(p.edge_a)
+            if k is not None and p.lo_a <= u_lo[k] < u_hi[k] <= p.hi_a:
+                img[:, k] = eids_b[p.edge_b], p.lo_a, p.hi_a, p.lo_b, p.sign
+                held.add(k)
+        if len(held) < len(U.pieces):
+            raise GraphError("a piece of U has no image under the map")
+        img_edge, lo_a, hi_a, lo_b, sign = img[0].astype(np.int64), *img[1:]
+
+        def image(k, s_a):
+            """``MapPiece.apply`` of each arclength s_a on its edge k of A."""
+            return np.where(sign[k] > 0, lo_b[k] + (s_a - lo_a[k]), lo_b[k] + (hi_a[k] - s_a))
 
     lo = np.full(n_paths, lev_lo[e0])
     hi = np.full(n_paths, lev_hi[e0])
-    # paths that stand at a vertex, which they leave on the next step
-    depart = depart_v = np.zeros(0, dtype=np.int64)
-    v0 = g.point_at_vertex(x0)
-    if v0 is not None:
+    # paths that stand at a vertex, which they leave on the next step, and
+    # their states
+    depart = depart_at = np.zeros(0, dtype=np.int64)
+    if g.point_at_vertex(x0) is not None:
         depart = np.arange(n_paths)
-        depart_v = np.full(n_paths, vids[v0], dtype=np.int64)
+        depart_at = np.full(n_paths, 2 * e0 + (x0.s > 0), dtype=np.int64)
         lo[:], hi[:] = -np.inf, np.inf
     s_end = np.zeros(n_paths)  # where each path last reached a vertex
     # a word's top bit flips the sign bit of -h: the step is -h for a word
@@ -647,13 +631,13 @@ def _general_walk(
         s += ((raw & _UP) ^ minus_h).view(np.float64)
         hit = ((s <= lo) | (s >= hi)).nonzero()[0]
         if depart.size:
-            # the double Generator.random makes of the word picks the half-edge
+            # the double Generator.random makes of the word picks the move
             u = (raw[depart] >> _FRAC_SHIFT) * 2.0**-53
-            d = deg[depart_v]
-            half = first_half[depart_v] + np.minimum((u * d).astype(np.int64), d - 1)
-            k = inc_edge[half]
+            d = n_moves[depart_at]
+            move = first[depart_at] + np.minimum((u * d).astype(np.int64), d - 1)
+            k = move_edge[move]
             edge[depart] = k
-            s[depart] = start_s[half]
+            s[depart] = move_s[move]
             k += n_e * (exit_step[depart] >= 0)
             lo[depart] = lev_lo[k]
             hi[depart] = lev_hi[k]
@@ -662,38 +646,37 @@ def _general_walk(
                 hit = np.concatenate(
                     [hit, depart[(s[depart] <= lo[depart]) | (s[depart] >= hi[depart])]])
         if not hit.size:
-            depart = depart_v = depart[:0]
+            depart = depart_at = depart[:0]
             continue
         k = edge[hit]
         at_end = (s[hit] <= 0.0) | (s[hit] >= lengths[k])
         arrived, k = hit[at_end], k[at_end]
-        end = 2 * k + (s[arrived] > 0.0)
-        vid = end_vertex[end]
-        s[arrived] = s_end[arrived] = end_s[end]
-        stay = ~dirichlet[vid]
+        state = 2 * k + (s[arrived] > 0.0)
+        s[arrived] = s_end[arrived] = end_s[state]
+        stay = ~dirichlet[state]
         alive[arrived] = stay
         lo[arrived], hi[arrived] = -np.inf, np.inf
         cross = hit[~at_end]
-        if U is not None and (cross.size or v_outside[vid].any()):
+        if U is not None and (cross.size or outside[state].any()):
             # a path that reached a vertex, absorbed or not, is out exactly
             # when the vertex is; one that hit a level elsewhere is out when
             # it is at or beyond a cut
             ii = np.concatenate([arrived, cross])
             kc = edge[cross]
             out = np.concatenate(
-                [v_outside[vid], (s[cross] <= u_lo[kc]) | (s[cross] >= u_hi[kc])])
+                [outside[state], (s[cross] <= u_lo[kc]) | (s[cross] >= u_hi[kc])])
             out &= exit_step[ii] < 0
             if out.any():
                 ii = ii[out]
                 k = edge[ii]
-                # the nearer of the edge's two cut points: 0 for lo, 1 for hi
-                side = (np.abs(s[ii] - u_lo[k]) > np.abs(s[ii] - u_hi[k])).astype(int)
+                # the nearer of the edge's two cut points
+                side = np.abs(s[ii] - u_lo[k]) > np.abs(s[ii] - u_hi[k])
                 exit_step[ii] = step + 1
                 exit_coord[ii] = np.where(side, u_hi[k], u_lo[k])
                 exit_edge[ii] = k
                 if splice_to is not None:
-                    edge[ii] = img_edge[k, side]
-                    s[ii] = img_s[k, side]
+                    edge[ii] = img_edge[k]
+                    s[ii] = image(k, exit_coord[ii])
                     alive[ii] = True
                     # an exit at a vertex goes on from B's edge, not from there
                     stay &= ~out[:arrived.size]
@@ -703,18 +686,17 @@ def _general_walk(
             k = edge[cross] + n_e * (exit_step[cross] >= 0)
             lo[cross] = lev_lo[k]
             hi[cross] = lev_hi[k]
-        depart, depart_v = arrived[stay], vid[stay]
+        depart, depart_at = arrived[stay], state[stay]
 
     s = np.where(alive, s, s_end)
     if splice_to is not None:
-        on_b = edge >= len(g.edges)
-        edge[on_b] -= len(g.edges)
-        # paths still inside U map over in their own (edge, s) representation,
-        # which vertex coverage guarantees
-        for i in np.nonzero(~on_b & alive)[0]:
-            img = iso.apply(GraphPoint(g.edges[edge[i]].id, float(s[i])))
-            edge[i] = eids_b[img.edge] - len(g.edges)
-            s[i] = img.s
+        on_b = edge >= n_a
+        edge[on_b] -= n_a
+        # paths still inside U map over through their edge's piece
+        ii = np.nonzero(~on_b & alive)[0]
+        k = edge[ii]
+        edge[ii] = img_edge[k] - n_a
+        s[ii] = image(k, s[ii])
         g = splice_to[0]  # the run ends on graph B
     return EnsembleResult(
         g, T, h, seed, n_paths, edge, s, alive,

@@ -154,6 +154,11 @@ class TestKernelInterval:
         with pytest.raises(ValueError):
             kernel_interval(1.0, "neumann", "neumann", 0.05, 1.2, 0.5)
 
+    @pytest.mark.parametrize("length", [0.0, math.inf, -1.0, math.nan])
+    def test_bad_length_refused(self, length):
+        with pytest.raises(ValueError, match="^L must be finite and positive"):
+            kernel_interval(length, "kirchhoff", "dirichlet", 0.1, 0.0, 0.0)
+
     def test_long_time_equilibrium(self):
         # the closed-form image tail certifies 1e-14 at n = 5678 at once
         start = time.perf_counter()

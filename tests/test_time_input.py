@@ -192,6 +192,7 @@ EMPTY_TIMES = {
     "exit_density": (lambda g: exit_density(
         interval_subdomain(g, "e", 0.25, 0.75), X, GraphPoint("e", 0.25), np.array([])), "s"),
     "eigen_trace_series": (lambda g: eigen_trace_series(g, []), "t_grid"),
+    "trace_series": (lambda g: trace_series(g, []), "t_grid"),
 }
 
 

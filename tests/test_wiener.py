@@ -242,6 +242,15 @@ class TestGeneralEngine:
         with pytest.raises(GraphError, match="subdomain"):
             simulate_ensemble(star3, GraphPoint("e1", 0.1), 0.01, 5e-3, 1, 10, U=ball)
 
+    def test_two_u_pieces_on_one_edge_refused(self, star3):
+        u = SubdomainSpec(star3, (("e1", 0.1, 0.3), ("e1", 0.5, 0.7)))
+        x0 = GraphPoint("e1", 0.2)
+        with pytest.raises(GraphError, match="one U piece per edge"):
+            simulate_ensemble(star3, x0, 0.01, 5e-3, 1, 10, U=u)
+        # the map covers both pieces, so the refusal is the engine's
+        with pytest.raises(GraphError, match="one U piece per edge"):
+            splice(SpliceConfig(star3, star3, u, identity_map(u), x0, 0.01, 5e-3, 10, 1))
+
     def test_first_step_from_a_vertex(self, star3, circle):
         h = 5e-3
         leaf = simulate_ensemble(star3, GraphPoint("e1", 1.0), time_step(h), h, 1, 50)
@@ -467,6 +476,16 @@ class TestSplice:
         with pytest.raises(GraphError):
             splice(cfg)
 
+    def test_u_piece_must_lie_in_one_map_piece(self, star3):
+        # both cut points of U have images, but (0.3, 0.5) inside U has none
+        u = SubdomainSpec(star3, (("e1", 0.2, 0.6),))
+        gapped = SubdomainSpec(star3, (("e1", 0.1, 0.3), ("e1", 0.5, 0.7)))
+        iso = IsometryMap(gapped, gapped, (MapPiece("e1", 0.1, 0.3, "e1", 0.1, +1),
+                                           MapPiece("e1", 0.5, 0.7, "e1", 0.5, +1)))
+        cfg = SpliceConfig(star3, star3, u, iso, GraphPoint("e1", 0.4), 0.01, 5e-3, 10, 1)
+        with pytest.raises(GraphError, match="no image under the map"):
+            splice(cfg)
+
 
 class TestCompare:
     def test_identical_ensembles_p_one(self, interval):
@@ -660,6 +679,12 @@ def _engine_case(kind, star, star_d, circle, interval_d):
         return star, GraphPoint("e1", 0.2), ball_subdomain(star, "c", 0.3 + 0.3 * h), None, 300
     if kind == "single_path":
         return star, GraphPoint("e1", 0.2), ball_subdomain(star, "c", 0.3), None, 1
+    if kind == "multi_edge":
+        # vertex b has two half-edges to a; the start is b's last half-edge,
+        # and every half-edge of b leaves by the same moves
+        g = make_graph([("a", "kirchhoff"), ("b", "kirchhoff"), ("d", "dirichlet")],
+                       [("e1", "a", "b", 0.3), ("e2", "a", "b", 0.2), ("e3", "b", "d", 0.1)])
+        return g, GraphPoint("e3", 0.0), None, None, 300
     # splices from the Dirichlet-leaf star onto the Kirchhoff one, or from the
     # Kirchhoff star onto itself, where an exit at a leaf goes on from B
     radius = {"splice_from_centre": 0.3, "splice_cut_near_leaf": 1 - 0.5 * h,
@@ -678,7 +703,7 @@ def _engine_case(kind, star, star_d, circle, interval_d):
 ENGINE_CASES = [
     "star_centre", "loop_vertex", "tracked_from_centre", "short_dirichlet_leg",
     "absorbed_inside_u", "absorbed_outside_u", "interval_end_in_u", "cut_near_centre",
-    "cut_near_leaf", "off_lattice_cut", "single_path", "splice_from_centre",
+    "cut_near_leaf", "off_lattice_cut", "single_path", "multi_edge", "splice_from_centre",
     "splice_cut_near_leaf", "splice_kirchhoff_leaf", "splice_single_path",
 ]
 
@@ -706,8 +731,11 @@ class TestEngineReference:
         exited = got.exit_step >= 0
         if u is not None and n > 1 and kind != "absorbed_inside_u":
             assert exited.any()
-        if kind in ("absorbed_inside_u", "interval_end_in_u", "short_dirichlet_leg"):
+        if kind in ("absorbed_inside_u", "interval_end_in_u", "short_dirichlet_leg",
+                    "multi_edge"):
             assert (~got.alive & ~exited).any()
+        if kind == "multi_edge":
+            assert {0, 1} <= set(got.final_edge[got.alive].tolist())
         if kind == "absorbed_outside_u":
             assert (~got.alive & exited).any()
 

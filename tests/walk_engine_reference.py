@@ -11,8 +11,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from hklab.graph import GraphPoint
-from hklab.wiener import EnsembleResult, _incidence_tables, _stream_keys, n_steps
+from hklab.graph import DIRICHLET, GraphPoint
+from hklab.wiener import EnsembleResult, _stream_keys, n_steps
+
+
+def _incidence_tables(h, *graphs):
+    """Per-vertex tables of the disjoint union of the graphs, built from
+    ``g.incidence``: each graph's edges and vertices follow those of the
+    graphs before it.  Returns, per graph, the maps from its vertex and edge
+    ids to union indices, and the tables: each vertex's degree, the edge of
+    its j-th half-edge and the arclength one step into it (padded to the
+    largest degree), the edge lengths, each edge's end vertices and each
+    vertex's Dirichlet flag."""
+    index_maps = []
+    n_v = n_e = 0
+    for g in graphs:
+        index_maps.append(({v.id: n_v + i for i, v in enumerate(g.vertices)},
+                           {e.id: n_e + i for i, e in enumerate(g.edges)}))
+        n_v += len(g.vertices)
+        n_e += len(g.edges)
+    lengths = np.array([e.length for g in graphs for e in g.edges])
+    max_deg = max(g.max_degree for g in graphs)
+    inc_edge = np.zeros((n_v, max_deg), dtype=np.int64)
+    start_s = np.zeros((n_v, max_deg))
+    deg = np.zeros(n_v, dtype=np.int64)
+    end_vertex, dirichlet = [], []
+    for g, (vids, eids) in zip(graphs, index_maps):
+        for v in g.vertices:
+            hs = g.incidence(v.id)
+            deg[vids[v.id]] = len(hs)
+            for j, (eid, end) in enumerate(hs):
+                inc_edge[vids[v.id], j] = eids[eid]
+                start_s[vids[v.id], j] = h if end == 0 else lengths[eids[eid]] - h
+        end_vertex += [[vids[e.u], vids[e.v]] for e in g.edges]
+        dirichlet += [v.condition == DIRICHLET for v in g.vertices]
+    tables = (deg, inc_edge, start_s, lengths,
+              np.array(end_vertex, dtype=np.int64), np.array(dirichlet))
+    return index_maps, tables
 
 
 def _uniforms(seed, steps, n_paths):
