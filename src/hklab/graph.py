@@ -210,6 +210,7 @@ def _build_tables(vertices, edges):
         "max_degree": max(len(h) for h in inc.values()),
         "dvv": None,
         "bonds": None,
+        "bond_form": None,
     }
 
 

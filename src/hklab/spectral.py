@@ -1,14 +1,14 @@
 """Eigenvalues and eigenfunctions of the graph Laplacian; spectral heat kernel.
 
 Roots k of the secular equation are counted exactly, with multiplicity, by
-the eigenphases of the bond-scattering matrix U(k) = sigma e^{ikL}.  The root
-search isolates, steps by Newton, and certifies: bisection on that count
-brackets the roots until no eigenphase turns by more than pi across a
-bracket; safeguarded Newton on the eigenphases that cross 0 in a bracket,
-whose derivative is v^H Lambda v (Hellmann-Feynman), finds its root, and
-splits the bracket where the count shows separate roots; and one more count
-just below and just above every root confirms it and its multiplicity.  The
-modes come from the null space of I - U(k)^T at the root.
+the eigenphases of the bond-scattering matrix U(k) = sigma e^{ikL}, read off
+a real symmetric Cayley transform (``_phases``).  The root search isolates,
+steps by Newton, and certifies: the count on one grid of cells at most
+pi / l_max wide brackets the roots; Newton on the eigenphases that cross 0
+in a bracket, whose derivative is q^T Lambda q (Hellmann-Feynman), finds its
+roots, and splits the bracket where the count shows separate roots; and one
+more count just below and just above every root confirms it and its
+multiplicity.  The modes come from the null space of I - U(k)^T at the root.
 
 ``eigen`` returns a ``ModeTable``: the frequencies and per-edge coefficients
 of every mode as read-only arrays.  The vertex check, the eigen report and the
@@ -23,6 +23,7 @@ tolerance needs.
 
 from __future__ import annotations
 
+import logging
 import math
 from itertools import groupby
 
@@ -150,6 +151,11 @@ _STACK = 2**21
 # relative width of the window k(1 +- _CERTIFY) over which the count certifies
 # each root; brackets this narrow are not narrowed further
 _CERTIFY = 1e-13
+# the aim of a count with no phases known, not a rational multiple of pi, where
+# the phases of equal-length graphs gather; and the |H| that aims a count again
+_AIM, _REAIM = 2.0, 30.0
+
+_log = logging.getLogger(__name__)
 
 
 def _bond_unitary(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
@@ -162,11 +168,78 @@ def _bond_unitary(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
     return u
 
 
-def _stacks(g: MetricGraph, ks: np.ndarray):
-    """Yield ``_bond_unitary`` over ks, at most _STACK matrix entries at a time."""
-    n = 2 * len(g.edges)
-    for chunk in np.array_split(ks, max(1, -(-ks.size * n * n // _STACK))):
-        yield _bond_unitary(g, chunk)
+def _chunks(ks: np.ndarray, n: int) -> list[np.ndarray]:
+    """ks in stacks of at most _STACK entries of n x n matrices."""
+    return np.array_split(ks, max(1, -(-ks.size * n * n // _STACK)))
+
+
+def _bond_form(g: MetricGraph) -> np.ndarray:
+    """B' = Q^T (sigma J) Q (cached per graph): sigma = U(0), J swaps the states
+    2i and 2i + 1 of edge i, and Q turns them by (1, 1)/sqrt2 and (1, -1)/sqrt2.
+    sigma J holds sigma_v between the half-edges at each vertex v, so it is
+    symmetric and an involution, as every vertex matrix is, and so is B'."""
+    if g._tables["bond_form"] is None:
+        rows, cols, sigma, _ = _bond_table(g)
+        n = 2 * len(g.edges)
+        sigma_j = np.zeros((n, n))
+        sigma_j[rows, cols ^ 1] = sigma
+        q = np.kron(np.eye(n // 2), [[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        g._tables["bond_form"] = q.T @ sigma_j @ q
+    return g._tables["bond_form"]
+
+
+def _aim(phase: np.ndarray) -> np.ndarray:
+    """The middle of the largest gap between the phases of each row, on the circle."""
+    s = np.sort(phase, axis=1)
+    gap = np.diff(s, axis=1, append=s[:, :1] + 2.0 * math.pi)
+    i = gap.argmax(axis=1)[:, None]
+    return np.take_along_axis(s + 0.5 * gap, i, axis=1)[:, 0] % (2.0 * math.pi)
+
+
+def _phases(g: MetricGraph, ks: np.ndarray, alpha: np.ndarray, vectors: bool = False):
+    """(theta, speed, again): the eigenphases in [0, 2pi) of U(k), one row per
+    k of a stack, aimed at alpha, one per k; with vectors, also d theta / dk
+    of each, and else None; and how many rows were aimed again.
+
+    With D = diag(e^{ikl/2}, i e^{ikl/2}) on each edge, U(k) is unitarily
+    similar to U~ = D B' D (``_bond_form``), complex symmetric and unitary, so
+    its Cayley transform H = Re[i (e^{i alpha} + U~)(e^{i alpha} - U~)^-1] is
+    real symmetric, with eigenvalues lambda = -cot((theta - alpha) / 2),
+    rising strictly with theta over (alpha, alpha + 2pi).  ``eigvalsh`` has
+    them within about eps |H|, so theta within about 2 eps |H|: a row with
+    |H| above _REAIM, a phase within 2 / _REAIM of alpha, is done again aimed
+    at the middle of its largest gap, where |H| < 4E / pi.  So the phases are
+    within about 2 eps _REAIM = 1.3e-14 of exact on graphs of up to 23 edges.
+    d theta / dk is v^H Lambda v over a unit eigenvector v of U, Lambda the
+    diagonal of bond lengths (Hellmann-Feynman); D is diagonal and Q mixes
+    only the two ends of one edge, so it is sum_i l_i q_i^2 over the real
+    eigenvector q of H.
+    """
+    b, ell = _bond_form(g), np.repeat([e.length for e in g.edges], 2)
+    n, alpha = ell.size, alpha.copy()
+    lam, speed = np.empty((ks.size, n)), np.empty((ks.size, n))
+    odd = np.pi * (np.arange(n) % 2)  # the factor i of D, halved
+
+    def cayley(rows):
+        for i in _chunks(rows, n):
+            # w = e^{-i alpha} U~(k) = (e^{-i alpha/2} D) B' (e^{-i alpha/2} D)
+            d = np.exp(0.5j * (np.outer(ks[i], ell) - alpha[i, None] + odd))
+            w = d[:, :, None] * b * d[:, None, :]
+            h = np.linalg.solve(np.eye(n) - w, np.eye(n) + w).imag
+            h = -0.5 * (h + h.transpose(0, 2, 1))
+            if vectors:
+                lam[i], q = np.linalg.eigh(h)
+                speed[i] = ell @ q**2
+            else:
+                lam[i] = np.linalg.eigvalsh(h)
+        return (alpha[:, None] + math.pi + 2.0 * np.arctan(lam)) % (2.0 * math.pi)
+
+    theta = cayley(np.arange(ks.size))
+    again = np.flatnonzero(np.maximum(-lam[:, 0], lam[:, -1]) > _REAIM)
+    if again.size:
+        alpha[again] = _aim(theta[again])
+        theta = cayley(again)
+    return theta, speed if vectors else None, again.size
 
 
 def _count(g: MetricGraph, ks: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -181,43 +254,39 @@ def _count(g: MetricGraph, ks: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return (2.0 * g.total_length * ks - phases.sum(axis=1)) / (2.0 * math.pi)
 
 
-def _phase_count(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
-    """``_count`` at each k of a stack, from the eigenvalues of U(k) alone."""
-    phases = [np.angle(np.linalg.eigvals(u)) for u in _stacks(g, ks)]
-    return _count(g, ks, np.concatenate(phases) % (2.0 * math.pi))
-
-
-def _roots(g: MetricGraph, k_lo: float, k_max: float, base: float, top: int):
-    """(k, m): the distinct roots in (k_lo, k_max] and their multiplicities,
-    each certified by the exact count; see ``eigen``."""
+def _roots(g: MetricGraph, k_lo: float, k_max: float):
+    """(k, m, count): the distinct roots in (k_lo, k_max] and their
+    multiplicities, each certified by the exact count, and the count of roots
+    there with multiplicity; see ``eigen``."""
     ell = np.repeat([e.length for e in g.edges], 2)  # Lambda: bond 2i + end lies on edge i
     n = ell.size
-    # isolate: bisect on the count until no eigenphase turns by more than pi
-    # across a jumping bracket (lo, hi], which holds m = n_hi - n_lo crossings
-    lo, hi = np.array([k_lo]), np.array([k_max])
-    n_lo, n_hi = np.array([0]), np.array([top])
-    while True:
-        jump = n_hi > n_lo
-        lo, hi, n_lo, n_hi = lo[jump], hi[jump], n_lo[jump], n_hi[jump]
-        wide = (hi - lo) * ell.max() > math.pi
-        if not wide.any():
-            break
-        mid = 0.5 * (lo[wide] + hi[wide])
-        n_mid = np.clip(np.rint(_phase_count(g, mid) - base).astype(int),
-                        n_lo[wide], n_hi[wide])
-        lo = np.concatenate([lo[~wide], lo[wide], mid])
-        hi = np.concatenate([hi[~wide], mid, hi[wide]])
-        n_lo = np.concatenate([n_lo[~wide], n_lo[wide], n_mid])
-        n_hi = np.concatenate([n_hi[~wide], n_mid, n_hi[wide]])
+    # isolate: the count on a grid of cells at most pi / l_max wide, across
+    # which no eigenphase turns by more than pi; a cell (lo, hi] over which it
+    # jumps, by m, is a bracket
+    cells = max(1, math.ceil((k_max - k_lo) * ell.max() / math.pi))
+    grid = np.linspace(k_lo, k_max, cells + 1)
+    phase, _, again = _phases(g, grid, np.full(grid.size, _AIM))
+    # matrices taken to isolate, in Newton and to certify; and aimed again
+    tally = np.array([grid.size + again, 0, 0, again])
+    counts = _count(g, grid, phase)
+    base = counts[0]
+    n_grid = np.rint(counts - base).astype(int)
+    jump = np.flatnonzero(n_grid[1:] > n_grid[:-1])
+    lo, hi, n_lo = grid[jump], grid[jump + 1], n_grid[jump]
+    m = n_grid[jump + 1] - n_lo
     # Newton on the sum of each bracket's m crossing eigenphases, from its
-    # midpoint; dk is the last step, which the next must halve
-    m = n_hi - n_lo
+    # midpoint; w1 and w2 are its widths one and two rounds back.  Each count
+    # aims alpha at the middle of the largest gap between the bracket's last
+    # phases, turned on by their mean speed L / E over the step to k
     k = 0.5 * (lo + hi)
-    dk = hi - lo
-    found_k, found_m = [np.empty(0)], [np.empty(0, dtype=int)]
+    alpha = _aim(phase[jump]) + ell.mean() * (k - lo)
+    w1 = w2 = np.full(k.size, math.inf)
+    found, rounds = [(np.empty(0), np.empty(0, dtype=int), np.empty(0))], 0
     while k.size:
-        w, v = (np.concatenate(x) for x in zip(*(np.linalg.eig(u) for u in _stacks(g, k))))
-        phase = np.angle(w) % (2.0 * math.pi)
+        rounds += 1
+        phase, speed, again = _phases(g, k, alpha, vectors=True)
+        tally[[1, 3]] += k.size + again, again
+        alpha = _aim(phase)
         c = np.clip(np.rint(_count(g, k, phase) - base).astype(int) - n_lo, 0, m)
         # the bracket's crossings are the c smallest phases, which passed 0 in
         # (lo, k], and the m - c largest, less 2pi, which pass it in (k, hi]:
@@ -227,65 +296,69 @@ def _roots(g: MetricGraph, k_lo: float, k_max: float, base: float, top: int):
         pick = np.take_along_axis(np.argsort(phase, axis=1),
                                   (slot - (m - c)[:, None]) % n, axis=1)
         theta = np.take_along_axis(phase, pick, axis=1) - 2.0 * math.pi * ahead
-        # d theta / dk = v^H Lambda v for a unit eigenvector v (Hellmann-Feynman)
-        speed = np.take_along_axis(np.einsum("i,bij->bj", ell, np.abs(v) ** 2), pick, axis=1)
+        speed = np.take_along_axis(speed, pick, axis=1)
         used = slot < m[:, None]
-        theta, speed = np.where(used, theta, 0.0), np.where(used, speed, 0.0)
-        # all m phases at 0 together: one root of multiplicity m, placed by
-        # one more Newton step
-        done = np.abs(theta).max(axis=1) <= 1e-13 * ell.min() * k
-        f, fp = theta[done].sum(axis=1), speed[done].sum(axis=1)
-        found_k.append(np.clip(k[done] - f / fp, lo[done], hi[done]))
-        found_m.append(m[done])
-        # otherwise the bracket splits at k into (lo, k], holding the c
-        # crossed phases, and (k, hi], holding the m - c others; one part is
-        # empty unless the bracket holds separate roots
-        go = ~done
-        part = np.concatenate([~ahead[go], ahead[go]])
-        f = np.where(part, np.tile(theta[go], (2, 1)), 0.0).sum(axis=1)
-        fp = np.where(part, np.tile(speed[go], (2, 1)), 0.0).sum(axis=1)
-        lo, hi = np.r_[lo[go], k[go]], np.r_[k[go], hi[go]]
-        n_lo, m = np.r_[n_lo[go], n_lo[go] + c[go]], np.r_[c[go], m[go] - c[go]]
-        k, dk = np.tile(k[go], 2), np.tile(dk[go], 2)
+        # the phases within 1e-13 k l_min of 0 are one root at k, of their
+        # multiplicity, placed by one more Newton step
+        tol = 1e-13 * ell.min() * k[:, None]
+        zero = used & (np.abs(theta) <= tol)
+        at = zero.any(axis=1)
+        f, fp = (np.where(zero, x, 0.0)[at].sum(axis=1) for x in (theta, speed))
+        found.append((np.clip(k[at] - f / fp, lo[at], hi[at]), zero.sum(axis=1)[at], alpha[at]))
+        # the bracket splits at k into (lo, k], holding the phases that crossed
+        # 0 before k, and (k, hi], holding those that cross it after; one part
+        # is empty unless the bracket holds separate roots
+        part = np.concatenate([used & (theta > tol), used & (theta < -tol)])
+        f, fp = (np.where(part, np.concatenate([x, x]), 0.0).sum(axis=1)
+                 for x in (theta, speed))
+        crossed, coming = part.sum(axis=1).reshape(2, -1)
+        lo, hi = np.concatenate([lo, k]), np.concatenate([k, hi])
+        n_lo, m = np.concatenate([n_lo, n_lo + m - coming]), np.concatenate([crossed, coming])
+        k, alpha, w1, w2 = (np.concatenate([x, x]) for x in (k, alpha, w1, w2))
         keep = m > 0
-        lo, hi, n_lo, m, k, dk, f, fp = (x[keep] for x in (lo, hi, n_lo, m, k, dk, f, fp))
-        # safeguard: a Newton point outside the part, or a step not half the
-        # last one, gives way to bisection
+        lo, hi, n_lo, m, k, alpha, w1, w2, f, fp = (
+            x[keep] for x in (lo, hi, n_lo, m, k, alpha, w1, w2, f, fp))
+        # safeguard: a Newton point inside the part is taken, unless the part
+        # is not half as wide as two rounds back; otherwise bisect
+        width = hi - lo
         nxt = k - f / fp
-        newton = (lo < nxt) & (nxt < hi) & (2.0 * np.abs(nxt - k) < dk)
+        newton = (lo < nxt) & (nxt < hi) & (width <= 0.5 * w2)
         nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-        k, dk = nxt, np.abs(nxt - k)
-        narrow = hi - lo <= _CERTIFY * hi
-        found_k.append(0.5 * (lo[narrow] + hi[narrow]))
-        found_m.append(m[narrow])
-        lo, hi, n_lo, m, k, dk = (x[~narrow] for x in (lo, hi, n_lo, m, k, dk))
-    roots, mult = np.concatenate(found_k), np.concatenate(found_m)
-    if not roots.size:
-        return roots, mult
+        k, alpha = nxt, alpha + ell.mean() * (nxt - k)
+        w1, w2 = width, w1
+        narrow = width <= _CERTIFY * hi
+        found.append((0.5 * (lo + hi)[narrow], m[narrow], alpha[narrow]))
+        lo, hi, n_lo, m, k, alpha, w1, w2 = (
+            x[~narrow] for x in (lo, hi, n_lo, m, k, alpha, w1, w2))
+    roots, mult, alpha = (np.concatenate(x) for x in zip(*found))
     order = np.argsort(roots)
-    roots, mult = roots[order], mult[order]
+    roots, mult, alpha = roots[order], mult[order], alpha[order]
     # roots whose certifying windows overlap are one root that rounding split
     starts = np.flatnonzero(np.r_[True, roots[1:] * (1.0 - _CERTIFY)
-                                  > roots[:-1] * (1.0 + _CERTIFY)])
+                                  > roots[:-1] * (1.0 + _CERTIFY)])[:roots.size]
     roots = np.add.reduceat(roots, starts) / np.diff(np.r_[starts, roots.size])
-    mult = np.add.reduceat(mult, starts)
-    counts = np.rint(_phase_count(g, np.concatenate(
-        [roots * (1.0 - _CERTIFY), roots * (1.0 + _CERTIFY)])) - base).astype(int)
-    below, above = counts.reshape(2, -1)
+    mult, alpha = np.add.reduceat(mult, starts), alpha[starts]
+    window = np.concatenate([roots * (1.0 - _CERTIFY), roots * (1.0 + _CERTIFY)])
+    phase, _, again = _phases(g, window, np.tile(alpha, 2))
+    tally[[2, 3]] += window.size + again, again
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("eigen: %d grid cells, %d Newton rounds, %d/%d/%d matrices "
+                   "(grid/Newton/certify), %d aimed again", cells, rounds, *tally.tolist())
+    below, above = np.rint(_count(g, window, phase) - base).astype(int).reshape(2, -1)
     bad = np.flatnonzero((below != np.cumsum(mult) - mult) | (above != np.cumsum(mult)))
     if bad.size:
         i = bad[0]
         raise GraphError(f"root k={roots[i]} of multiplicity {mult[i]} is not certified: "
                          f"the exact count steps by {above[i] - below[i]} across it")
-    return roots, mult
+    return roots, mult, int(n_grid[-1])
 
 
 def _null_vectors(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
     """Right-singular vectors of I - U(k)^T, smallest singular value last, for
     each k of a stack: one batched SVD, shape (len(ks), 2E, 2E)."""
     n = 2 * len(g.edges)
-    return np.concatenate([np.linalg.svd(np.eye(n) - u.transpose(0, 2, 1))[2]
-                           for u in _stacks(g, ks)])
+    return np.concatenate([np.linalg.svd(np.eye(n) - _bond_unitary(g, k).transpose(0, 2, 1))[2]
+                           for k in _chunks(ks, n)])
 
 
 def eigen(g: MetricGraph, k_max: float) -> ModeTable:
@@ -296,25 +369,31 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
     eigenvalue is at least (pi/2L)^2, Nicaise 1987).  The roots are found in
     three steps, each batched over all brackets:
 
-    * isolate: bisect (k_lo, k_max] on the count until no eigenphase of U(k)
-      turns by more than pi across a bracket over which N jumps, by m;
+    * isolate: the count on a uniform grid of (k_lo, k_max] in cells at most
+      pi / l_max wide, across which no eigenphase turns by more than pi; a
+      cell over which N jumps, by m, is a bracket.  l_max <= L, so there are
+      at most about L k_max / pi + 1 cells, one per mode;
     * Newton: from the bracket's midpoint, step on the sum of the m
-      eigenphases that cross 0 in it, less 2pi for each not yet across,
-      with derivative tr(V^H Lambda V) over their unit eigenvectors
-      V and Lambda the diagonal of bond lengths (Hellmann-Feynman: d theta/dk
-      = v^H Lambda v > 0).  Every round makes one ``np.linalg.eig`` stack, and
-      the count at the iterate, read off the same eigenvalues, splits the
-      bracket there; a split into two nonempty parts means that the m phases
-      do not reach 0 together, so the bracket held separate roots.  A Newton
-      point outside the bracket, or a step not half the last, gives way to
-      bisection.  The bracket converges when its m phases are all within
-      1e-13 k l_min of 0, or when it is 1e-13 relative wide;
+      eigenphases that cross 0 in it, less 2pi for each not yet across, with
+      derivative the sum of q^T Lambda q over their real unit eigenvectors
+      (Hellmann-Feynman, ``_phases``), one ``eigh`` stack a round.  The count
+      at the iterate k splits the bracket: phases within 1e-13 k l_min of 0
+      are a root at k, the others go to (lo, k] or (k, hi] by whether they
+      crossed 0 before k, and two nonempty parts hold separate roots.  Only a
+      Newton point outside its part, or a part not half as wide as two rounds
+      back, gives way to bisection; a part 1e-13 relative wide is a root;
     * certify: one batched count at k(1 -+ 1e-13) around every root confirms
       it and its multiplicity, or ``GraphError`` is raised.  Roots whose
       windows overlap are first merged into one, at their mean with their
       summed multiplicity: rounding can pull the eigenphases of a multiple
       root apart, and separate null spaces would give modes that are not
       orthogonal.
+
+    Every count aims its Cayley transform (``_phases``) at 2.0 on the grid,
+    and otherwise at the middle of the largest gap between the bracket's last
+    phases, turned by their mean speed L / E over the step.  One DEBUG
+    record on this module's logger gives the grid's cells, the Newton rounds,
+    the matrices of each step and how many were aimed again.
 
     The roots must number N(k_max), their modes come from one batched SVD and
     one ``_null_modes`` batch per multiplicity, and each mode must meet every
@@ -329,9 +408,7 @@ def eigen(g: MetricGraph, k_max: float) -> ModeTable:
             f"k_max={k_max:g} asks for about {weyl:.3g} modes, above {_MAX_MODES}"
         )
     k_lo = min(k_max, math.pi / (4.0 * g.total_length))
-    base, top = _phase_count(g, np.array([k_lo, k_max]))
-    count = round(top - base)
-    roots, mult = _roots(g, k_lo, k_max, base, count)
+    roots, mult, count = _roots(g, k_lo, k_max)
     constant = _constant_modes(g)
     if mult.sum() != count:
         raise GraphError(f"found {len(constant) + mult.sum()} modes up to k={k_max:g}, "

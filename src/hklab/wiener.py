@@ -538,8 +538,9 @@ def _general_walk(
     it, through the map piece of its edge, to the cut's image on graph B,
     where it walks from then on; a same-step absorption beyond the cut is
     void, since the spliced path never went past the boundary.  A splice
-    reports every path in graph-B coordinates: the paths still inside U at
-    the horizon go through the same map pieces in one pass.  The result
+    reports every path in graph-B coordinates: the paths still on A at the
+    horizon, alive inside U or absorbed at a Dirichlet vertex in it, go
+    through the same map pieces in one pass.  The result
     records ``refusal``, the reason ``_lattice_refusal`` gave for not running
     the lattice engine.
     """
@@ -692,8 +693,9 @@ def _general_walk(
     if splice_to is not None:
         on_b = edge >= n_a
         edge[on_b] -= n_a
-        # paths still inside U map over through their edge's piece
-        ii = np.nonzero(~on_b & alive)[0]
+        # paths still on A, alive inside U or absorbed at a Dirichlet vertex
+        # in it, map over through their edge's piece
+        ii = np.nonzero(~on_b)[0]
         k = edge[ii]
         edge[ii] = img_edge[k] - n_a
         s[ii] = image(k, s[ii])

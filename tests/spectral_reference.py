@@ -1,10 +1,13 @@
 """Reference root search by bisection alone, for the tests of ``spectral.eigen``.
 
-``bisect_roots`` brackets the roots of the secular equation with the exact
-eigenphase count N(k) of ``spectral._phase_count`` and bisects every bracket
-over which N jumps, all at once, until it is 1e-13 relative wide: about fifty
-rounds of the count, where ``eigen`` hands each bracket to Newton once it is
-isolated.  It is slow, and ``eigen``'s roots are checked against it.
+``phase_count`` is the exact eigenphase count N(k) read off
+``eigenphases``, the eigenvalues of U(k) = sigma e^{ikL} by the general
+complex eigensolver (LAPACK ZGEEV), not by the Cayley transform ``eigen``
+counts with.  ``bisect_roots`` brackets the
+roots of the secular equation with it and bisects every bracket over which N
+jumps, all at once, until it is 1e-13 relative wide: about fifty rounds of
+the count, where ``eigen`` hands each bracket to Newton once it is isolated.
+It is slow, and ``eigen``'s roots are checked against it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,17 @@ import math
 import numpy as np
 
 from hklab.graph import MetricGraph
-from hklab.spectral import _phase_count
+from hklab.spectral import _bond_unitary, _count
+
+
+def eigenphases(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
+    """The eigenphases in [0, 2pi) of U(k) by ZGEEV, one row per k of ks."""
+    return np.angle(np.linalg.eigvals(_bond_unitary(g, ks))) % (2.0 * math.pi)
+
+
+def phase_count(g: MetricGraph, ks: np.ndarray) -> np.ndarray:
+    """``spectral._count`` at each k of ks from the ZGEEV eigenphases."""
+    return _count(g, ks, eigenphases(g, ks))
 
 
 def bisect_roots(g: MetricGraph, k_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -26,7 +39,7 @@ def bisect_roots(g: MetricGraph, k_max: float) -> tuple[np.ndarray, np.ndarray]:
     multiple root apart by less than a bracket.
     """
     k_lo = min(k_max, math.pi / (4.0 * g.total_length))
-    base, top = _phase_count(g, np.array([k_lo, k_max]))
+    base, top = phase_count(g, np.array([k_lo, k_max]))
     ks, ns = np.array([k_lo, k_max]), np.array([0, round(top - base)])
     while True:
         jump = np.diff(ns) > 0
@@ -35,7 +48,7 @@ def bisect_roots(g: MetricGraph, k_max: float) -> tuple[np.ndarray, np.ndarray]:
             break
         mid = 0.5 * (ks[wide] + ks[wide + 1])
         ks = np.insert(ks, wide + 1, mid)
-        ns = np.insert(ns, wide + 1, np.rint(_phase_count(g, mid) - base).astype(int))
+        ns = np.insert(ns, wide + 1, np.rint(phase_count(g, mid) - base).astype(int))
     roots, mult = [], []
     starts = np.flatnonzero(jump & ~np.r_[False, jump[:-1]])
     stops = np.flatnonzero(jump & ~np.r_[jump[1:], False]) + 1

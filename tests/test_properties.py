@@ -7,10 +7,12 @@ sums and mode sums agree pair by pair and on grids over time arrays, the
 heat mass is at most 1, and the semigroup property holds to 1e-12.  The root
 search of ``eigen`` is checked on the same graphs against bisection alone
 (``spectral_reference``), and the spectral tail bound against the terms it
-bounds.  On stars with a Dirichlet leaf the two-particle trace by quadrature
-meets the eigen pairs within the two certified bounds, for times in
-[0.002, 0.05].  On ``GRAPH_KINDS`` graphs and copies with every condition
-outside an open set U flipped, the locality difference summed over the walks
+bounds.  On ``GRAPH_KINDS`` graphs the Cayley eigenphases ``eigen`` counts
+with match the general eigensolver's, near every root too.  On stars with a
+Dirichlet leaf the two-particle trace by quadrature meets the eigen pairs
+within the two certified bounds, for times in [0.002, 0.05].  On
+``GRAPH_KINDS`` graphs and copies with every condition outside an open set U
+flipped, the locality difference summed over the walks
 that leave U matches the subtracted kernels and stays within its certified
 bound.  The runs are derandomized, so Tier-1 sees the same examples on every
 run.
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRAPH_KINDS, make_graph, random_graph
-from hklab.graph import DIRICHLET, KIRCHHOFF, GraphPoint
+from hklab.graph import DIRICHLET, KIRCHHOFF, GraphPoint, _bond_table
 from hklab.kernels import kernel_mass, kernel_pathsum, kernel_semigroup_residual, pathsum
 from hklab.locality import (
     IsometryMap,
@@ -35,8 +37,11 @@ from hklab.locality import (
     locality_compare,
 )
 from hklab.spectral import (
+    _AIM,
+    _aim,
+    _bond_form,
     _certified_k_max,
-    _phase_count,
+    _phases,
     eigen,
     kernel_spectral,
     modesum,
@@ -44,7 +49,7 @@ from hklab.spectral import (
     trace_tail_bound,
 )
 from hklab.twoparticle import eigen_trace_series, trace_series
-from spectral_reference import bisect_roots
+from spectral_reference import bisect_roots, eigenphases, phase_count
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -196,9 +201,37 @@ def test_roots_match_bisection(g, k_max):
     assert mult.tolist() == want_mult.tolist()
     assert np.all(np.abs(roots - want_roots) <= 1e-12 * want_roots)
     k_lo = min(k_max, math.pi / (4.0 * g.total_length))
-    count = round(float(np.diff(_phase_count(g, np.array([k_lo, k_max])))[0]))
+    count = round(float(np.diff(phase_count(g, np.array([k_lo, k_max])))[0]))
     constant = not any(v.condition == DIRICHLET for v in g.vertices)
     assert len(modes) == count + constant
+
+
+@PROPERTY
+@given(st.sampled_from(GRAPH_KINDS), st.integers(0, 2**32 - 1), st.floats(2.0, 40.0),
+       st.floats(0.0, 2.0 * math.pi))
+def test_cayley_phases_match_zgeev(kind, seed, k_max, alpha):
+    # sigma J is symmetric and B' an involution; the Cayley phases, aimed at
+    # _AIM and at a drawn alpha, are ZGEEV's at a drawn k and just below and
+    # just above every root, where the count certifies it
+    g = random_graph(kind, np.random.default_rng(seed))
+    rows, cols, sigma, _ = _bond_table(g)
+    n = 2 * len(g.edges)
+    sigma_j = np.zeros((n, n))
+    sigma_j[rows, cols ^ 1] = sigma
+    assert np.array_equal(sigma_j, sigma_j.T)
+    b = _bond_form(g)
+    assert np.abs(b @ b - np.eye(n)).max() <= 1e-14
+    roots = np.unique(eigen(g, k_max).k)
+    roots = roots[roots > 0.0]
+    ks = np.concatenate([[k_max], roots * (1.0 - 1e-13), roots * (1.0 + 1e-13)])
+    want = eigenphases(g, ks)
+    # both sets sorted from the middle of the largest gap between ZGEEV's
+    cut = _aim(want)[:, None]
+    for aim in (_AIM, alpha):
+        got = _phases(g, ks, np.full(ks.size, aim))[0]
+        assert ((got >= 0.0) & (got < 2.0 * math.pi)).all()
+        got, ref = (np.sort((x - cut) % (2.0 * math.pi), axis=1) for x in (got, want))
+        assert np.abs(got - ref).max() <= 1e-13
 
 
 @PROPERTY

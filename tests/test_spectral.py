@@ -1,3 +1,4 @@
+import logging
 import math
 import pickle
 
@@ -12,7 +13,6 @@ from hklab.kernels import TruncationError, kernel_interval, kernel_pathsum
 from hklab.spectral import (
     ModeTable,
     _certified_k_max,
-    _phase_count,
     eigen,
     eigen_report,
     kernel_spectral,
@@ -21,6 +21,7 @@ from hklab.spectral import (
     trace_tail_bound,
     vertex_residuals,
 )
+from spectral_reference import phase_count
 
 
 def mode_gram(modes):
@@ -183,6 +184,39 @@ class TestEigen:
         # the simple roots come first: pi, 2 pi; then the double pi/2, 3 pi/2
         assert str(info.value) == f"mode k={roots[0]}: {what} violated at c"
         assert roots[0] == pytest.approx(math.pi)
+
+
+def equal_star_dirichlet_leaf():
+    """The 3-star with legs 0.8 and its leaf l2 Dirichlet."""
+    return make_graph([("c", "kirchhoff"), ("l0", "kirchhoff"), ("l1", "kirchhoff"),
+                       ("l2", "dirichlet")],
+                      [(f"e{i}", "c", f"l{i}", 0.8) for i in range(3)])
+
+
+class TestRootSearchLog:
+    def test_stages_logged_at_debug(self, caplog):
+        # equal legs turn every eigenphase at one speed, so a Newton step
+        # lands on the root of the phases it steps on: one round splits the
+        # brackets that hold separate roots, one lands, one confirms
+        caplog.set_level(logging.DEBUG, logger="hklab.spectral")
+        g = equal_star_dirichlet_leaf()
+        modes = eigen(g, 30.0)
+        records = [r for r in caplog.records if r.name == "hklab.spectral"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        cells, rounds, grid, newton, certify, again = records[0].args
+        k_lo = math.pi / (4.0 * g.total_length)
+        assert cells == math.ceil((30.0 - k_lo) * 0.8 / math.pi)
+        assert rounds <= 3
+        # one matrix per grid point, per bracket and round, and per certifying
+        # count, and one more for each aimed again
+        roots = np.unique(modes.k[modes.k > 0.0])
+        assert newton >= roots.size
+        assert 0 <= (grid - cells - 1) + (certify - 2 * roots.size) <= again
+
+    def test_stages_not_logged_above_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="hklab.spectral")
+        eigen(equal_star_dirichlet_leaf(), 30.0)
+        assert not [r for r in caplog.records if r.name == "hklab.spectral"]
 
 
 class TestKirchhoffResidual:
@@ -395,7 +429,7 @@ class TestUnequalLengthsAndLoops:
         k_max = math.sqrt(math.log(1e14) / t) + 5.0
         modes = eigen(g, k_max)
         k_lo = math.pi / (4.0 * g.total_length)
-        exact = round(float(np.diff(_phase_count(g, np.array([k_lo, k_max])))[0]))
+        exact = round(float(np.diff(phase_count(g, np.array([k_lo, k_max])))[0]))
         assert len(modes) - np.count_nonzero(modes.k == 0.0) == exact
         pts = []
         for _ in range(4):

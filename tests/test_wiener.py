@@ -464,6 +464,19 @@ class TestSplice:
             with pytest.raises(GraphError, match="Dirichlet vertex"):
                 SpliceConfig(g, g, u, identity_map(u), x0, 0.01, 0.01, 1000, 1)
 
+    def test_paths_absorbed_inside_u_report_graph_b(self):
+        # a path that dies at d before leaving U is reported at d on B: the
+        # end of f1, where it used to keep e1's index 0, which is f0 on B
+        g_a, g_b, u_a, iso = _absorbing_splice()
+        sp = splice(SpliceConfig(g_a, g_b, u_a, iso, GraphPoint("e1", 0.9),
+                                 0.05, 0.01, 400, 1))
+        assert sp.engine == "general" and sp.graph == g_b
+        dead = ~sp.alive
+        assert dead.sum() > 200 and not (sp.exit_step[dead] >= 0).any()
+        assert (sp.final_edge[dead] == 1).all() and (sp.final_s[dead] == 1.0).all()
+        assert all(g_b.point_at_vertex(GraphPoint(g_b.edges[e].id, s)) == "d"
+                   for e, s in zip(sp.final_edge[dead], sp.final_s[dead]))
+
     def test_exit_point_must_have_image(self, interval, interval_dirichlet):
         u_d = interval_subdomain(interval_dirichlet, "e", 0.25, 0.75)
         sub_u = interval_subdomain(interval_dirichlet, "e", 0.3, 0.7)
@@ -565,6 +578,20 @@ GOLDEN = {
 
 def _segment(length, left, right):
     return make_graph([("a", left), ("b", right)], [("e", "a", "b", length)])
+
+
+def _absorbing_splice():
+    """(A, B, U, map): a-(e1)-d with d Dirichlet and a-(e2)-l, spliced onto the
+    same graph with its edges listed as f0 = a-l and f1 = a-d; U is all of e1,
+    d included, and e2 up to 0.5, so paths die at d before they exit."""
+    vertices = [("a", "kirchhoff"), ("d", "dirichlet"), ("l", "kirchhoff")]
+    g_a = make_graph(vertices, [("e1", "a", "d", 1.0), ("e2", "a", "l", 1.0)])
+    g_b = make_graph(vertices, [("f0", "a", "l", 1.0), ("f1", "a", "d", 1.0)])
+    u_a = SubdomainSpec(g_a, (("e1", 0.0, 1.0), ("e2", 0.0, 0.5)))
+    u_b = SubdomainSpec(g_b, (("f1", 0.0, 1.0), ("f0", 0.0, 0.5)))
+    iso = IsometryMap(u_a, u_b, (MapPiece("e1", 0.0, 1.0, "f1", 0.0, +1),
+                                 MapPiece("e2", 0.0, 0.5, "f0", 0.0, +1)))
+    return g_a, g_b, u_a, iso
 
 
 def _golden_ensemble(kind, steps):
@@ -685,6 +712,10 @@ def _engine_case(kind, star, star_d, circle, interval_d):
         g = make_graph([("a", "kirchhoff"), ("b", "kirchhoff"), ("d", "dirichlet")],
                        [("e1", "a", "b", 0.3), ("e2", "a", "b", 0.2), ("e3", "b", "d", 0.1)])
         return g, GraphPoint("e3", 0.0), None, None, 300
+    if kind == "splice_absorbed_inside_u":
+        g_a, g_b, u_a, iso = _absorbing_splice()
+        images = tuple(iso.apply(b) for b in u_a.cut_points)
+        return g_a, GraphPoint("e1", 0.9), u_a, (g_b, iso, images), 300
     # splices from the Dirichlet-leaf star onto the Kirchhoff one, or from the
     # Kirchhoff star onto itself, where an exit at a leaf goes on from B
     radius = {"splice_from_centre": 0.3, "splice_cut_near_leaf": 1 - 0.5 * h,
@@ -705,6 +736,7 @@ ENGINE_CASES = [
     "absorbed_inside_u", "absorbed_outside_u", "interval_end_in_u", "cut_near_centre",
     "cut_near_leaf", "off_lattice_cut", "single_path", "multi_edge", "splice_from_centre",
     "splice_cut_near_leaf", "splice_kirchhoff_leaf", "splice_single_path",
+    "splice_absorbed_inside_u",
 ]
 
 
@@ -729,10 +761,10 @@ class TestEngineReference:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         # the case exercises what it is named for
         exited = got.exit_step >= 0
-        if u is not None and n > 1 and kind != "absorbed_inside_u":
+        if u is not None and n > 1 and "absorbed_inside_u" not in kind:
             assert exited.any()
         if kind in ("absorbed_inside_u", "interval_end_in_u", "short_dirichlet_leg",
-                    "multi_edge"):
+                    "multi_edge", "splice_absorbed_inside_u"):
             assert (~got.alive & ~exited).any()
         if kind == "multi_edge":
             assert {0, 1} <= set(got.final_edge[got.alive].tolist())

@@ -142,7 +142,7 @@ def reference_walk(g, x0, T, h, seed, n_paths, U=None, splice_to=None):
     if splice_to is not None:
         on_b = edge >= len(g.edges)
         edge[on_b] -= len(g.edges)
-        for i in np.nonzero(~on_b & alive)[0]:
+        for i in np.nonzero(~on_b)[0]:
             img = iso.apply(GraphPoint(g.edges[edge[i]].id, float(s[i])))
             edge[i] = eids_b[img.edge] - len(g.edges)
             s[i] = img.s
