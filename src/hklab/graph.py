@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -48,11 +49,17 @@ def _check_time(t, name: str = "t"):
 
 
 def _one_time(t, name: str = "t") -> float:
-    """t as a float, once it is one finite positive time; a 0-d array is one."""
-    if isinstance(t, np.ndarray) and t.ndim:
-        raise GraphError(f"{name} must be one time; pathsum and modesum take arrays of times")
-    _check_time(float(t) if isinstance(t, np.ndarray) else t, name)
-    return float(t)
+    """t as a float, once it is one finite positive time; a 0-d array is one.
+    A list or an array of times is refused toward pathsum, and a string, None
+    or any other object that is not a real number is refused by name."""
+    if type(t) is not float:
+        if isinstance(t, (list, tuple)) or isinstance(t, np.ndarray) and t.ndim:
+            raise GraphError(f"{name} must be one time; pathsum and modesum take arrays of times")
+        if not isinstance(t[()] if isinstance(t, np.ndarray) else t, numbers.Real):
+            raise GraphError(f"{name} must be a real number, got {t!r}")
+        t = float(t)
+    _check_time(t, name)
+    return t
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ multiplicity.  The modes come from the null space of I - U(k)^T at the root.
 of every mode as read-only arrays.  The vertex check, the eigen report and the
 traces read those arrays, and ``modesum`` sums the kernel over them with times
 and arclengths broadcast as in ``kernels.pathsum``; ``kernel_spectral`` is its
-one-pair view.
+one-pair view, which a table serves from the mode rows and time factors it
+remembers.
 
 The same count gives proven bounds on what a table leaves out, at one time or
 an array of times, and ``_certified_k_max`` is the one rule for the k_max a
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from itertools import groupby
 
 import numpy as np
@@ -32,6 +34,11 @@ import numpy as np
 from .graph import (DIRICHLET, GraphError, GraphPoint, MetricGraph, _bond_table, _check_time,
                     _one_time)
 from .kernels import KernelEval, TruncationError, _check_tol
+
+
+# bytes a mode table may remember for kernel_spectral, rows and time factors
+# together, each entry counted as 256 bytes more than its array
+_MODE_MEMO_BYTES = 1 << 22
 
 
 class ModeTable:
@@ -44,6 +51,13 @@ class ModeTable:
     frequency (0 without modes) for a table built by hand;
     ``coef[m, i]`` is the (A, B) of mode m on edge i of ``g.edges``, shape
     (M, E, 2); ``col`` maps an edge id to i; ``graph`` is g.
+
+    For ``kernel_spectral`` a table remembers the mode row of each point,
+    keyed by (edge id, float(s)), and at each time the factors e^{-k^2 t}
+    with ``spectral_tail_bound(g, t, searched_to)``, keyed by float(t).  The
+    memo is cleared whenever its next entry would take it past
+    _MODE_MEMO_BYTES, and a pickled table arrives without it.  ``at`` and
+    ``modesum`` do not use it, so their grids of one-off points do not fill it.
     """
 
     def __init__(self, g: MetricGraph, k, coef, searched_to: float | None = None):
@@ -61,6 +75,7 @@ class ModeTable:
         self._neg_k2 = -self.k**2
         for arr in (self.k, self.coef, self._basis, self._neg_k2):
             arr.flags.writeable = False
+        self._memo, self._memo_bytes, self._memo_lock = {}, 0, threading.Lock()
 
     def __len__(self) -> int:
         return len(self.k)
@@ -81,6 +96,38 @@ class ModeTable:
             raise GraphError(f"mode table has no edge {exc.args[0]!r}") from None
         ks = s[:, None] * self.k
         return rows, np.cos(ks), np.sin(ks)
+
+    def _row(self, p: GraphPoint) -> np.ndarray:
+        """Every mode at p, shape (M,), remembered; p is checked the first time."""
+        key = (p.edge, float(p.s))
+        row = self._memo.get(key)
+        if row is None:
+            self.graph.check_point(p)
+            row = self.at((p.edge,), np.array([key[1]]))[0]
+            self._remember(key, row, row.nbytes)
+        return row
+
+    def _at_time(self, t: float) -> tuple[np.ndarray, float]:
+        """(e^{-k^2 t} per mode, ``spectral_tail_bound`` at t), remembered."""
+        factors = self._memo.get(t)
+        if factors is None:
+            factors = _decay(self, t), spectral_tail_bound(self.graph, t, self.searched_to)
+            self._remember(t, factors, factors[0].nbytes)
+        return factors
+
+    def _remember(self, key, value, nbytes: int):
+        """Store value, holding nbytes of arrays, under key in the memo; the
+        lock keeps the byte count exact when threads share the table, and a
+        key another thread stored first is counted once."""
+        size = 256 + nbytes
+        with self._memo_lock:
+            if key in self._memo:
+                return
+            used = self._memo_bytes + size
+            if used > _MODE_MEMO_BYTES:
+                self._memo.clear()
+                used = size
+            self._memo_bytes, self._memo[key] = used, value
 
 
 # -- the modes of every root ----------------------------------------------------
@@ -462,10 +509,15 @@ def vertex_residuals(modes: ModeTable) -> tuple[np.ndarray, np.ndarray]:
 # -- derived quantities ---------------------------------------------------------
 
 
+def _decay(modes: ModeTable, t) -> np.ndarray:
+    """e^{-k_m^2 t}, the modes on the last axis; t is a time or an array."""
+    return np.exp(np.multiply.outer(t, modes._neg_k2))
+
+
 def _mode_sum(modes: ModeTable, t, phi_x: np.ndarray, phi_y: np.ndarray) -> np.ndarray:
     """sum_m e^{-k_m^2 t} phi_m(x) phi_m(y), the modes on the last axis of
     phi_x and phi_y; t, a time or an array, broadcasts with their other axes."""
-    return np.vecdot(phi_x * phi_y, np.exp(np.multiply.outer(t, modes._neg_k2)))
+    return np.vecdot(phi_x * phi_y, _decay(modes, t))
 
 
 def modesum(modes: ModeTable, t, edge_x: str, sx, edge_y: str, sy) -> tuple[np.ndarray, float]:
@@ -492,19 +544,23 @@ def kernel_spectral(g: MetricGraph, t: float, x: GraphPoint, y: GraphPoint, mode
     """``modesum`` at one pair: the spectral heat kernel over a mode table,
     with the tail bound beyond the k the table was searched to.  A bound above
     ``tol``, when given, raises ``TruncationError``; a tol that is not finite
-    and positive, ValueError.
+    and positive, ValueError; a table of a graph not equal to g, GraphError.
+
+    The table remembers the mode rows at x and y and the factors at t (see
+    ``ModeTable``), so a loop over pairs and times that come back costs about
+    one dot product a call, with the same bits as a fresh table.
     """
     t = _one_time(t)
     if tol is not None:
         _check_tol(tol)
-    g.check_point(x)
-    g.check_point(y)
-    phi_x, phi_y = modes.at((x.edge, y.edge), np.array([x.s, y.s], dtype=float))
-    k_max = modes.searched_to
-    bound = spectral_tail_bound(g, t, k_max)
+    if modes.graph is not g and modes.graph != g:
+        raise GraphError("mode table belongs to another graph")
+    phi = modes._row(x) * modes._row(y)
+    decay, bound = modes._at_time(t)
     if tol is not None and bound > tol:
-        raise TruncationError(f"k_max={k_max:.3g} insufficient for tolerance {tol:g} at t={t:g}")
-    return KernelEval(t, x, y, float(_mode_sum(modes, t, phi_x, phi_y)), bound)
+        raise TruncationError(f"k_max={modes.searched_to:.3g} insufficient for tolerance "
+                              f"{tol:g} at t={t:g}")
+    return KernelEval(t, x, y, float(np.vecdot(phi, decay)), bound)
 
 
 def spectral_tail_bound(g: MetricGraph, t, k_max: float):

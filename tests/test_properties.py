@@ -38,6 +38,7 @@ from hklab.locality import (
 )
 from hklab.spectral import (
     _AIM,
+    ModeTable,
     _aim,
     _bond_form,
     _certified_k_max,
@@ -152,6 +153,28 @@ def test_walk_grid_matches_mode_grid(g, data):
     a, tail_a = pathsum(g, ts[:, None, None], *grid)
     b, tail_b = modesum(modes, ts[:, None, None], *grid)
     assert np.abs(a - b).max() <= max(1e-8, tail_a + tail_b)
+
+
+@PROPERTY
+@given(st.sampled_from(GRAPH_KINDS), st.integers(0, 2**32 - 1), st.data())
+def test_remembered_rows_and_times_change_no_bit(kind, seed, data):
+    # a kernel matrix filled pair by pair, as a loop whose points and times
+    # come back: each call equals modesum and a call on a fresh table, bit for bit
+    g = random_graph(kind, np.random.default_rng(seed))
+    pts = []
+    for _ in range(3):
+        e = data.draw(st.sampled_from(g.edges))
+        pts.append(GraphPoint(e.id, data.draw(fractions) * e.length))
+    ts = data.draw(st.lists(times, min_size=1, max_size=2))
+    modes = eigen(g, 40.0)
+    for t in ts + ts:
+        for x in pts:
+            for y in pts:
+                ev = kernel_spectral(g, t, x, y, modes)
+                fresh = kernel_spectral(g, t, x, y, ModeTable(g, modes.k, modes.coef, 40.0))
+                vals, bound = modesum(modes, t, x.edge, x.s, y.edge, y.s)
+                assert ev.value.hex() == fresh.value.hex() == float(vals).hex()
+                assert ev.tail_bound == fresh.tail_bound == bound
 
 
 @PROPERTY

@@ -1,6 +1,8 @@
 import logging
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -334,6 +336,20 @@ class TestSpectralKernel:
                 kernel_spectral(interval, 0.05, x, y, modes)
 
 
+    def test_table_of_another_graph_rejected(self, interval, interval_dirichlet):
+        # the Neumann interval's table would give its own kernel, 0.8294,
+        # where the Dirichlet interval's is 0.7795
+        x, y = GraphPoint("e", 0.3), GraphPoint("e", 0.6)
+        with pytest.raises(GraphError, match="mode table belongs to another graph"):
+            kernel_spectral(interval_dirichlet, 0.05, x, y, eigen(interval, 40.0))
+        # an equal graph built apart is the same graph
+        twin = make_graph([("a", "dirichlet"), ("b", "dirichlet")], [("e", "a", "b", 1.0)])
+        ev = kernel_spectral(interval_dirichlet, 0.05, x, y, eigen(twin, 40.0))
+        want = kernel_pathsum(interval_dirichlet, 0.05, x, y, tol=1e-12)
+        assert abs(ev.value - want.value) <= ev.tail_bound + want.tail_bound
+        assert ev.value == pytest.approx(0.7795, abs=1e-4)
+
+
 class TestModesum:
     def test_grid_and_time_array_equal_one_pair_calls(self, star3):
         modes = eigen(star3, 60.0)
@@ -539,6 +555,58 @@ class TestModeTable:
         assert copy.k.tobytes() == modes.k.tobytes()
         assert copy.coef.tobytes() == modes.coef.tobytes()
         assert copy.searched_to == modes.searched_to and not copy.coef.flags.writeable
+
+    def test_memo_stays_under_its_bound(self, interval):
+        # a hand-built table of 2000 modes remembers about 258 rows; 400
+        # distinct points clear it, and every value stays modesum's
+        rng = np.random.default_rng(7)
+        modes = ModeTable(interval, np.linspace(0.0, 200.0, 2000), rng.normal(size=(2000, 1, 2)))
+        pts = [GraphPoint("e", s) for s in np.linspace(0.0, 1.0, 400)]
+        want = [float(modesum(modes, 0.05, "e", x.s, "e", x.s)[0]) for x in pts]
+        for _ in range(2):
+            got = [kernel_spectral(interval, 0.05, x, x, modes).value for x in pts]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            held = sum(256 + (v if isinstance(v, np.ndarray) else v[0]).nbytes
+                       for v in modes._memo.values())
+            assert held == modes._memo_bytes <= spectral._MODE_MEMO_BYTES
+            assert len(modes._memo) < len(pts)
+
+    def test_memo_count_exact_under_threads(self, interval):
+        # threads that share a table and keep clearing its memo lose no byte
+        # of its count: the count equals the bytes its entries hold
+        modes = ModeTable(interval, np.linspace(0.0, 200.0, 2000),
+                          np.random.default_rng(8).normal(size=(2000, 1, 2)))
+        pts = [GraphPoint("e", s) for s in np.linspace(0.0, 1.0, 600)]
+
+        def fill(offset):
+            for x in pts[offset::3] + pts[offset::3]:
+                kernel_spectral(interval, 0.05, x, x, modes)
+
+        interval_before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(i % 3,)) for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval_before)
+        assert not any(th.is_alive() for th in threads)
+        held = sum(256 + (v if isinstance(v, np.ndarray) else v[0]).nbytes
+                   for v in modes._memo.values())
+        assert held == modes._memo_bytes <= spectral._MODE_MEMO_BYTES
+
+    def test_pickled_table_forgets_its_memo(self, star3):
+        modes = eigen(star3, 40.0)
+        pairs = [(GraphPoint("e1", 0.2), GraphPoint("e3", 1.0)),
+                 (GraphPoint("e2", 0.0), GraphPoint("e2", 0.7))]
+        want = [kernel_spectral(star3, t, x, y, modes) for t in (0.02, 0.1) for x, y in pairs]
+        assert modes._memo
+        copy = pickle.loads(pickle.dumps(modes))
+        assert copy._memo == {} and copy._memo_bytes == 0
+        got = [kernel_spectral(star3, t, x, y, copy) for t in (0.02, 0.1) for x, y in pairs]
+        assert got == want
 
     def test_unknown_edge_rejected(self, star3):
         modes = eigen(star3, 12.0)

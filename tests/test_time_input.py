@@ -172,6 +172,20 @@ def test_time_array_refused_toward_pathsum(interval, name):
         ONE_TIME[name](interval, np.array([0.02, 0.05]))
 
 
+@pytest.mark.parametrize("name", sorted(ONE_TIME))
+def test_time_list_refused_toward_pathsum(interval, name):
+    with pytest.raises(GraphError, match="one time.*pathsum"):
+        ONE_TIME[name](interval, [0.02, 0.05])
+
+
+@pytest.mark.parametrize("t", ["0.02", None])
+@pytest.mark.parametrize("name", sorted(ONE_TIME))
+def test_time_that_is_no_number_refused_by_name(interval, name, t):
+    arg = "s" if name == "semigroup_s" else "t"
+    with pytest.raises(GraphError, match=f"^{arg} must be a real number, got {t!r}"):
+        ONE_TIME[name](interval, t)
+
+
 @pytest.mark.parametrize("bound", [spectral_tail_bound, trace_tail_bound])
 def test_time_list_reads_as_array(interval, bound):
     ts = [0.05, 0.1]
